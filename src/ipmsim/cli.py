@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .decoy import RatePoint, secure_rate, sweep_loss
 from .modulator import bb84_table, fit_delta_l, poincare_trace, wavelength_scan
-from .montecarlo import PULSE_CLASSES, STATES, SimConfig, estimate, simulate
+from .montecarlo import PULSE_CLASSES, STATES, RateEstimate, SimConfig, estimate, simulate
 from .polarimetry import extract_stokes, measure_stokes
 from .scenario import (
     ParameterError,
@@ -217,6 +217,22 @@ def _cmd_sweep(args, scn: Scenario) -> str:
     )
 
 
+def _null_z(est: RateEstimate, analytic: float) -> float:
+    """z-score of an empirical ratio under the analytic value as the null.
+
+    The standard error is the null's sqrt(p(1-p)/n), which stays finite
+    when the empirical count is 0.  A null with no spread scores 0 on an
+    exact match and +-inf otherwise; an empty denominator scores nan.
+    """
+    if est.denominator <= 0:
+        return float("nan")
+    diff = est.value - analytic
+    se = float(np.sqrt(analytic * (1.0 - analytic) / est.denominator))
+    if se > 0:
+        return diff / se
+    return float(np.copysign(np.inf, diff)) if diff else 0.0
+
+
 def _cmd_mc(args, scn: Scenario) -> str:
     seed = args.seed if args.seed is not None else scn.sim.seed
     cfg = SimConfig(
@@ -263,8 +279,7 @@ def _cmd_mc(args, scn: Scenario) -> str:
     )
     report_rows = []
     for name, est, analytic in comparisons:
-        z = (est.value - analytic) / est.stderr if est.stderr > 0 else float("nan")
-        report_rows.append((name, est.value, est.stderr, analytic, z))
+        report_rows.append((name, est.value, est.stderr, analytic, _null_z(est, analytic)))
     _write_csv(report, ("quantity", "empirical", "stderr", "analytic", "z_score"), report_rows)
     _write_sidecar(args.out, "mc", scn, {"seed": seed, "workers": args.workers})
     summary_flags = f" flags={';'.join(emp.flags)}" if emp.flags else ""

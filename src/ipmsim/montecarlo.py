@@ -1,15 +1,20 @@
-"""Event-level pulse-train simulator for the decoy-BB84 channel model.
+"""Count-level Monte Carlo of the decoy-BB84 pulse train, exact in law.
 
-Each pulse is realized explicitly: a class (signal/decoy/vacuum) drawn
-from the allocation, a BB84 state drawn uniformly, a Poisson photon
-number, independent per-photon survival at the channel transmittance,
-independent dark fires on every receiver detector, a uniform receiver
-basis, sifting on matched bases, and error draws (intrinsic QBER for
-photon clicks, the vacuum error rate for dark-only clicks).  Multi
-detector clicks resolve to a uniformly random bit and still count as
-sifted; a dark count on the detector the photon already fired is the same
-click, so a photon pulse double-clicks only when one of the other
-``num_detectors - 1`` detectors dark-fires.
+Each pulse has a class (signal/decoy/vacuum) drawn from the allocation, a
+BB84 state drawn uniformly, a Poisson photon number, independent
+per-photon survival at the channel transmittance, independent dark fires
+on every receiver detector, a uniform receiver basis, sifting on matched
+bases, and error draws (intrinsic QBER for photon clicks, the vacuum error
+rate for dark-only clicks).  Multi detector clicks resolve to a uniformly
+random bit and still count as sifted; a dark count on the detector the
+photon already fired is the same click, so a photon pulse double-clicks
+only when one of the other ``num_detectors - 1`` detectors dark-fires.
+
+Pulses are iid, so a chunk's tally is drawn without realizing them: one
+multinomial splits the chunk over (class, state, click type) cells, and
+binomials thin the clicks to sifted counts and those to errors.  This is
+the same distribution as simulating every pulse, at a cost that does not
+grow with the chunk size.
 
 Pulses are processed in fixed-size chunks.  Chunk ``k`` consumes its own
 counter-based random stream keyed by ``(seed, k)`` (Philox), and the tally
@@ -21,6 +26,7 @@ the byte-identical tally.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -145,110 +151,59 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-# Below this per-pulse any-dark probability the dark fires are sampled
-# sparsely (count of affected pulses first, then their positions); above it
-# a per-pulse binomial is drawn directly.  Both sample the same law.
-_SPARSE_DARK_LIMIT = 1e-4
+# click types, the last axis of a chunk's cell counts: a photon click (a
+# dark on the same detector is the same click), a photon click plus a dark
+# on another detector, one dark alone, several darks alone, and no click
+_PHOTON, _PHOTON_DOUBLE, _ONE_DARK, _MULTI_DARK, _NO_CLICK = range(5)
+_CELLS = (len(PULSE_CLASSES), len(STATES), 5)
 
 
-def _binom_pmf(k: int, n: int, p: float) -> float:
-    from math import comb
-
-    return comb(n, k) * p**k * (1.0 - p) ** (n - k)
-
-
-def _draw_darks(rng: np.random.Generator, n: int, n_det: int, dark_p: float) -> np.ndarray:
-    """Per-pulse count of dark-firing detectors, iid Binomial(n_det, dark_p)."""
-    dark_p = min(dark_p, 1.0)
-    p_any = -np.expm1(n_det * np.log1p(-dark_p)) if dark_p < 1.0 else 1.0
-    if p_any > _SPARSE_DARK_LIMIT:
-        return rng.binomial(n_det, dark_p, size=n)
-    n_dark = np.zeros(n, dtype=np.int16)
-    hits = int(rng.binomial(n, p_any))
-    if hits:
-        where = rng.choice(n, size=hits, replace=False)
-        # count conditioned on at least one fire
-        pmf = np.array([_binom_pmf(k, n_det, dark_p) for k in range(1, n_det + 1)])
-        n_dark[where] = 1 + rng.choice(n_det, size=hits, p=pmf / pmf.sum())
-    return n_dark
+def _cell_probs(cfg: SimConfig) -> np.ndarray:
+    """Per-pulse probability of each (class, state, click type) cell."""
+    p, ch = cfg.protocol, cfg.channel
+    n_det = ch.num_detectors
+    dark_p = min(ch.dark_rate * ch.gate_window, 1.0)      # per detector, per pulse
+    none = (1.0 - dark_p) ** n_det
+    one = n_det * dark_p * (1.0 - dark_p) ** (n_det - 1)
+    # multi = 1 - none - one, with 1 - none from expm1 so that the
+    # O(dark_p^2) remainder is not lost to rounding at small dark_p
+    any_dark = -np.expm1(n_det * np.log1p(-dark_p)) if dark_p < 1.0 else 1.0
+    multi = max(any_dark - one, 0.0)
+    # 1 - e^(-eta x) is 1 - (1 - eta)^photons averaged over the Poisson
+    # photon number; a lone dark fires another detector w.p. (n_det - 1)/n_det
+    photon = -np.expm1(-transmittance(ch) * np.array([p.mu, p.nu, 0.0]))
+    click_types = np.stack(
+        [
+            photon * (none + one / n_det),
+            photon * (one * (n_det - 1) / n_det + multi),
+            (1.0 - photon) * one,
+            (1.0 - photon) * multi,
+            (1.0 - photon) * none,
+        ],
+        axis=-1,
+    )
+    class_p = np.array([p.p_signal, p.p_decoy, p.p_vacuum]) / len(STATES)
+    return np.repeat((class_p[:, None] * click_types)[:, None, :], len(STATES), axis=1)
 
 
 def _simulate_chunk(cfg: SimConfig, chunk_index: int, n: int) -> PulseTally:
-    """Simulate ``n`` pulses of chunk ``chunk_index`` and tally them."""
-    p, ch = cfg.protocol, cfg.channel
+    """Draw the tally of the ``n`` pulses of chunk ``chunk_index`` at count level."""
     rng = _chunk_rng(cfg.seed, chunk_index)
-    eta = transmittance(ch)
-    dark_p = ch.dark_rate * ch.gate_window      # per detector, per pulse
-    n_det = ch.num_detectors
-
-    # pulse class from the allocation, BB84 state and receiver basis uniform
-    u_class = rng.random(n)
-    pulse_class = np.full(n, 2, dtype=np.uint8)          # vacuum
-    pulse_class[u_class < p.p_signal + p.p_decoy] = 1    # decoy
-    pulse_class[u_class < p.p_signal] = 0                # signal
-    state_basis = rng.integers(0, 8, size=n, dtype=np.uint8)
-    state = state_basis & 3
-    # H=0, D=1, V=2, A=3: Alice's basis is state & 1; Bob's is the next bit
-    basis_match = ((state_basis >> 2) & 1) == (state & 1)
-
-    # photon numbers (vacuum sends none); each photon survives independently
-    # with probability eta, so the pulse shows a photon click with
-    # probability 1 - (1 - eta)^i, drawn directly
-    photons = np.zeros(n, dtype=np.int16)
-    signal_mask = pulse_class == 0
-    decoy_mask = pulse_class == 1
-    photons[signal_mask] = rng.poisson(p.mu, size=int(signal_mask.sum()))
-    photons[decoy_mask] = rng.poisson(p.nu, size=int(decoy_mask.sum()))
-    photon_click = np.zeros(n, dtype=bool)
-    carrying = np.flatnonzero(photons > 0)
-    if carrying.size:
-        survive_none = np.power(1.0 - eta, photons[carrying].astype(np.float64))
-        photon_click[carrying] = rng.random(carrying.size) >= survive_none
-
-    # independent dark fires on each detector
-    n_dark = _draw_darks(rng, n, n_det, dark_p)
-    any_dark = n_dark > 0
-    detected = photon_click | any_dark
-    dark_only = any_dark & ~photon_click
-
-    # a photon pulse double-clicks when a dark fires on another detector;
-    # darks alone double-click when two or more detectors fire
-    double = np.zeros(n, dtype=bool)
-    both = np.flatnonzero(photon_click & any_dark)
-    if both.size:
-        other = n_dark[both] >= 2
-        lone = np.flatnonzero(~other)
-        if lone.size:
-            # the lone dark landed on one of n_det detectors uniformly
-            other[lone] = rng.random(lone.size) < (n_det - 1) / n_det
-        double[both] = other
-    double |= dark_only & (n_dark >= 2)
-
-    sifted = detected & basis_match
-
-    # error probability by click type: random bit on double clicks,
-    # intrinsic QBER on photon clicks, vacuum error rate on dark-only
-    sifted_idx = np.flatnonzero(sifted)
-    errors = np.zeros(n, dtype=bool)
-    if sifted_idx.size:
-        err_p = np.where(
-            double[sifted_idx],
-            0.5,
-            np.where(photon_click[sifted_idx], ch.intrinsic_qber, p.e0),
-        )
-        errors[sifted_idx] = rng.random(sifted_idx.size) < err_p
-
-    # bincount over the 12 (class, state) cells
-    code = (pulse_class << 2) | state
-    n_cells = len(PULSE_CLASSES) * len(STATES)
-    tally = PulseTally.zeros()
-    tally.sent += np.bincount(code, minlength=n_cells).reshape(3, 4)
-    tally.detected += np.bincount(code[detected], minlength=n_cells).reshape(3, 4)
-    tally.sifted += np.bincount(code[sifted], minlength=n_cells).reshape(3, 4)
-    tally.errors += np.bincount(code[errors], minlength=n_cells).reshape(3, 4)
-    tally.dark_only = int(dark_only.sum())
-    tally.double_click = int(double.sum())
-    return tally
+    counts = rng.multinomial(n, _cell_probs(cfg).ravel()).reshape(_CELLS)
+    clicks = counts[..., :_NO_CLICK]
+    sifted = rng.binomial(clicks, 0.5)
+    # intrinsic QBER on photon clicks, a random bit on double clicks, the
+    # vacuum error rate on a lone dark
+    err_p = np.array([cfg.channel.intrinsic_qber, 0.5, cfg.protocol.e0, 0.5])
+    errors = rng.binomial(sifted, err_p)
+    return PulseTally(
+        sent=counts.sum(axis=-1),
+        detected=clicks.sum(axis=-1),
+        sifted=sifted.sum(axis=-1),
+        errors=errors.sum(axis=-1),
+        dark_only=int(clicks[..., _ONE_DARK:].sum()),
+        double_click=int(clicks[..., [_PHOTON_DOUBLE, _MULTI_DARK]].sum()),
+    )
 
 
 def _chunk_sizes(cfg: SimConfig) -> list[int]:
@@ -263,21 +218,30 @@ def _run_chunk(args: tuple[SimConfig, int, int]) -> PulseTally:
     return _simulate_chunk(*args)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is not exposed)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate(cfg: SimConfig, workers: int = 1, progress=None) -> PulseTally:
     """Simulate the full pulse train and return the merged tally.
 
-    ``workers`` only distributes chunks over processes; the chunk-to-stream
-    mapping is fixed, and tally merging is an elementwise integer sum
-    (associative and commutative), so the result is identical for any
-    worker count.  ``progress``, if given, is called with (pulses_done,
-    pulses_total) after every chunk.
+    ``workers`` only distributes chunks over processes, and is capped at
+    the chunk count and the CPUs this process may run on; the
+    chunk-to-stream mapping is fixed, and tally merging is an elementwise
+    integer sum (associative and commutative), so the result is identical
+    for any worker count.  ``progress``, if given, is called with
+    (pulses_done, pulses_total) after every chunk.
     """
     sizes = _chunk_sizes(cfg)
     tasks = [(cfg, idx, size) for idx, size in enumerate(sizes)]
+    workers = min(workers, len(tasks), _usable_cpus())
     total = cfg.n_pulses
     done = 0
     result = PulseTally.zeros()
-    if workers <= 1 or len(tasks) == 1:
+    if workers <= 1:
         for task in tasks:
             result = result + _run_chunk(task)
             done += task[2]

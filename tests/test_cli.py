@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ipmsim.cli import main
+from ipmsim.cli import _null_z, main
 from ipmsim.modulator import BB84_TARGET_STOKES, Bb84State
+from ipmsim.montecarlo import RateEstimate
 from ipmsim.scenario import (
     ParameterError,
     Scenario,
@@ -231,10 +232,20 @@ class TestMcCommand:
         header, rows = read_csv(tmp_path / "mc.json.report.csv")
         assert header == ["quantity", "empirical", "stderr", "analytic", "z_score"]
         assert [r[0] for r in rows] == ["Q_mu", "Q_nu", "E_mu", "E_nu", "Y0"]
-        for row in rows[:4]:
-            assert abs(float(row[4])) < 5.0  # z-scores sane
+        for row in rows:
+            assert abs(float(row[4])) < 5.0  # z-scores sane, Y0 with no vacuum click too
         err = capsys.readouterr().err
         assert "pulses" in err  # progress stream
+
+    def test_z_score_uses_the_analytic_spread(self):
+        # an empirical count of 0 has no spread of its own; the null's does
+        none = RateEstimate(value=0.0, stderr=0.0, numerator=0, denominator=100)
+        assert _null_z(none, 0.01) == pytest.approx(-0.01 / np.sqrt(0.01 * 0.99 / 100))
+        assert _null_z(none, 0.0) == 0.0
+        some = RateEstimate(value=0.02, stderr=0.014, numerator=2, denominator=100)
+        assert _null_z(some, 0.0) == np.inf
+        empty = RateEstimate(value=float("nan"), stderr=float("nan"), numerator=0, denominator=0)
+        assert np.isnan(_null_z(empty, 0.5))
 
     def test_seed_flag_overrides_scenario(self, tmp_path):
         scn = self.scenario(tmp_path)

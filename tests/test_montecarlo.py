@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from ipmsim.decoy import ChannelParams, ProtocolParams, gains_and_errors, secure_rate
+from ipmsim import montecarlo
+from ipmsim.decoy import ChannelParams, ProtocolParams, gains_and_errors, secure_rate, transmittance
 from ipmsim.montecarlo import (
     PULSE_CLASSES,
     STATES,
     EmpiricalRates,
     PulseTally,
     SimConfig,
+    _chunk_rng,
+    _simulate_chunk,
     estimate,
     simulate,
 )
@@ -24,6 +27,168 @@ def make_cfg(n_pulses=1_000_000, seed=123, chunk=1 << 18, **channel_kwargs) -> S
         channel=ChannelParams(**channel_kwargs),
         chunk_pulses=chunk,
     )
+
+
+# Event-level reference: every pulse realized explicitly.  The package draws
+# each chunk's tally at count level; this per-pulse kernel samples the same
+# law and is kept here as the oracle it is checked against.
+
+# Below this per-pulse any-dark probability the dark fires are sampled
+# sparsely (count of affected pulses first, then their positions); above it
+# a per-pulse binomial is drawn directly.  Both sample the same law.
+_SPARSE_DARK_LIMIT = 1e-4
+
+
+def _binom_pmf(k: int, n: int, p: float) -> float:
+    from math import comb
+
+    return comb(n, k) * p**k * (1.0 - p) ** (n - k)
+
+
+def _draw_darks(rng: np.random.Generator, n: int, n_det: int, dark_p: float) -> np.ndarray:
+    """Per-pulse count of dark-firing detectors, iid Binomial(n_det, dark_p)."""
+    dark_p = min(dark_p, 1.0)
+    p_any = -np.expm1(n_det * np.log1p(-dark_p)) if dark_p < 1.0 else 1.0
+    if p_any > _SPARSE_DARK_LIMIT:
+        return rng.binomial(n_det, dark_p, size=n)
+    n_dark = np.zeros(n, dtype=np.int16)
+    hits = int(rng.binomial(n, p_any))
+    if hits:
+        where = rng.choice(n, size=hits, replace=False)
+        # count conditioned on at least one fire
+        pmf = np.array([_binom_pmf(k, n_det, dark_p) for k in range(1, n_det + 1)])
+        n_dark[where] = 1 + rng.choice(n_det, size=hits, p=pmf / pmf.sum())
+    return n_dark
+
+
+def _event_chunk(cfg: SimConfig, chunk_index: int, n: int) -> PulseTally:
+    """Simulate ``n`` pulses of chunk ``chunk_index`` one by one and tally them."""
+    p, ch = cfg.protocol, cfg.channel
+    rng = _chunk_rng(cfg.seed, chunk_index)
+    eta = transmittance(ch)
+    dark_p = ch.dark_rate * ch.gate_window      # per detector, per pulse
+    n_det = ch.num_detectors
+
+    # pulse class from the allocation, BB84 state and receiver basis uniform
+    u_class = rng.random(n)
+    pulse_class = np.full(n, 2, dtype=np.uint8)          # vacuum
+    pulse_class[u_class < p.p_signal + p.p_decoy] = 1    # decoy
+    pulse_class[u_class < p.p_signal] = 0                # signal
+    state_basis = rng.integers(0, 8, size=n, dtype=np.uint8)
+    state = state_basis & 3
+    # H=0, D=1, V=2, A=3: Alice's basis is state & 1; Bob's is the next bit
+    basis_match = ((state_basis >> 2) & 1) == (state & 1)
+
+    # photon numbers (vacuum sends none); each photon survives independently
+    # with probability eta, so the pulse shows a photon click with
+    # probability 1 - (1 - eta)^i, drawn directly
+    photons = np.zeros(n, dtype=np.int16)
+    signal_mask = pulse_class == 0
+    decoy_mask = pulse_class == 1
+    photons[signal_mask] = rng.poisson(p.mu, size=int(signal_mask.sum()))
+    photons[decoy_mask] = rng.poisson(p.nu, size=int(decoy_mask.sum()))
+    photon_click = np.zeros(n, dtype=bool)
+    carrying = np.flatnonzero(photons > 0)
+    if carrying.size:
+        survive_none = np.power(1.0 - eta, photons[carrying].astype(np.float64))
+        photon_click[carrying] = rng.random(carrying.size) >= survive_none
+
+    # independent dark fires on each detector
+    n_dark = _draw_darks(rng, n, n_det, dark_p)
+    any_dark = n_dark > 0
+    detected = photon_click | any_dark
+    dark_only = any_dark & ~photon_click
+
+    # a photon pulse double-clicks when a dark fires on another detector;
+    # darks alone double-click when two or more detectors fire
+    double = np.zeros(n, dtype=bool)
+    both = np.flatnonzero(photon_click & any_dark)
+    if both.size:
+        other = n_dark[both] >= 2
+        lone = np.flatnonzero(~other)
+        if lone.size:
+            # the lone dark landed on one of n_det detectors uniformly
+            other[lone] = rng.random(lone.size) < (n_det - 1) / n_det
+        double[both] = other
+    double |= dark_only & (n_dark >= 2)
+
+    sifted = detected & basis_match
+
+    # error probability by click type: random bit on double clicks,
+    # intrinsic QBER on photon clicks, vacuum error rate on dark-only
+    sifted_idx = np.flatnonzero(sifted)
+    errors = np.zeros(n, dtype=bool)
+    if sifted_idx.size:
+        err_p = np.where(
+            double[sifted_idx],
+            0.5,
+            np.where(photon_click[sifted_idx], ch.intrinsic_qber, p.e0),
+        )
+        errors[sifted_idx] = rng.random(sifted_idx.size) < err_p
+
+    # bincount over the 12 (class, state) cells
+    code = (pulse_class << 2) | state
+    n_cells = len(PULSE_CLASSES) * len(STATES)
+    tally = PulseTally.zeros()
+    tally.sent += np.bincount(code, minlength=n_cells).reshape(3, 4)
+    tally.detected += np.bincount(code[detected], minlength=n_cells).reshape(3, 4)
+    tally.sifted += np.bincount(code[sifted], minlength=n_cells).reshape(3, 4)
+    tally.errors += np.bincount(code[errors], minlength=n_cells).reshape(3, 4)
+    tally.dark_only = int(dark_only.sum())
+    tally.double_click = int(double.sum())
+    return tally
+
+
+def _counters(tally: PulseTally) -> np.ndarray:
+    """The 50 counters of a tally: 12 cells x 4 counters, then the click totals."""
+    cells = np.stack([tally.sent, tally.detected, tally.sifted, tally.errors]).ravel()
+    return np.concatenate([cells, [tally.dark_only, tally.double_click]])
+
+
+ORACLE_CHANNELS = {
+    "dense-darks": dict(total_loss_db=8.0, dark_rate=5e6, gate_window=1e-9, intrinsic_qber=0.03),
+    "sparse-darks": dict(total_loss_db=20.0, dark_rate=2e4, gate_window=1e-9),
+    "dark-p-at-least-1": dict(total_loss_db=10.0, dark_rate=2e9, gate_window=1e-9, num_detectors=2),
+    "lossless-eta-1": dict(
+        total_loss_db=0.0, detector_efficiency=1.0, dark_rate=1e6, gate_window=1e-9
+    ),
+    "one-detector": dict(total_loss_db=5.0, dark_rate=5e6, gate_window=1e-9, num_detectors=1),
+    "all-vacuum": dict(dark_rate=2e5, gate_window=1e-9),
+}
+
+
+class TestAgainstEventLevelOracle:
+    # 300 chunks of 8192 pulses per sampler.  Every counter's chunk mean is
+    # compared by a two-sample z (|z| <= 4.5, a 6.8e-6 two-sided normal tail
+    # per counter); counters that are constant on both sides must be equal;
+    # counters averaging >= 5 per chunk on both sides must also agree in
+    # variance, |log ratio| <= 0.6 (about 5 standard errors at 300 chunks)
+    CHUNKS = 300
+    N = 8192
+
+    @pytest.mark.parametrize("name", list(ORACLE_CHANNELS))
+    def test_count_sampler_matches_event_level_law(self, name):
+        protocol = (
+            ProtocolParams(p_signal=0.0, p_decoy=0.0, p_vacuum=1.0)
+            if name == "all-vacuum"
+            else ProtocolParams()
+        )
+        channel = ChannelParams(**ORACLE_CHANNELS[name])
+        ref_cfg = SimConfig(n_pulses=self.N, seed=1, protocol=protocol, channel=channel)
+        new_cfg = SimConfig(n_pulses=self.N, seed=2, protocol=protocol, channel=channel)
+        ref = np.array([_counters(_event_chunk(ref_cfg, k, self.N)) for k in range(self.CHUNKS)])
+        new = np.array([_counters(_simulate_chunk(new_cfg, k, self.N)) for k in range(self.CHUNKS)])
+
+        ref_mean, new_mean = ref.mean(axis=0), new.mean(axis=0)
+        ref_var, new_var = ref.var(axis=0, ddof=1), new.var(axis=0, ddof=1)
+        se = np.sqrt((ref_var + new_var) / self.CHUNKS)
+        constant = se == 0
+        np.testing.assert_array_equal(ref_mean[constant], new_mean[constant])
+        z = (new_mean[~constant] - ref_mean[~constant]) / se[~constant]
+        assert np.max(np.abs(z)) <= 4.5, f"counter z-scores {np.round(z, 2)}"
+        busy = (ref_mean >= 5) & (new_mean >= 5) & ~constant
+        log_ratio = np.log(new_var[busy] / ref_var[busy])
+        assert np.max(np.abs(log_ratio)) <= 0.6, f"variance log-ratios {np.round(log_ratio, 2)}"
 
 
 class TestSimConfig:
@@ -90,8 +255,7 @@ class TestSimulate:
         assert abs(sifted - detected / 2) < 4 * se
 
     def test_dense_dark_regime_counts(self):
-        # large dark probability exercises the direct binomial branch and
-        # the double-click bookkeeping
+        # large dark probability exercises the double-click bookkeeping
         cfg = make_cfg(
             n_pulses=200_000,
             seed=77,
@@ -110,17 +274,6 @@ class TestSimulate:
         assert abs(tally.double_click - expected_multi) < 6 * math.sqrt(expected_multi)
         assert tally.dark_only == tally.detected.sum()
 
-    def test_sparse_and_dense_dark_paths_agree(self):
-        # the same physical dark probability straddling the sampler switch
-        # must give statistically compatible totals
-        kwargs = dict(n_pulses=400_000, total_loss_db=300.0, num_detectors=2)
-        dark_p = 2.4e-5
-        dense = simulate(make_cfg(seed=1, dark_rate=dark_p / 1e-9, gate_window=1e-9, **kwargs))
-        sparse = simulate(make_cfg(seed=2, dark_rate=dark_p / 1e-9, gate_window=0.999e-9, **kwargs))
-        lam = 400_000 * 2 * dark_p
-        assert abs(dense.detected.sum() - lam) < 5 * math.sqrt(lam)
-        assert abs(sparse.detected.sum() - lam) < 5 * math.sqrt(lam)
-
 
 class TestDeterminism:
     def test_identical_across_worker_counts(self):
@@ -130,6 +283,31 @@ class TestDeterminism:
         t8 = simulate(cfg, workers=8)
         assert t1 == t2 == t8
         assert t1.to_json() == t2.to_json() == t8.to_json()
+
+    @pytest.mark.parametrize("cpus, chunks, expected", [(8, 2, 2), (3, 4, 3)])
+    def test_worker_count_capped_at_chunks_and_cpus(self, monkeypatch, cpus, chunks, expected):
+        # a stand-in pool records the size it is asked for and starts no process
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = make_cfg(n_pulses=chunks * 1000, chunk=1000)
+        tally = simulate(cfg, workers=10**6)
+        assert seen == [expected]
+        assert tally == simulate(cfg, workers=1)
 
     def test_same_seed_same_tally(self):
         cfg = make_cfg(n_pulses=300_000, seed=5)
