@@ -31,7 +31,6 @@ from .polarimetry import MeasurementSetting, extract_stokes, projected_intensity
 from .polarization import (
     apply_mueller,
     degree_of_polarization,
-    element_jones,
     jones_to_mueller,
     polarizer,
     retarder,
@@ -57,7 +56,6 @@ __all__ = [
     "binary_entropy",
     "degree_of_polarization",
     "e1_upper",
-    "element_jones",
     "estimate",
     "extract_stokes",
     "fit_delta_l",

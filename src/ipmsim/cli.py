@@ -95,10 +95,9 @@ def _scan_wavelengths(scn: Scenario, grid: SweepSpec | None):
     """Wavelength grid in meters; --grid (in nm) overrides the default span."""
     if grid is not None:
         return np.array(grid.grid()) * 1e-9
-    center_nm = scn.modulator.wavelength * 1e9
-    return np.array(
-        SweepSpec(start_db=center_nm - 1.2, stop_db=center_nm + 1.2, step_db=0.002).grid()
-    ) * 1e-9
+    # default: 1201 points, +-1.2 nm around the operating wavelength
+    start_nm = scn.modulator.wavelength * 1e9 - 1.2
+    return (start_nm + np.arange(1201) * 0.002) * 1e-9
 
 
 def _cmd_states(args, scn: Scenario) -> str:
@@ -281,7 +280,7 @@ def _cmd_mc(args, scn: Scenario) -> str:
     for name, est, analytic in comparisons:
         report_rows.append((name, est.value, est.stderr, analytic, _null_z(est, analytic)))
     _write_csv(report, ("quantity", "empirical", "stderr", "analytic", "z_score"), report_rows)
-    _write_sidecar(args.out, "mc", scn, {"seed": seed, "workers": args.workers})
+    _write_sidecar(args.out, "mc", scn, {"seed": seed})
     summary_flags = f" flags={';'.join(emp.flags)}" if emp.flags else ""
     return (
         f"mc: {cfg.n_pulses} pulses, Q_mu = {_fmt(emp.q_mu.value)} "
@@ -326,17 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
             "--out", type=Path, default=Path(f"{name}.csv" if name != "mc" else "mc.json"),
             help="output file path",
         )
-        cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        cmd.add_argument(
-            "--grid",
-            type=_parse_grid,
-            default=None,
-            help="override grid as start:stop:step (dB for sweep, nm for scan/fitdl)",
-        )
+        if name in ("sweep", "scan", "fitdl"):
+            cmd.add_argument(
+                "--grid",
+                type=_parse_grid,
+                default=None,
+                help="override grid as start:stop:step (dB for sweep, nm for scan/fitdl)",
+            )
         if name in ("fitdl", "polarimetry"):
             cmd.add_argument("--in", dest="infile", type=Path, default=None,
                              help="input CSV (fitdl synthesizes a scan when omitted)")
         if name == "mc":
+            cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
             cmd.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     return parser
 

@@ -19,13 +19,15 @@ Secure rate per pulse:
 
 with L_mu = p_signal / (p_signal + p_decoy) and QBER = E_mu.  Negative
 rates clamp to zero (flagged) so loss sweeps cross the threshold smoothly.
-All functions are pure.
+All functions are pure.  Gains, bounds and rate are numpy array code over
+loss: a sweep evaluates its whole grid in one pass, and a single point is
+a one-element sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,6 +115,8 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class GainsAndErrors:
+    """Gains and error rates at one loss, or arrays of them over a loss array."""
+
     q_mu: float
     q_nu: float
     e_mu: float
@@ -148,24 +152,33 @@ def vacuum_yield(ch: ChannelParams) -> float:
     return ch.num_detectors * ch.dark_rate * ch.gate_window
 
 
-def gains_and_errors(p: ProtocolParams, ch: ChannelParams) -> GainsAndErrors:
-    """Gains Q_mu/Q_nu and total error rates E_mu/E_nu plus the vacuum yield."""
-    eta = transmittance(ch)
+def gains_and_errors(
+    p: ProtocolParams, ch: ChannelParams, loss_db: float | np.ndarray | None = None
+) -> GainsAndErrors:
+    """Gains Q_mu/Q_nu and total error rates E_mu/E_nu plus the vacuum yield.
+
+    ``loss_db`` defaults to the channel's own loss; an array of losses
+    gives array gains and error rates over it.
+    """
+    loss = np.asarray(ch.total_loss_db if loss_db is None else loss_db, dtype=float)
+    if np.any(loss < 0):
+        raise ValueError(f"total_loss_db must be >= 0, got {loss.min()}")
+    eta = 10.0 ** (-loss / 10.0) * ch.detector_efficiency
     y0 = vacuum_yield(ch)
     e_d = ch.intrinsic_qber
 
-    def gain_error(x: float) -> tuple[float, float]:
-        click = -math.expm1(-eta * x)     # 1 - e^(-eta x), precise at high loss
+    def gain_error(x: float):
+        click = -np.expm1(-eta * x)     # 1 - e^(-eta x), precise at high loss
         q = y0 + click
-        err = (p.e0 * y0 + e_d * click) / q if q > 0 else p.e0
-        return q, err
+        err = np.divide(p.e0 * y0 + e_d * click, q, out=np.full_like(q, p.e0), where=q > 0)
+        return q, err[()]
 
     q_mu, e_mu = gain_error(p.mu)
     q_nu, e_nu = gain_error(p.nu)
     return GainsAndErrors(q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0)
 
 
-def q1_lower(p: ProtocolParams, q_mu: float, q_nu: float, y0: float) -> float:
+def q1_lower(p: ProtocolParams, q_mu, q_nu, y0):
     """Lower bound on the single-photon gain; negative values clamp to 0."""
     denom = p.mu * p.nu - p.nu**2
     if denom <= 0:
@@ -180,68 +193,71 @@ def q1_lower(p: ProtocolParams, q_mu: float, q_nu: float, y0: float) -> float:
             - (p.mu**2 - p.nu**2) / p.mu**2 * y0
         )
     )
-    return max(raw, 0.0)
+    return np.maximum(raw, 0.0)
 
 
-def e1_upper(p: ProtocolParams, q1_low: float, e_nu: float, q_nu: float, y0: float) -> float:
+def e1_upper(p: ProtocolParams, q1_low, e_nu, q_nu, y0):
     """Upper bound on the single-photon error rate, clamped to [0, 1]."""
-    if q1_low <= 0:
+    if np.any(q1_low <= 0):
         raise ValueError("e1 bound undefined for Q1_lower <= 0; treat the rate as 0")
     raw = (e_nu * q_nu * math.exp(p.nu) - p.e0 * y0) * p.mu * math.exp(-p.mu) / (p.nu * q1_low)
-    return min(max(raw, 0.0), 1.0)
+    return np.clip(raw, 0.0, 1.0)
 
 
-def binary_entropy(x: float) -> float:
+def binary_entropy(x):
     """Binary entropy H2(x) in bits, with H2(0) = H2(1) = 0."""
-    if not 0.0 <= x <= 1.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError(f"binary entropy needs x in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    inner = (x > 0.0) & (x < 1.0)
+    x = np.where(inner, x, 0.5)
+    h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where(inner, h, 0.0)[()]
 
 
-def _rate_per_pulse_raw(p: ProtocolParams, ge: GainsAndErrors) -> tuple[float, float, float, tuple[str, ...]]:
-    """Unclamped per-pulse rate plus the decoy bounds and diagnostic flags."""
-    flags: list[str] = []
+# RatePoint.flags by bit code: 1 no single-photon gain, 2 e1 >= 1/2, 4 clamped
+_FLAG_NAMES = ("no_single_photon_gain", "e1_at_or_above_half", "rate_clamped")
+_FLAGS_BY_CODE = tuple(
+    tuple(name for bit, name in enumerate(_FLAG_NAMES) if code >> bit & 1) for code in range(8)
+)
+
+
+def _rate_curve(p: ProtocolParams, ch: ChannelParams, loss) -> tuple[list[RatePoint], np.ndarray]:
+    """Rate points and the unclamped per-pulse rate over an array of losses.
+
+    Where Q1_L is 0 (flagged "no_single_photon_gain") e1_U reads 1 and
+    only the error-correction cost remains.
+    """
+    loss = np.asarray(loss, dtype=float)
+    ge = gains_and_errors(p, ch, loss)
     q1 = q1_lower(p, ge.q_mu, ge.q_nu, ge.y0)
-    if q1 <= 0.0:
-        flags.append("no_single_photon_gain")
-        ec = p.q * p.l_mu * (-ge.q_mu * p.f_ec * binary_entropy(ge.e_mu))
-        return ec, 0.0, 1.0, tuple(flags)
-    e1 = e1_upper(p, q1, ge.e_nu, ge.q_nu, ge.y0)
-    if e1 >= 0.5:
-        flags.append("e1_at_or_above_half")
-    raw = p.q * p.l_mu * (
-        -ge.q_mu * p.f_ec * binary_entropy(ge.e_mu) + q1 * (1.0 - binary_entropy(e1))
-    )
-    return raw, q1, e1, tuple(flags)
+    gain = q1 > 0.0
+    e1 = np.ones_like(q1)
+    e1[gain] = e1_upper(p, q1[gain], ge.e_nu[gain], ge.q_nu[gain], ge.y0)
+    ec = -ge.q_mu * p.f_ec * binary_entropy(ge.e_mu)
+    raw = p.q * p.l_mu * np.where(gain, ec + q1 * (1.0 - binary_entropy(e1)), ec)
+    clamped = raw < 0.0
+    rate = np.where(clamped, 0.0, raw)
+    per_second = np.where(rate > 0.0, rate * ch.rep_rate, 0.0)
+    codes = 1 * ~gain + 2 * (gain & (e1 >= 0.5)) + 4 * clamped
+    columns = (loss, ge.q_mu, ge.q_nu, ge.e_mu, ge.e_nu, q1, e1, rate, per_second, codes)
+    points = [
+        RatePoint(loss_db, q_mu, q_nu, e_mu, e_nu, ge.y0, q1_l, e1_u, e_mu, r, r_s,
+                  _FLAGS_BY_CODE[code])
+        for loss_db, q_mu, q_nu, e_mu, e_nu, q1_l, e1_u, r, r_s, code
+        in zip(*(c.tolist() for c in columns))
+    ]
+    return points, raw
 
 
 def secure_rate(p: ProtocolParams, ch: ChannelParams) -> RatePoint:
-    """Secure key rate point at the channel's loss.
+    """Secure key rate point at the channel's loss, a one-element rate curve.
 
     The rate clamps at zero when the bound goes negative (flagged
     "rate_clamped"); rate_per_second = R * rep_rate when R > 0, else 0.
     """
-    ge = gains_and_errors(p, ch)
-    raw, q1, e1, flags = _rate_per_pulse_raw(p, ge)
-    rate = max(raw, 0.0)
-    if raw < 0.0:
-        flags = flags + ("rate_clamped",)
-    return RatePoint(
-        loss_db=ch.total_loss_db,
-        q_mu=ge.q_mu,
-        q_nu=ge.q_nu,
-        e_mu=ge.e_mu,
-        e_nu=ge.e_nu,
-        y0=ge.y0,
-        q1_lower=q1,
-        e1_upper=e1,
-        qber=ge.e_mu,
-        rate_per_pulse=rate,
-        rate_per_second=rate * ch.rep_rate if rate > 0 else 0.0,
-        flags=flags,
-    )
+    points, _ = _rate_curve(p, ch, [ch.total_loss_db])
+    return points[0]
 
 
 @dataclass(frozen=True)
@@ -259,48 +275,23 @@ def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_grid) -> SweepResult:
     rate is still positive at the end of the grid the last grid loss is
     returned as a lower bound (``threshold_is_grid_edge`` set).
     """
-    grid = [float(x) for x in np.asarray(loss_grid, dtype=float).ravel()]
-    if len(grid) == 0:
+    grid = np.asarray(loss_grid, dtype=float).ravel()
+    if grid.size == 0:
         raise ValueError("loss grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if np.any(grid[1:] <= grid[:-1]):
         raise ValueError("loss grid must be strictly increasing")
 
-    points: list[RatePoint] = []
-    raws: list[float] = []
-    for loss in grid:
-        ge = gains_and_errors(p, replace(ch, total_loss_db=loss))
-        raw, q1, e1, flags = _rate_per_pulse_raw(p, ge)
-        rate = max(raw, 0.0)
-        if raw < 0.0:
-            flags = flags + ("rate_clamped",)
-        points.append(
-            RatePoint(
-                loss_db=loss,
-                q_mu=ge.q_mu,
-                q_nu=ge.q_nu,
-                e_mu=ge.e_mu,
-                e_nu=ge.e_nu,
-                y0=ge.y0,
-                q1_lower=q1,
-                e1_upper=e1,
-                qber=ge.e_mu,
-                rate_per_pulse=rate,
-                rate_per_second=rate * ch.rep_rate if rate > 0 else 0.0,
-                flags=flags,
-            )
-        )
-        raws.append(raw)
-
+    points, raw = _rate_curve(p, ch, grid)
     threshold = float("nan")  # stays NaN when no grid point is positive
     edge = False
-    positive = [i for i, r in enumerate(raws) if r > 0.0]
-    if positive:
-        last = positive[-1]
-        if last == len(grid) - 1:
-            threshold = grid[-1]
+    positive = np.flatnonzero(raw > 0.0)
+    if positive.size:
+        last = int(positive[-1])
+        if last == grid.size - 1:
+            threshold = float(grid[-1])
             edge = True
         else:
-            l1, l2 = grid[last], grid[last + 1]
-            r1, r2 = raws[last], raws[last + 1]
+            l1, l2 = float(grid[last]), float(grid[last + 1])
+            r1, r2 = float(raw[last]), float(raw[last + 1])
             threshold = l1 + (l2 - l1) * r1 / (r1 - r2)
     return SweepResult(points=points, threshold_db=threshold, threshold_is_grid_edge=edge)

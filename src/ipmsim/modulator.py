@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import jones_to_mueller, retarder, rotator, stokes_from_jones
+from .polarimetry import DEFAULT_QWP_RETARDANCE
+from .polarization import jones_to_mueller, retarder, rotator
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class ModulatorConfig:
     delta_l: float = 6.0e-3       # MZI arm length imbalance [m]
     n_1: float = 1.468            # effective fiber index
     wavelength: float = 1550e-9   # operating wavelength [m]
-    qwp_retardance: float = 0.93 * np.pi / 2  # receiver QWP actual retardance
+    qwp_retardance: float = DEFAULT_QWP_RETARDANCE  # receiver QWP actual retardance
     phi0_operating: float | None = np.pi / 4
     temp_coeff: float = 0.0       # d(phi0)/dT [rad/K]
     temp_delta: float = 0.0       # T - T0 [K]

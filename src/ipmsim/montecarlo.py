@@ -186,10 +186,13 @@ def _cell_probs(cfg: SimConfig) -> np.ndarray:
     return np.repeat((class_p[:, None] * click_types)[:, None, :], len(STATES), axis=1)
 
 
-def _simulate_chunk(cfg: SimConfig, chunk_index: int, n: int) -> PulseTally:
-    """Draw the tally of the ``n`` pulses of chunk ``chunk_index`` at count level."""
+def _simulate_chunk(cfg: SimConfig, probs: np.ndarray, chunk_index: int, n: int) -> PulseTally:
+    """Draw the tally of the ``n`` pulses of chunk ``chunk_index`` at count level.
+
+    ``probs`` is ``_cell_probs(cfg)``, which depends on the config only.
+    """
     rng = _chunk_rng(cfg.seed, chunk_index)
-    counts = rng.multinomial(n, _cell_probs(cfg).ravel()).reshape(_CELLS)
+    counts = rng.multinomial(n, probs.ravel()).reshape(_CELLS)
     clicks = counts[..., :_NO_CLICK]
     sifted = rng.binomial(clicks, 0.5)
     # intrinsic QBER on photon clicks, a random bit on double clicks, the
@@ -214,7 +217,7 @@ def _chunk_sizes(cfg: SimConfig) -> list[int]:
     return sizes
 
 
-def _run_chunk(args: tuple[SimConfig, int, int]) -> PulseTally:
+def _run_chunk(args: tuple[SimConfig, np.ndarray, int, int]) -> PulseTally:
     return _simulate_chunk(*args)
 
 
@@ -236,7 +239,8 @@ def simulate(cfg: SimConfig, workers: int = 1, progress=None) -> PulseTally:
     (pulses_done, pulses_total) after every chunk.
     """
     sizes = _chunk_sizes(cfg)
-    tasks = [(cfg, idx, size) for idx, size in enumerate(sizes)]
+    probs = _cell_probs(cfg)
+    tasks = [(cfg, probs, idx, size) for idx, size in enumerate(sizes)]
     workers = min(workers, len(tasks), _usable_cpus())
     total = cfg.n_pulses
     done = 0
@@ -244,14 +248,14 @@ def simulate(cfg: SimConfig, workers: int = 1, progress=None) -> PulseTally:
     if workers <= 1:
         for task in tasks:
             result = result + _run_chunk(task)
-            done += task[2]
+            done += task[-1]
             if progress is not None:
                 progress(done, total)
         return result
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for idx, tally in enumerate(pool.map(_run_chunk, tasks)):
             result = result + tally
-            done += tasks[idx][2]
+            done += tasks[idx][-1]
             if progress is not None:
                 progress(done, total)
     return result

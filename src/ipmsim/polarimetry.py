@@ -25,7 +25,7 @@ settings have alpha = beta.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,8 +120,3 @@ def measure_stokes(s, retardance: float = IDEAL_RETARDANCE) -> np.ndarray:
         for label in ("S1+", "S2+", "S3+")
     )
     return extract_stokes(i1, i2, i3, s[0])
-
-
-def with_retardance(meas: MeasurementSetting, retardance: float) -> MeasurementSetting:
-    """Copy of a setting with a different waveplate retardance."""
-    return replace(meas, retardance=retardance)

@@ -26,16 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# Construction-time checks run at 1e-12; randomized property tests at 1e-9.
+# Construction-time checks run at 1e-12.
 CONSTRUCTION_TOL = 1e-12
-PROPERTY_TOL = 1e-9
 
 # Residual imaginary part above this in a converted Mueller matrix signals a
 # non-physical Jones matrix (or a bug) rather than rounding noise.
 IMAG_RESIDUE_LIMIT = 1e-9
-
-#: Canonical horizontal Jones state, (1, 0).
-HORIZONTAL = np.array([1.0, 0.0], dtype=complex)
 
 #: Stokes basis change for M = A (J kron J*) A^-1.
 A_MATRIX = np.array(
@@ -76,23 +72,6 @@ def polarizer(theta: float) -> np.ndarray:
     j0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     return _normalize_phase(rotator(-theta) @ j0 @ rotator(theta))
 
-
-def element_jones(kind: str, angle: float, retardance: float = 0.0) -> np.ndarray:
-    """Build an optical element Jones matrix by kind.
-
-    Parameters
-    ----------
-    kind : {"rotator", "retarder", "polarizer"}
-    angle : element axis angle in radians (rotation angle for "rotator")
-    retardance : phase delay in radians, used only for kind="retarder"
-    """
-    if kind == "rotator":
-        return rotator(angle)
-    if kind == "retarder":
-        return retarder(angle, retardance)
-    if kind == "polarizer":
-        return polarizer(angle)
-    raise ValueError(f"unknown element kind: {kind!r}")
 
 
 def jones_to_mueller(j: np.ndarray) -> np.ndarray:
@@ -141,9 +120,3 @@ def degree_of_polarization(s: np.ndarray) -> float:
     if s[0] <= 0.0:
         raise ValueError(f"degree of polarization undefined for S0 = {s[0]}")
     return float(np.sqrt(s[1] ** 2 + s[2] ** 2 + s[3] ** 2) / s[0])
-
-
-def is_unitary(j: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
-    """True if J is unitary to within ``tol`` (lossless element check)."""
-    j = np.asarray(j, dtype=complex)
-    return bool(np.abs(j.conj().T @ j - np.eye(2)).max() <= tol)

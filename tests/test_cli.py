@@ -265,3 +265,27 @@ class TestMcCommand:
         main(["mc", "--scenario", str(scn), "--out", str(out_a), "--workers", "1"])
         main(["mc", "--scenario", str(scn), "--out", str(out_b), "--workers", "2"])
         assert out_a.read_bytes() == out_b.read_bytes()
+        # the worker count is not a parameter of the result, so the sidecar omits it
+        sidecar_a = tmp_path / "w1.json.params.json"
+        sidecar_b = tmp_path / "w2.json.params.json"
+        assert sidecar_a.read_bytes() == sidecar_b.read_bytes()
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keyrate", "--seed", "1"],
+            ["sweep", "--seed", "1"],
+            ["states", "--grid", "0:1:0.1"],
+            ["keyrate", "--grid", "0:1:0.1"],
+            ["mc", "--grid", "0:1:0.1"],
+            ["polarimetry", "--seed", "1"],
+        ],
+    )
+    def test_flag_on_a_command_that_ignores_it_exits_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

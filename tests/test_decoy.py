@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ipmsim.cli import _fmt, _rate_row
 from ipmsim.decoy import (
     ChannelParams,
     ProtocolParams,
+    RatePoint,
     binary_entropy,
     e1_upper,
     gains_and_errors,
@@ -319,3 +322,228 @@ class TestSweepLoss:
         p, ch = ProtocolParams(), ChannelParams()
         result = sweep_loss(p, ch, [68.0, 69.0, 70.0])
         assert math.isnan(result.threshold_db)
+
+
+class TestArrayBuildingBlocks:
+    def test_gains_broadcast_over_loss(self):
+        p, ch = ProtocolParams(), ChannelParams(gate_window=1e-9)
+        losses = np.array([0.0, 25.0, 45.0, 70.0])
+        ge = gains_and_errors(p, ch, losses)
+        assert ge.q_mu.shape == ge.e_nu.shape == losses.shape
+        for i, loss in enumerate(losses):
+            one = gains_and_errors(p, replace(ch, total_loss_db=float(loss)))
+            assert (ge.q_mu[i], ge.q_nu[i], ge.e_mu[i], ge.e_nu[i]) == pytest.approx(
+                (one.q_mu, one.q_nu, one.e_mu, one.e_nu), rel=1e-15
+            )
+        assert ge.y0 == vacuum_yield(ch)
+
+    def test_bounds_and_entropy_broadcast(self):
+        p = ProtocolParams()
+        ge = gains_and_errors(p, ChannelParams(), np.array([10.0, 30.0, 50.0]))
+        q1 = q1_lower(p, ge.q_mu, ge.q_nu, ge.y0)
+        e1 = e1_upper(p, q1, ge.e_nu, ge.q_nu, ge.y0)
+        h = binary_entropy(e1)
+        for i in range(3):
+            assert q1[i] == q1_lower(p, ge.q_mu[i], ge.q_nu[i], ge.y0)
+            assert e1[i] == e1_upper(p, q1[i], ge.e_nu[i], ge.q_nu[i], ge.y0)
+            assert h[i] == binary_entropy(e1[i])
+        np.testing.assert_array_equal(binary_entropy(np.array([0.0, 0.5, 1.0])), [0.0, 1.0, 0.0])
+
+    def test_array_errors_match_scalar_errors(self):
+        p = ProtocolParams()
+        with pytest.raises(ValueError, match="Q1"):
+            e1_upper(p, np.array([1e-4, 0.0]), 0.02, 1e-4, 1e-6)
+        with pytest.raises(ValueError, match="x in"):
+            binary_entropy(np.array([0.2, 1.5]))
+
+    def test_sweep_rejects_negative_loss(self):
+        with pytest.raises(ValueError, match="total_loss_db must be >= 0"):
+            sweep_loss(ProtocolParams(), ChannelParams(), [-1.0, 5.0])
+
+    def test_gains_reject_negative_loss_argument(self):
+        with pytest.raises(ValueError, match="total_loss_db must be >= 0"):
+            gains_and_errors(ProtocolParams(), ChannelParams(), np.array([3.0, -0.5]))
+
+
+# Scalar oracle: the rate law written one loss at a time with the math
+# module.  The array engine must reproduce it point for point.
+
+
+def scalar_gains_and_errors(p, ch):
+    eta = transmittance(ch)
+    y0 = vacuum_yield(ch)
+    e_d = ch.intrinsic_qber
+
+    def gain_error(x):
+        click = -math.expm1(-eta * x)
+        q = y0 + click
+        err = (p.e0 * y0 + e_d * click) / q if q > 0 else p.e0
+        return q, err
+
+    q_mu, e_mu = gain_error(p.mu)
+    q_nu, e_nu = gain_error(p.nu)
+    return SimpleNamespace(q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0)
+
+
+def scalar_q1_lower(p, q_mu, q_nu, y0):
+    denom = p.mu * p.nu - p.nu**2
+    if denom <= 0:
+        raise ValueError(f"mu must exceed nu (mu*nu - nu^2 > 0), got mu={p.mu}, nu={p.nu}")
+    raw = (
+        p.mu**2
+        * math.exp(-p.mu)
+        / denom
+        * (
+            q_nu * math.exp(p.nu)
+            - q_mu * math.exp(p.mu) * p.nu**2 / p.mu**2
+            - (p.mu**2 - p.nu**2) / p.mu**2 * y0
+        )
+    )
+    return max(raw, 0.0)
+
+
+def scalar_e1_upper(p, q1_low, e_nu, q_nu, y0):
+    if q1_low <= 0:
+        raise ValueError("e1 bound undefined for Q1_lower <= 0; treat the rate as 0")
+    raw = (e_nu * q_nu * math.exp(p.nu) - p.e0 * y0) * p.mu * math.exp(-p.mu) / (p.nu * q1_low)
+    return min(max(raw, 0.0), 1.0)
+
+
+def scalar_binary_entropy(x):
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary entropy needs x in [0, 1], got {x}")
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _rate_per_pulse_raw(p, ge):
+    flags = []
+    q1 = scalar_q1_lower(p, ge.q_mu, ge.q_nu, ge.y0)
+    if q1 <= 0.0:
+        flags.append("no_single_photon_gain")
+        ec = p.q * p.l_mu * (-ge.q_mu * p.f_ec * scalar_binary_entropy(ge.e_mu))
+        return ec, 0.0, 1.0, tuple(flags)
+    e1 = scalar_e1_upper(p, q1, ge.e_nu, ge.q_nu, ge.y0)
+    if e1 >= 0.5:
+        flags.append("e1_at_or_above_half")
+    raw = p.q * p.l_mu * (
+        -ge.q_mu * p.f_ec * scalar_binary_entropy(ge.e_mu) + q1 * (1.0 - scalar_binary_entropy(e1))
+    )
+    return raw, q1, e1, tuple(flags)
+
+
+def scalar_rate_point(p, ch):
+    """The oracle's RatePoint and unclamped rate at the channel's loss."""
+    ge = scalar_gains_and_errors(p, ch)
+    raw, q1, e1, flags = _rate_per_pulse_raw(p, ge)
+    rate = max(raw, 0.0)
+    if raw < 0.0:
+        flags = flags + ("rate_clamped",)
+    point = RatePoint(
+        loss_db=ch.total_loss_db,
+        q_mu=ge.q_mu,
+        q_nu=ge.q_nu,
+        e_mu=ge.e_mu,
+        e_nu=ge.e_nu,
+        y0=ge.y0,
+        q1_lower=q1,
+        e1_upper=e1,
+        qber=ge.e_mu,
+        rate_per_pulse=rate,
+        rate_per_second=rate * ch.rep_rate if rate > 0 else 0.0,
+        flags=flags,
+    )
+    return point, raw
+
+
+def random_design(rng):
+    """Protocol and channel drawn around the rate-design operating region."""
+    mu = rng.uniform(0.2, 0.95)
+    p_signal = rng.uniform(0.3, 0.8)
+    p_decoy = rng.uniform(0.05, 1.0 - p_signal)
+    protocol = ProtocolParams(
+        mu=mu,
+        nu=mu * rng.uniform(0.05, 0.6),
+        q=rng.uniform(0.3, 1.0),
+        f_ec=rng.uniform(1.0, 1.5),
+        e0=rng.uniform(0.3, 0.5),
+        p_signal=p_signal,
+        p_decoy=p_decoy,
+        p_vacuum=1.0 - p_signal - p_decoy,
+    )
+    channel = ChannelParams(
+        detector_efficiency=rng.uniform(0.05, 1.0),
+        dark_rate=10.0 ** rng.uniform(-1.0, 5.0),
+        num_detectors=int(rng.integers(1, 5)),
+        rep_rate=10.0 ** rng.uniform(6.0, 9.5),
+        intrinsic_qber=rng.uniform(0.0, 0.08),
+        gate_window=10.0 ** rng.uniform(-11.0, -8.0),
+    )
+    return protocol, channel
+
+
+def csv_row(pt):
+    """The point as the rate CSVs print it."""
+    return [_fmt(v) for v in _rate_row(pt)]
+
+
+FIELDS = [name for name in RatePoint.__dataclass_fields__ if name != "flags"]
+
+
+def assert_sweep_matches_oracle(p, ch, grid):
+    """Field by field, flag by flag and CSV row by CSV row against the oracle.
+
+    Returns the number of interior thresholds checked (0 or 1).
+    """
+    result = sweep_loss(p, ch, grid)
+    channels = [replace(ch, total_loss_db=float(loss)) for loss in grid]
+    oracle = [scalar_rate_point(p, at_loss) for at_loss in channels]
+    refs = [ref for ref, _ in oracle]
+    got = np.array([[getattr(pt, name) for name in FIELDS] for pt in result.points])
+    want = np.array([[getattr(ref, name) for name in FIELDS] for ref in refs])
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    assert [pt.flags for pt in result.points] == [ref.flags for ref in refs]
+    assert [csv_row(pt) for pt in result.points] == [csv_row(ref) for ref in refs]
+    # a point is a one-element sweep: every row is secure_rate at its loss, bit for bit
+    assert result.points == [secure_rate(p, at_loss) for at_loss in channels]
+
+    raws = [raw for _, raw in oracle]
+    positive = [i for i, r in enumerate(raws) if r > 0.0]
+    if not positive or positive[-1] == len(raws) - 1:
+        return 0
+    last = positive[-1]
+    l1, l2 = grid[last], grid[last + 1]
+    r1, r2 = raws[last], raws[last + 1]
+    assert result.threshold_db == pytest.approx(l1 + (l2 - l1) * r1 / (r1 - r2), rel=1e-9)
+    return 1
+
+
+class TestArrayEngineAgainstScalarOracle:
+    DESIGNS = 200
+    GRID = [float(loss) for loss in range(81)]   # 0-80 dB
+
+    def test_random_designs_match_the_scalar_oracle(self):
+        rng = np.random.default_rng(2005)
+        thresholds = sum(
+            assert_sweep_matches_oracle(*random_design(rng), self.GRID)
+            for _ in range(self.DESIGNS)
+        )
+        # most designs cross their threshold inside the grid
+        assert thresholds > self.DESIGNS // 2
+
+    def test_dark_free_channel_past_underflow_matches_the_oracle(self):
+        # with no darks and eta underflowed to 0 every gain is 0, so Q1_L is
+        # 0: the no-single-photon-gain branch
+        p, ch = ProtocolParams(), ChannelParams(dark_rate=0.0)
+        grid = [0.0, 40.0, 1000.0, 3300.0, 4000.0]
+        assert_sweep_matches_oracle(p, ch, grid)
+        assert sweep_loss(p, ch, grid).points[-1].flags == ("no_single_photon_gain",)
+
+    def test_flags_cover_the_clamped_regimes(self):
+        rng = np.random.default_rng(2005)
+        seen = set()
+        for _ in range(20):
+            p, ch = random_design(rng)
+            seen.update(pt.flags for pt in sweep_loss(p, ch, self.GRID).points)
+        assert {(), ("rate_clamped",), ("e1_at_or_above_half", "rate_clamped")} <= seen

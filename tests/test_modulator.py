@@ -20,7 +20,9 @@ from ipmsim.modulator import (
     triangular_wave,
     wavelength_scan,
 )
-from ipmsim.polarization import apply_mueller, is_unitary
+from ipmsim.polarization import apply_mueller
+
+from helpers import is_unitary
 
 H_IN = np.array([1.0, 1.0, 0.0, 0.0])
 

@@ -12,6 +12,7 @@ from ipmsim.montecarlo import (
     EmpiricalRates,
     PulseTally,
     SimConfig,
+    _cell_probs,
     _chunk_rng,
     _simulate_chunk,
     estimate,
@@ -177,7 +178,10 @@ class TestAgainstEventLevelOracle:
         ref_cfg = SimConfig(n_pulses=self.N, seed=1, protocol=protocol, channel=channel)
         new_cfg = SimConfig(n_pulses=self.N, seed=2, protocol=protocol, channel=channel)
         ref = np.array([_counters(_event_chunk(ref_cfg, k, self.N)) for k in range(self.CHUNKS)])
-        new = np.array([_counters(_simulate_chunk(new_cfg, k, self.N)) for k in range(self.CHUNKS)])
+        probs = _cell_probs(new_cfg)
+        new = np.array(
+            [_counters(_simulate_chunk(new_cfg, probs, k, self.N)) for k in range(self.CHUNKS)]
+        )
 
         ref_mean, new_mean = ref.mean(axis=0), new.mean(axis=0)
         ref_var, new_var = ref.var(axis=0, ddof=1), new.var(axis=0, ddof=1)

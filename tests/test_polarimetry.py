@@ -11,7 +11,6 @@ from ipmsim.polarimetry import (
     projected_intensity,
     setting,
     standard_settings,
-    with_retardance,
 )
 from ipmsim.polarization import apply_mueller, jones_to_mueller, polarizer, retarder
 
@@ -140,10 +139,3 @@ class TestSettings:
 
     def test_default_retardance_is_ideal(self):
         assert all(m.retardance == IDEAL_RETARDANCE for m in standard_settings())
-
-    def test_with_retardance_copies(self):
-        m = setting("S3+")
-        biased = with_retardance(m, 1.2)
-        assert biased.retardance == 1.2
-        assert m.retardance == IDEAL_RETARDANCE
-        assert biased.label == m.label

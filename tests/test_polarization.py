@@ -3,12 +3,8 @@ import pytest
 
 from ipmsim.polarization import (
     CONSTRUCTION_TOL,
-    HORIZONTAL,
-    PROPERTY_TOL,
     apply_mueller,
     degree_of_polarization,
-    element_jones,
-    is_unitary,
     jones_to_mueller,
     polarizer,
     retarder,
@@ -16,6 +12,12 @@ from ipmsim.polarization import (
     stokes_from_jones,
 )
 
+from helpers import is_unitary
+
+# randomized property tests run at 1e-9
+PROPERTY_TOL = 1e-9
+
+HORIZONTAL = np.array([1.0, 0.0], dtype=complex)
 H_STOKES = np.array([1.0, 1.0, 0.0, 0.0])
 V_STOKES = np.array([1.0, -1.0, 0.0, 0.0])
 
@@ -117,15 +119,6 @@ class TestElements:
         np.testing.assert_allclose(
             polarizer(0.0), np.array([[1, 0], [0, 0]]), atol=CONSTRUCTION_TOL
         )
-
-    def test_dispatcher_matches_builders(self):
-        np.testing.assert_array_equal(element_jones("rotator", 0.3), rotator(0.3))
-        np.testing.assert_array_equal(element_jones("retarder", 0.3, 1.1), retarder(0.3, 1.1))
-        np.testing.assert_array_equal(element_jones("polarizer", 0.3), polarizer(0.3))
-
-    def test_dispatcher_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown element kind"):
-            element_jones("attenuator", 0.0)
 
     def test_lossless_elements_are_unitary(self):
         rng = np.random.default_rng(14)
