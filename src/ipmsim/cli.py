@@ -3,8 +3,8 @@
 Every command reads one scenario file (all sections optional), writes its
 results to files, prints a one-line summary to stdout, and exits 0.  On
 failure an error record is printed to stderr as a single JSON line and the
-exit status is 2 for a malformed scenario or 3 for a numerical/parameter
-failure (the record names the offending field).
+exit status is 2 for a usage error or a malformed scenario or 3 for a
+numerical/parameter failure (the record names the offending field).
 
 Output conventions: CSV with a mandatory header row, comma separator,
 '.' decimal point, and every float rendered with 9 significant digits, so
@@ -28,6 +28,7 @@ from .decoy import RatePoint, secure_rate, sweep_loss
 from .modulator import bb84_table, fit_delta_l, poincare_trace, wavelength_scan
 from .montecarlo import PULSE_CLASSES, STATES, RateEstimate, SimConfig, estimate, simulate
 from .polarimetry import extract_stokes, measure_stokes
+from .polarization import degree_of_polarization
 from .scenario import (
     ParameterError,
     Scenario,
@@ -175,12 +176,8 @@ def _cmd_fitdl(args, scn: Scenario) -> str:
 def _cmd_polarimetry(args, scn: Scenario) -> str:
     if args.infile is None:
         raise ScenarioError("polarimetry requires --in CSV with columns i1,i2,i3,s0")
-    rows_in = _read_csv(args.infile, 4)
-    rows_out = []
-    for i1, i2, i3, s0 in rows_in:
-        s = extract_stokes(i1, i2, i3, s0)
-        dop = float(np.sqrt(s[1] ** 2 + s[2] ** 2 + s[3] ** 2) / s[0])
-        rows_out.append((*s, dop))
+    stokes = extract_stokes(*np.array(_read_csv(args.infile, 4)).T)
+    rows_out = np.column_stack([stokes, degree_of_polarization(stokes)]).tolist()
     _write_csv(args.out, ("S0", "S1", "S2", "S3", "DOP"), rows_out)
     _write_sidecar(args.out, "polarimetry", scn, {"input": str(args.infile)})
     return f"polarimetry: extracted {len(rows_out)} states to {args.out}"
@@ -311,8 +308,15 @@ def _parse_grid(text: str) -> SweepSpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so ``main`` reports them as one JSON record."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ipmsim",
         description="Modulator and decoy-BB84 key-rate simulations driven by a scenario file.",
     )
@@ -342,11 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command][0]
     try:
+        args = build_parser().parse_args(argv)
         scn = load_scenario(args.scenario)
-        summary = handler(args, scn)
+        summary = _COMMANDS[args.command][0](args, scn)
+    except argparse.ArgumentError as exc:
+        print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
+        return 2
     except ParameterError as exc:
         record = {"error": str(exc), "field": exc.field_path or None}
         print(json.dumps(record), file=sys.stderr)

@@ -237,7 +237,7 @@ def _rate_curve(p: ProtocolParams, ch: ChannelParams, loss) -> tuple[list[RatePo
     ec = -ge.q_mu * p.f_ec * binary_entropy(ge.e_mu)
     raw = p.q * p.l_mu * np.where(gain, ec + q1 * (1.0 - binary_entropy(e1)), ec)
     clamped = raw < 0.0
-    rate = np.where(clamped, 0.0, raw)
+    rate = np.where(raw <= 0.0, 0.0, raw)   # -0.0 prints as 0; NaN stays visible
     per_second = np.where(rate > 0.0, rate * ch.rep_rate, 0.0)
     codes = 1 * ~gain + 2 * (gain & (e1 >= 0.5)) + 4 * clamped
     columns = (loss, ge.q_mu, ge.q_nu, ge.e_mu, ge.e_nu, q1, e1, rate, per_second, codes)

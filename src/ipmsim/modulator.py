@@ -6,18 +6,17 @@ modulator arms driven by voltages v1/v2, a combiner, and a quarter-wave
 output rotation that brings the modulation from the circular-diagonal
 plane onto the linear plane of the Poincare sphere.  The compositional
 pipeline here additionally contains a fixed rotator(-pi/4) output frame
-alignment; physically this is the output fiber polarization controller
-setting that aligns the modulator frame with the receiver frame, and with
-it the pipeline agrees with the closed-form output to machine precision.
+alignment, with which it agrees with the closed-form modulator-frame
+output ``output_stokes`` to machine precision:
 
-Two Stokes-output conventions coexist:
+    S = (1, cos(T) cos(2d), sin(T) cos(2d), sin(2d)),
+    T = (v1 - v2) pi / v_pi_pm + phi0.
 
-* ``output_stokes`` - closed form in the modulator frame,
-  S = (1, cos(T) cos(2d), sin(T) cos(2d), sin(2d)),
-  T = (v1 - v2) pi / v_pi_pm + phi0.
-* ``output_stokes_receiver`` - the receiver-frame relabeling (S1 and S2
-  swapped), valid on the equator (delta = 0), in which the BB84 drive
-  table is stated.  All H/D/V/A assertions use this form.
+The receiver sees this output through ``RECEIVER_FRAME``, a half-wave
+plate at 22.5 deg (physically the output fiber polarization controller
+setting that aligns the modulator frame with the receiver frame).  It
+swaps S1 and S2 and negates S3; the BB84 drive table and its H/D/V/A
+targets are stated in the receiver frame.
 """
 
 from __future__ import annotations
@@ -102,6 +101,9 @@ BB84_TARGET_STOKES = {
     Bb84State.A: np.array([1.0, 0.0, -1.0, 0.0]),
 }
 
+#: Mueller matrix from the modulator output frame to the receiver frame.
+RECEIVER_FRAME = jones_to_mueller(retarder(np.pi / 8, np.pi))
+
 
 def im_transmission(v0: float, cfg: ModulatorConfig):
     """Intensity modulator transfer 0.5 * (1 + b cos(v0 pi / V_pi + phi_1))."""
@@ -180,20 +182,6 @@ def output_stokes(v1, v2, cfg: ModulatorConfig) -> np.ndarray:
     return np.stack([np.ones_like(s1), s1, s2, s3], axis=-1)
 
 
-def output_stokes_receiver(v1, v2, cfg: ModulatorConfig) -> np.ndarray:
-    """Receiver-frame output Stokes, S = (1, sin(T), cos(T), 0).
-
-    This is the closed form with S1 and S2 relabeled (a fixed 45 deg
-    frame rotation absorbed by the receiver alignment); the BB84 drive
-    table is stated in this convention.  Valid on the equator (delta = 0).
-    """
-    theta = drive_angle(v1, v2, cfg)
-    s1 = np.sin(theta)
-    s2 = np.cos(theta)
-    zeros = np.zeros_like(s1)
-    return np.stack([np.ones_like(s1), s1, s2, zeros], axis=-1)
-
-
 def bb84_drive(state: Bb84State, cfg: ModulatorConfig, v0: float = 0.0) -> DriveSettings:
     """MZI arm voltages for a BB84 state (drive table, phi0 = pi/4 operating point)."""
     f1, f2 = BB84_DRIVE_FRACTIONS[Bb84State(state)]
@@ -205,7 +193,7 @@ def bb84_table(cfg: ModulatorConfig) -> list[tuple[Bb84State, DriveSettings, np.
     rows = []
     for state in Bb84State:
         drive = bb84_drive(state, cfg)
-        rows.append((state, drive, output_stokes_receiver(drive.v1, drive.v2, cfg)))
+        rows.append((state, drive, RECEIVER_FRAME @ output_stokes(drive.v1, drive.v2, cfg)))
     return rows
 
 

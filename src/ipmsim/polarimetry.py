@@ -1,13 +1,11 @@
 """Stokes-vector characterization through a quarter-wave plate and polarizer.
 
-The projected intensity behind a retarder (fast axis ``beta``, retardance
-``delta``) followed by a linear polarizer (axis ``alpha``) is
-
-    I = 1/2 { S0 + (S1 cos 2b + S2 sin 2b) cos 2(a - b)
-              + [(S2 cos 2b - S1 sin 2b) cos d + S3 sin d] sin 2(a - b) }
-
-with all angles from horizontal.  Three settings suffice to recover the
-full Stokes vector via S_j = 2 I_j - S0:
+The projected intensity behind a retarder (fast axis ``beta``,
+retardance ``delta``) followed by a linear polarizer (axis ``alpha``) is
+row 0 of the Mueller matrix of ``polarizer(alpha) @ retarder(beta, delta)``
+applied to the input Stokes vector, so the handedness is the one stated
+in ``ipmsim.polarization``.  Three settings suffice to recover the full
+Stokes vector via S_j = 2 I_j - S0:
 
     label   polarizer alpha   waveplate beta
     S1+     0                 0
@@ -28,6 +26,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .polarization import degree_of_polarization, jones_to_mueller, polarizer, retarder
 
 IDEAL_RETARDANCE = np.pi / 2
 
@@ -58,14 +58,6 @@ class MeasurementSetting:
     label: str = ""
 
 
-def standard_settings(retardance: float = IDEAL_RETARDANCE) -> tuple[MeasurementSetting, ...]:
-    """The three S1+/S2+/S3+ settings at the given waveplate retardance."""
-    return tuple(
-        MeasurementSetting(alpha, beta, retardance, label)
-        for label, (alpha, beta) in _IDEAL_ANGLES.items()
-    )
-
-
 def setting(label: str, retardance: float = IDEAL_RETARDANCE) -> MeasurementSetting:
     """Single standard setting by label ("S1+", "S2+" or "S3+")."""
     alpha, beta = _IDEAL_ANGLES[label]
@@ -74,33 +66,30 @@ def setting(label: str, retardance: float = IDEAL_RETARDANCE) -> MeasurementSett
 
 def projected_intensity(s, meas: MeasurementSetting) -> float:
     """Intensity behind the waveplate + polarizer for Stokes input ``s``."""
-    s0, s1, s2, s3 = np.asarray(s, dtype=float)
-    a, b, d = meas.polarizer_angle, meas.qwp_angle, meas.retardance
-    c2b, s2b = np.cos(2 * b), np.sin(2 * b)
-    return float(
-        0.5
-        * (
-            s0
-            + (s1 * c2b + s2 * s2b) * np.cos(2 * (a - b))
-            + ((s2 * c2b - s1 * s2b) * np.cos(d) + s3 * np.sin(d)) * np.sin(2 * (a - b))
-        )
+    analyzer = jones_to_mueller(
+        polarizer(meas.polarizer_angle) @ retarder(meas.qwp_angle, meas.retardance)
     )
+    return float(analyzer[0] @ np.asarray(s, dtype=float))
 
 
-def extract_stokes(i1: float, i2: float, i3: float, s0: float) -> np.ndarray:
+def extract_stokes(i1, i2, i3, s0) -> np.ndarray:
     """Recover (S0, S1, S2, S3) from the three standard projections.
 
-    Uses the ideal relations S_j = 2 I_j - S0.  Warns (without failing)
-    when the recovered DOP exceeds 1 by more than 5%, which signals
-    mutually inconsistent inputs.
+    Uses the ideal relations S_j = 2 I_j - S0 and broadcasts over arrays
+    of projections, giving shape (..., 4).  Warns once (without failing)
+    when a recovered DOP exceeds 1 by more than 5%, naming the largest,
+    which signals mutually inconsistent inputs.
     """
-    if s0 <= 0:
-        raise ValueError(f"total intensity S0 must be positive, got {s0}")
-    s = np.array([s0, 2 * i1 - s0, 2 * i2 - s0, 2 * i3 - s0])
-    dop = float(np.sqrt(s[1] ** 2 + s[2] ** 2 + s[3] ** 2) / s0)
-    if dop > 1.0 + DOP_WARN_MARGIN:
+    i1, i2, i3, s0 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (i1, i2, i3, s0)))
+    bad = s0[s0 <= 0]
+    if bad.size:
+        raise ValueError(f"total intensity S0 must be positive, got {bad[0]}")
+    s = np.stack([s0, 2 * i1 - s0, 2 * i2 - s0, 2 * i3 - s0], axis=-1)
+    dop = np.asarray(degree_of_polarization(s))
+    over = dop[dop > 1.0 + DOP_WARN_MARGIN]
+    if over.size:
         warnings.warn(
-            f"recovered DOP {dop:.4f} exceeds 1: projections are inconsistent",
+            f"recovered DOP {over.max():.4f} exceeds 1: projections are inconsistent",
             InconsistentProjectionsWarning,
             stacklevel=2,
         )

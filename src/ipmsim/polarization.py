@@ -73,7 +73,6 @@ def polarizer(theta: float) -> np.ndarray:
     return _normalize_phase(rotator(-theta) @ j0 @ rotator(theta))
 
 
-
 def jones_to_mueller(j: np.ndarray) -> np.ndarray:
     """Convert a 2x2 Jones matrix to its 4x4 real Mueller matrix.
 
@@ -100,23 +99,15 @@ def apply_mueller(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=float) @ np.asarray(s, dtype=float)
 
 
-def stokes_from_jones(e: np.ndarray) -> np.ndarray:
-    """Stokes vector of a fully polarized Jones field amplitude."""
-    ex, ey = complex(e[0]), complex(e[1])
-    cross = ex * ey.conjugate()
-    return np.array(
-        [
-            abs(ex) ** 2 + abs(ey) ** 2,
-            abs(ex) ** 2 - abs(ey) ** 2,
-            2.0 * cross.real,
-            -2.0 * cross.imag,
-        ]
-    )
+def degree_of_polarization(s):
+    """DOP = sqrt(S1^2 + S2^2 + S3^2) / S0 over the last axis; requires S0 > 0.
 
-
-def degree_of_polarization(s: np.ndarray) -> float:
-    """DOP = sqrt(S1^2 + S2^2 + S3^2) / S0; requires S0 > 0."""
+    One Stokes vector gives a float, a (..., 4) stack an array of DOPs.
+    """
     s = np.asarray(s, dtype=float)
-    if s[0] <= 0.0:
-        raise ValueError(f"degree of polarization undefined for S0 = {s[0]}")
-    return float(np.sqrt(s[1] ** 2 + s[2] ** 2 + s[3] ** 2) / s[0])
+    s0 = s[..., 0]
+    bad = s0[s0 <= 0.0]
+    if bad.size:
+        raise ValueError(f"degree of polarization undefined for S0 = {bad[0]}")
+    dop = np.sqrt(s[..., 1] ** 2 + s[..., 2] ** 2 + s[..., 3] ** 2) / s0
+    return float(dop) if dop.ndim == 0 else dop

@@ -24,10 +24,10 @@ from ipmsim.modulator import (
     Bb84State,
     ModulatorConfig,
     bb84_drive,
+    bb84_table,
     fit_delta_l,
     modulator_mueller,
     output_stokes,
-    output_stokes_receiver,
     poincare_trace,
     wavelength_scan,
 )
@@ -87,11 +87,10 @@ def test_criterion_2_bb84_state_table():
             Bb84State.A: (1.5, -1.5),
         }
         vectors = {}
-        for state in Bb84State:
-            drive = bb84_drive(state, cfg)
+        for state, drive, stokes in bb84_table(cfg):
+            assert drive == bb84_drive(state, cfg)
             assert (drive.v1, drive.v2) == expected_volts[state]
             assert drive.v1 + drive.v2 == 0.0
-            stokes = output_stokes_receiver(drive.v1, drive.v2, cfg)
             np.testing.assert_allclose(stokes, BB84_TARGET_STOKES[state], atol=1e-12)
             assert abs(stokes[3]) <= 1e-12  # equator
             vectors[state] = stokes[1:]

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from ipmsim.cli import _null_z, main
-from ipmsim.modulator import BB84_TARGET_STOKES, Bb84State
+from ipmsim.modulator import (
+    BB84_TARGET_STOKES,
+    RECEIVER_FRAME,
+    Bb84State,
+    bb84_drive,
+    modulator_mueller,
+)
 from ipmsim.montecarlo import RateEstimate
+from ipmsim.polarimetry import InconsistentProjectionsWarning
+from ipmsim.polarization import apply_mueller
 from ipmsim.scenario import (
     ParameterError,
     Scenario,
@@ -103,6 +111,28 @@ class TestStatesCommand:
         assert float(d_row[8]) == pytest.approx(0.0, abs=1e-12)       # S1 exact
         assert float(d_row[9]) == pytest.approx(1.0, abs=1e-12)       # S2 exact
         assert float(d_row[10]) == pytest.approx(np.cos(0.93 * np.pi / 2), abs=1e-9)
+
+    def test_splitter_offset_gives_the_physical_receiver_frame_states(self, tmp_path):
+        # at delta = 0.3 the receiver sees the element pipeline's output
+        # through the half-wave plate at 22.5 deg; through the default
+        # waveplate the A state's S3 leakage lifts its recovered DOP past 1.05
+        scn = write_scenario(tmp_path, {"modulator": {"delta": 0.3}})
+        cfg = load_scenario(scn).modulator
+        out = tmp_path / "states.csv"
+        with pytest.warns(InconsistentProjectionsWarning):
+            assert main(["states", "--scenario", str(scn), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        h_in = np.array([1.0, 1.0, 0.0, 0.0])
+        for row in rows:
+            drive = bb84_drive(Bb84State(row[0]), cfg)
+            want = RECEIVER_FRAME @ apply_mueller(modulator_mueller(drive.v1, drive.v2, cfg), h_in)
+            got = np.array([float(x) for x in row[4:]])
+            np.testing.assert_allclose(got[:4], want, rtol=1e-8, atol=1e-12)
+            d = cfg.qwp_retardance
+            leaked = [want[1], want[2], want[3] * np.sin(d) + want[2] * np.cos(d)]
+            np.testing.assert_allclose(got[4:], leaked, rtol=1e-8, atol=1e-12)
+        h = np.array([float(x) for x in rows[0][4:8]])
+        np.testing.assert_allclose(h, [1, np.cos(0.6), 0, -np.sin(0.6)], atol=1e-12)
 
     def test_sidecar_written(self, tmp_path):
         out = tmp_path / "states.csv"
@@ -203,6 +233,17 @@ class TestKeyrateAndSweep:
         assert sidecar["threshold_db"] > 60.0
         assert "threshold" in capsys.readouterr().out
 
+    def test_zero_rate_past_underflow_prints_without_a_sign(self, tmp_path):
+        # dark-free channel past eta's underflow: the no-single-photon-gain
+        # branch, where the unclamped rate is -0.0
+        scn = write_scenario(tmp_path, {"channel": {"dark_rate": 0.0}})
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--scenario", str(scn), "--out", str(out),
+                     "--grid", "3000:4000:500"]) == 0
+        header, rows = read_csv(out)
+        column = header.index("R_per_pulse")
+        assert [row[column] for row in rows[1:]] == ["0", "0"]
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["sweep", "--out", str(out_a), "--grid", "40:55:0.5"])
@@ -284,8 +325,23 @@ class TestFlags:
         ],
     )
     def test_flag_on_a_command_that_ignores_it_exits_2(self, argv, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main([*argv, "--out", str(tmp_path / "x.csv")])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert "unrecognized arguments" in record["error"]
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["keyrate", "--bogus"], ["mc", "--workers", "two"]])
+    def test_usage_error_is_one_json_record(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert set(json.loads(err)) == {"error", "field"}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out

@@ -437,7 +437,7 @@ def scalar_rate_point(p, ch):
     """The oracle's RatePoint and unclamped rate at the channel's loss."""
     ge = scalar_gains_and_errors(p, ch)
     raw, q1, e1, flags = _rate_per_pulse_raw(p, ge)
-    rate = max(raw, 0.0)
+    rate = 0.0 if raw <= 0.0 else raw
     if raw < 0.0:
         flags = flags + ("rate_clamped",)
     point = RatePoint(

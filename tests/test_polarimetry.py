@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,30 @@ from ipmsim.polarimetry import (
     measure_stokes,
     projected_intensity,
     setting,
-    standard_settings,
 )
-from ipmsim.polarization import apply_mueller, jones_to_mueller, polarizer, retarder
+from helpers import standard_settings
 
 RIGHT_CIRCULAR = np.array([1.0, 0.0, 0.0, 1.0])
 UNPOLARIZED = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def closed_form_intensity(s, meas):
+    """Hand-derived intensity behind retarder (b, d) and polarizer (a):
+
+    I = 1/2 { S0 + (S1 cos 2b + S2 sin 2b) cos 2(a - b)
+              + [(S2 cos 2b - S1 sin 2b) cos d + S3 sin d] sin 2(a - b) }
+    """
+    s0, s1, s2, s3 = np.asarray(s, dtype=float)
+    a, b, d = meas.polarizer_angle, meas.qwp_angle, meas.retardance
+    c2b, s2b = np.cos(2 * b), np.sin(2 * b)
+    return float(
+        0.5
+        * (
+            s0
+            + (s1 * c2b + s2 * s2b) * np.cos(2 * (a - b))
+            + ((s2 * c2b - s1 * s2b) * np.cos(d) + s3 * np.sin(d)) * np.sin(2 * (a - b))
+        )
+    )
 
 
 def random_physical_stokes(rng, dop_max=1.0):
@@ -69,17 +89,16 @@ class TestProjectedIntensity:
             assert i2 - i1 == pytest.approx(i1 - i0, abs=1e-12)
 
     def test_matches_jones_pipeline(self):
-        # the closed-form projection must equal polarizer(a) . retarder(b, d)
-        # applied in the Mueller calculus; this pins the convention set
+        # the element product must equal the hand-derived closed form, which
+        # pins the handedness set in ipmsim.polarization
         rng = np.random.default_rng(24)
         for _ in range(300):
             s = random_physical_stokes(rng)
             alpha, beta = rng.uniform(0, np.pi, size=2)
             delta = rng.uniform(0, np.pi)
             meas = MeasurementSetting(alpha, beta, delta)
-            m = jones_to_mueller(polarizer(alpha) @ retarder(beta, delta))
             assert projected_intensity(s, meas) == pytest.approx(
-                apply_mueller(m, s)[0], abs=1e-12
+                closed_form_intensity(s, meas), abs=1e-12
             )
 
 
@@ -117,8 +136,6 @@ class TestExtractStokes:
             extract_stokes(1.0, 1.0, 1.0, 1.0)
 
     def test_no_warning_for_consistent_inputs(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             extract_stokes(1.0, 0.5, 0.5, 1.0)
@@ -126,6 +143,27 @@ class TestExtractStokes:
     def test_rejects_nonpositive_s0(self):
         with pytest.raises(ValueError, match="S0"):
             extract_stokes(0.5, 0.5, 0.5, 0.0)
+        with pytest.raises(ValueError, match="S0 must be positive, got -1.0"):
+            extract_stokes([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [1.0, -1.0])
+
+    def test_batch_equals_per_row_calls(self):
+        rng = np.random.default_rng(27)
+        rows = rng.uniform(0.0, 1.0, size=(500, 4))
+        rows[:, 3] += 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InconsistentProjectionsWarning)
+            per_row = np.array([extract_stokes(*row) for row in rows])
+            batch = extract_stokes(*rows.T)
+        assert batch.shape == (500, 4)
+        np.testing.assert_array_equal(batch, per_row)
+        assert extract_stokes(1.0, 0.5, 0.5, 1.0).shape == (4,)
+
+    def test_warns_once_per_batch_naming_the_worst_dop(self):
+        i = np.array([[0.5, 0.5, 0.5, 1.0], [1.0, 1.0, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0]])
+        with pytest.warns(InconsistentProjectionsWarning) as record:
+            extract_stokes(*i.T)
+        assert len(record) == 1
+        assert f"{np.sqrt(3):.4f}" in str(record[0].message)
 
 
 class TestSettings:

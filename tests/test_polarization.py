@@ -9,10 +9,9 @@ from ipmsim.polarization import (
     polarizer,
     retarder,
     rotator,
-    stokes_from_jones,
 )
 
-from helpers import is_unitary
+from helpers import is_unitary, stokes_from_jones
 
 # randomized property tests run at 1e-9
 PROPERTY_TOL = 1e-9
@@ -185,6 +184,16 @@ class TestDegreeOfPolarization:
     def test_partial(self):
         # sqrt(1^2 + 1^2) / 2 = sqrt(2)/2
         assert degree_of_polarization([2, 1, 1, 0]) == pytest.approx(0.7071067811865476)
+
+    def test_broadcasts_over_rows(self):
+        rng = np.random.default_rng(18)
+        rows = np.array([random_physical_stokes(rng) for _ in range(100)])
+        dop = degree_of_polarization(rows)
+        assert dop.shape == (100,)
+        np.testing.assert_array_equal(dop, [degree_of_polarization(s) for s in rows])
+        assert isinstance(degree_of_polarization(rows[0]), float)
+        with pytest.raises(ValueError, match="S0"):
+            degree_of_polarization(np.vstack([rows, [0.0, 0, 0, 0]]))
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError, match="S0"):
