@@ -4,11 +4,12 @@ Every command reads one scenario file (all sections optional), writes its
 results to files, prints a one-line summary to stdout, and exits 0.  On
 failure an error record is printed to stderr as a single JSON line and the
 exit status is 2 for a usage error or a malformed scenario or 3 for a
-numerical/parameter failure (the record names the offending field).
+numerical/parameter failure (the record names the offending field).  Each
+distinct warning is printed to stderr as one JSON line too.
 
 Output conventions: CSV with a mandatory header row, comma separator,
-'.' decimal point, and every float rendered with 9 significant digits, so
-identical scenario + seed produces byte-identical files.  Each command
+'.' decimal point, floats as printf %.9g, integers as %d and text verbatim,
+so identical scenario + seed produces byte-identical files.  Each command
 also writes a ``<out>.params.json`` sidecar with the fully resolved
 parameter set for provenance.
 """
@@ -17,14 +18,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .decoy import RatePoint, secure_rate, sweep_loss
+from .decoy import gains_and_errors, secure_rate, sweep_loss
 from .modulator import bb84_table, fit_delta_l, poincare_trace, wavelength_scan
 from .montecarlo import PULSE_CLASSES, STATES, RateEstimate, SimConfig, estimate, simulate
 from .polarimetry import extract_stokes, measure_stokes
@@ -38,34 +41,31 @@ from .scenario import (
     resolved_dict,
 )
 
-RATE_COLUMNS = (
-    "loss_db",
-    "Q_mu",
-    "Q_nu",
-    "E_mu",
-    "Y0",
-    "Q1L",
-    "e1U",
-    "qber",
-    "R_per_pulse",
-    "R_per_s",
-)
+# rate CSV header -> the RatePoint field its column prints
+RATE_COLUMNS = {
+    "loss_db": "loss_db",
+    "Q_mu": "q_mu",
+    "Q_nu": "q_nu",
+    "E_mu": "e_mu",
+    "Y0": "y0",
+    "Q1L": "q1_lower",
+    "e1U": "e1_upper",
+    "qber": "qber",
+    "R_per_pulse": "rate_per_pulse",
+    "R_per_s": "rate_per_second",
+}
 
 
-def _fmt(value) -> str:
-    """Fixed 9-significant-digit rendering for floats; ints and text pass through."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.9g}"
-    return str(value)
+# printf conversion for each column's numpy dtype kind
+_CONVERSIONS = {"U": "%s", "i": "%d", "f": "%.9g"}
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, columns) -> None:
+    """Header row, then row k of the table holds element k of every column."""
+    columns = [np.asarray(c) for c in columns]
+    row_format = ",".join(_CONVERSIONS[c.dtype.kind] for c in columns)
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row_format % row for row in zip(*(c.tolist() for c in columns)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -75,21 +75,6 @@ def _write_sidecar(out: Path, command: str, scn: Scenario, extra: dict | None = 
         record.update(extra)
     sidecar = out.with_name(out.name + ".params.json")
     sidecar.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def _rate_row(pt: RatePoint) -> tuple:
-    return (
-        pt.loss_db,
-        pt.q_mu,
-        pt.q_nu,
-        pt.e_mu,
-        pt.y0,
-        pt.q1_lower,
-        pt.e1_upper,
-        pt.qber,
-        pt.rate_per_pulse,
-        pt.rate_per_second,
-    )
 
 
 def _scan_wavelengths(scn: Scenario, grid: SweepSpec | None):
@@ -112,7 +97,7 @@ def _cmd_states(args, scn: Scenario) -> str:
         args.out,
         ("state", "v0", "v1", "v2", "S0", "S1", "S2", "S3",
          "S1_meas", "S2_meas", "S3_meas"),
-        rows,
+        list(zip(*rows)),
     )
     _write_sidecar(args.out, "states", scn)
     return f"states: wrote 4 drive settings to {args.out}"
@@ -120,45 +105,48 @@ def _cmd_states(args, scn: Scenario) -> str:
 
 def _cmd_trace(args, scn: Scenario) -> str:
     t, v1, v2, stokes = poincare_trace(scn.modulator)
-    rows = [
-        (t[i], v1[i], v2[i], stokes[i, 0], stokes[i, 1], stokes[i, 2], stokes[i, 3])
-        for i in range(len(t))
-    ]
-    _write_csv(args.out, ("t", "v1", "v2", "S0", "S1", "S2", "S3"), rows)
+    _write_csv(args.out, ("t", "v1", "v2", "S0", "S1", "S2", "S3"), (t, v1, v2, *stokes.T))
     _write_sidecar(args.out, "trace", scn)
-    return f"trace: wrote {len(rows)} samples to {args.out}"
+    return f"trace: wrote {len(t)} samples to {args.out}"
 
 
 def _cmd_scan(args, scn: Scenario) -> str:
     lam = _scan_wavelengths(scn, args.grid)
     intensities = wavelength_scan(scn.modulator, polarizer_angle=0.0, wavelengths=lam)
-    rows = list(zip(lam * 1e9, intensities))
-    _write_csv(args.out, ("wavelength_nm", "intensity"), rows)
+    _write_csv(args.out, ("wavelength_nm", "intensity"), (lam * 1e9, intensities))
     _write_sidecar(args.out, "scan", scn, {"polarizer_angle": 0.0})
-    return f"scan: wrote {len(rows)} points to {args.out}"
+    return f"scan: wrote {len(lam)} points to {args.out}"
 
 
-def _read_csv(path: Path, expected_columns: int) -> list[list[float]]:
-    lines = path.read_text().strip().splitlines()
-    if len(lines) < 2:
+def _read_csv(path: Path, expected_columns: int) -> np.ndarray:
+    """The data rows below the header as a (rows, expected_columns) float array."""
+    lines = path.read_text().strip().splitlines()[1:]
+    if not lines:
         raise ScenarioError(f"input file {path} has no data rows")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    # one pass: count each line's separators, then stream every cell through float()
+    try:
+        if {line.count(",") for line in lines} == {expected_columns - 1}:
+            cells = itertools.chain.from_iterable(line.split(",") for line in lines)
+            values = np.fromiter(map(float, cells), float, len(lines) * expected_columns)
+            return values.reshape(len(lines), expected_columns)
+    except ValueError:
+        pass
+    # the one-pass parse failed: name the first offending line
+    for lineno, parts in enumerate((line.split(",") for line in lines), start=2):
         if len(parts) != expected_columns:
             raise ScenarioError(
                 f"{path}:{lineno}: expected {expected_columns} columns, got {len(parts)}"
             )
         try:
-            rows.append([float(x) for x in parts])
+            [float(x) for x in parts]
         except ValueError as exc:
             raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+    raise AssertionError(f"{path}: no offending line found")
 
 
 def _cmd_fitdl(args, scn: Scenario) -> str:
     if args.infile is not None:
-        data = np.array(_read_csv(args.infile, 2))
+        data = _read_csv(args.infile, 2)
         lam, intensity = data[:, 0] * 1e-9, data[:, 1]
     else:
         lam = _scan_wavelengths(scn, args.grid)
@@ -167,36 +155,35 @@ def _cmd_fitdl(args, scn: Scenario) -> str:
     _write_csv(
         args.out,
         ("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned"),
-        [(fit.delta_l, fit.contrast, fit.phase, fit.residual_rms, fit.periods_spanned)],
+        [[fit.delta_l], [fit.contrast], [fit.phase], [fit.residual_rms], [fit.periods_spanned]],
     )
     _write_sidecar(args.out, "fitdl", scn, {"input": str(args.infile) if args.infile else None})
-    return f"fitdl: delta_l = {_fmt(fit.delta_l)} m (residual rms {_fmt(fit.residual_rms)}) -> {args.out}"
+    return f"fitdl: delta_l = {fit.delta_l:.9g} m (residual rms {fit.residual_rms:.9g}) -> {args.out}"
 
 
 def _cmd_polarimetry(args, scn: Scenario) -> str:
     if args.infile is None:
         raise ScenarioError("polarimetry requires --in CSV with columns i1,i2,i3,s0")
-    stokes = extract_stokes(*np.array(_read_csv(args.infile, 4)).T)
-    rows_out = np.column_stack([stokes, degree_of_polarization(stokes)]).tolist()
-    _write_csv(args.out, ("S0", "S1", "S2", "S3", "DOP"), rows_out)
+    stokes = extract_stokes(*_read_csv(args.infile, 4).T)
+    _write_csv(args.out, ("S0", "S1", "S2", "S3", "DOP"), (*stokes.T, degree_of_polarization(stokes)))
     _write_sidecar(args.out, "polarimetry", scn, {"input": str(args.infile)})
-    return f"polarimetry: extracted {len(rows_out)} states to {args.out}"
+    return f"polarimetry: extracted {len(stokes)} states to {args.out}"
 
 
 def _cmd_keyrate(args, scn: Scenario) -> str:
     point = secure_rate(scn.protocol, scn.channel)
-    _write_csv(args.out, RATE_COLUMNS, [_rate_row(point)])
+    _write_csv(args.out, RATE_COLUMNS, [[getattr(point, f)] for f in RATE_COLUMNS.values()])
     _write_sidecar(args.out, "keyrate", scn)
     return (
-        f"keyrate: R = {_fmt(point.rate_per_pulse)}/pulse "
-        f"({_fmt(point.rate_per_second)} bit/s) at {_fmt(point.loss_db)} dB -> {args.out}"
+        f"keyrate: R = {point.rate_per_pulse:.9g}/pulse "
+        f"({point.rate_per_second:.9g} bit/s) at {point.loss_db:.9g} dB -> {args.out}"
     )
 
 
 def _cmd_sweep(args, scn: Scenario) -> str:
     grid_spec = args.grid if args.grid is not None else scn.sweep
     result = sweep_loss(scn.protocol, scn.channel, grid_spec.grid())
-    _write_csv(args.out, RATE_COLUMNS, [_rate_row(pt) for pt in result.points])
+    _write_csv(args.out, RATE_COLUMNS, [result.columns[f] for f in RATE_COLUMNS.values()])
     _write_sidecar(
         args.out,
         "sweep",
@@ -208,8 +195,8 @@ def _cmd_sweep(args, scn: Scenario) -> str:
         },
     )
     return (
-        f"sweep: {len(result.points)} points, positive-rate threshold "
-        f"{_fmt(result.threshold_db)} dB -> {args.out}"
+        f"sweep: {len(result.columns['loss_db'])} points, positive-rate threshold "
+        f"{result.threshold_db:.9g} dB -> {args.out}"
     )
 
 
@@ -247,22 +234,13 @@ def _cmd_mc(args, scn: Scenario) -> str:
 
     args.out.write_text(tally.to_json() + "\n")
     flat = args.out.with_name(args.out.name + ".csv")
-    rows = []
-    for ci, cls_name in enumerate(PULSE_CLASSES):
-        for si, state in enumerate(STATES):
-            rows.append(
-                (
-                    cls_name,
-                    state,
-                    tally.sent[ci, si],
-                    tally.detected[ci, si],
-                    tally.sifted[ci, si],
-                    tally.errors[ci, si],
-                )
-            )
-    _write_csv(flat, ("class", "state", "sent", "detected", "sifted", "errors"), rows)
-
-    from .decoy import gains_and_errors
+    # one row per (class, state) cell, states varying fastest
+    _write_csv(
+        flat,
+        ("class", "state", "sent", "detected", "sifted", "errors"),
+        (np.repeat(PULSE_CLASSES, len(STATES)), np.tile(STATES, len(PULSE_CLASSES)),
+         tally.sent.ravel(), tally.detected.ravel(), tally.sifted.ravel(), tally.errors.ravel()),
+    )
 
     ge = gains_and_errors(scn.protocol, scn.channel)
     report = args.out.with_name(args.out.name + ".report.csv")
@@ -273,15 +251,15 @@ def _cmd_mc(args, scn: Scenario) -> str:
         ("E_nu", emp.e_nu, ge.e_nu),
         ("Y0", emp.y0, ge.y0),
     )
-    report_rows = []
-    for name, est, analytic in comparisons:
-        report_rows.append((name, est.value, est.stderr, analytic, _null_z(est, analytic)))
-    _write_csv(report, ("quantity", "empirical", "stderr", "analytic", "z_score"), report_rows)
+    report_rows = [(name, est.value, est.stderr, analytic, _null_z(est, analytic))
+                   for name, est, analytic in comparisons]
+    _write_csv(report, ("quantity", "empirical", "stderr", "analytic", "z_score"),
+               list(zip(*report_rows)))
     _write_sidecar(args.out, "mc", scn, {"seed": seed})
     summary_flags = f" flags={';'.join(emp.flags)}" if emp.flags else ""
     return (
-        f"mc: {cfg.n_pulses} pulses, Q_mu = {_fmt(emp.q_mu.value)} "
-        f"(analytic {_fmt(ge.q_mu)}) -> {args.out}{summary_flags}"
+        f"mc: {cfg.n_pulses} pulses, Q_mu = {emp.q_mu.value:.9g} "
+        f"(analytic {ge.q_mu:.9g}) -> {args.out}{summary_flags}"
     )
 
 
@@ -306,6 +284,16 @@ def _parse_grid(text: str) -> SweepSpec:
         return SweepSpec(start_db=start, stop_db=stop, step_db=step)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,29 +329,30 @@ def build_parser() -> argparse.ArgumentParser:
                              help="input CSV (fitdl synthesizes a scan when omitted)")
         if name == "mc":
             cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-            cmd.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+            cmd.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        scn = load_scenario(args.scenario)
-        summary = _COMMANDS[args.command][0](args, scn)
-    except argparse.ArgumentError as exc:
-        print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
-        return 2
-    except ParameterError as exc:
-        record = {"error": str(exc), "field": exc.field_path or None}
-        print(json.dumps(record), file=sys.stderr)
-        return 3
-    except ScenarioError as exc:
-        record = {"error": str(exc), "field": exc.field_path or None}
-        print(json.dumps(record), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        # each distinct warning goes to stderr once, as one JSON record
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, category, *_: print(
+            json.dumps({"warning": str(message), "category": category.__name__}), file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            scn = load_scenario(args.scenario)
+            summary = _COMMANDS[args.command][0](args, scn)
+        except argparse.ArgumentError as exc:
+            print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
+            return 2
+        except ScenarioError as exc:
+            record = {"error": str(exc), "field": exc.field_path or None}
+            print(json.dumps(record), file=sys.stderr)
+            return 3 if isinstance(exc, ParameterError) else 2
+        except ValueError as exc:
+            print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
+            return 3
     print(summary)
     return 0
 

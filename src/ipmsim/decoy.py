@@ -222,11 +222,12 @@ _FLAGS_BY_CODE = tuple(
 )
 
 
-def _rate_curve(p: ProtocolParams, ch: ChannelParams, loss) -> tuple[list[RatePoint], np.ndarray]:
-    """Rate points and the unclamped per-pulse rate over an array of losses.
+def _rate_curve(p: ProtocolParams, ch: ChannelParams, loss) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Rate columns, flag codes and the unclamped per-pulse rate over an array of losses.
 
-    Where Q1_L is 0 (flagged "no_single_photon_gain") e1_U reads 1 and
-    only the error-correction cost remains.
+    The columns map each numeric RatePoint field, in field order, to its
+    array over loss.  Where Q1_L is 0 (flagged "no_single_photon_gain")
+    e1_U reads 1 and only the error-correction cost remains.
     """
     loss = np.asarray(loss, dtype=float)
     ge = gains_and_errors(p, ch, loss)
@@ -240,14 +241,17 @@ def _rate_curve(p: ProtocolParams, ch: ChannelParams, loss) -> tuple[list[RatePo
     rate = np.where(raw <= 0.0, 0.0, raw)   # -0.0 prints as 0; NaN stays visible
     per_second = np.where(rate > 0.0, rate * ch.rep_rate, 0.0)
     codes = 1 * ~gain + 2 * (gain & (e1 >= 0.5)) + 4 * clamped
-    columns = (loss, ge.q_mu, ge.q_nu, ge.e_mu, ge.e_nu, q1, e1, rate, per_second, codes)
-    points = [
-        RatePoint(loss_db, q_mu, q_nu, e_mu, e_nu, ge.y0, q1_l, e1_u, e_mu, r, r_s,
-                  _FLAGS_BY_CODE[code])
-        for loss_db, q_mu, q_nu, e_mu, e_nu, q1_l, e1_u, r, r_s, code
-        in zip(*(c.tolist() for c in columns))
-    ]
-    return points, raw
+    columns = {
+        "loss_db": loss, "q_mu": ge.q_mu, "q_nu": ge.q_nu, "e_mu": ge.e_mu, "e_nu": ge.e_nu,
+        "y0": np.full_like(loss, ge.y0), "q1_lower": q1, "e1_upper": e1, "qber": ge.e_mu,
+        "rate_per_pulse": rate, "rate_per_second": per_second,
+    }
+    return columns, codes, raw
+
+
+def _rate_points(columns: dict[str, np.ndarray], codes: np.ndarray) -> list[RatePoint]:
+    rows = zip(*(c.tolist() for c in columns.values()), codes.tolist())
+    return [RatePoint(*values, flags=_FLAGS_BY_CODE[code]) for *values, code in rows]
 
 
 def secure_rate(p: ProtocolParams, ch: ChannelParams) -> RatePoint:
@@ -256,15 +260,22 @@ def secure_rate(p: ProtocolParams, ch: ChannelParams) -> RatePoint:
     The rate clamps at zero when the bound goes negative (flagged
     "rate_clamped"); rate_per_second = R * rep_rate when R > 0, else 0.
     """
-    points, _ = _rate_curve(p, ch, [ch.total_loss_db])
-    return points[0]
+    columns, codes, _ = _rate_curve(p, ch, [ch.total_loss_db])
+    return _rate_points(columns, codes)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    points: list[RatePoint]
+    """Rate curve over a loss grid: each numeric RatePoint field's array and the flag codes."""
+
+    columns: dict[str, np.ndarray]
+    flag_codes: np.ndarray
     threshold_db: float
     threshold_is_grid_edge: bool = False
+
+    @property
+    def points(self) -> list[RatePoint]:
+        return _rate_points(self.columns, self.flag_codes)
 
 
 def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_grid) -> SweepResult:
@@ -281,7 +292,7 @@ def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_grid) -> SweepResult:
     if np.any(grid[1:] <= grid[:-1]):
         raise ValueError("loss grid must be strictly increasing")
 
-    points, raw = _rate_curve(p, ch, grid)
+    columns, codes, raw = _rate_curve(p, ch, grid)
     threshold = float("nan")  # stays NaN when no grid point is positive
     edge = False
     positive = np.flatnonzero(raw > 0.0)
@@ -294,4 +305,4 @@ def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_grid) -> SweepResult:
             l1, l2 = float(grid[last]), float(grid[last + 1])
             r1, r2 = float(raw[last]), float(raw[last + 1])
             threshold = l1 + (l2 - l1) * r1 / (r1 - r2)
-    return SweepResult(points=points, threshold_db=threshold, threshold_is_grid_edge=edge)
+    return SweepResult(columns, codes, threshold, edge)

@@ -1,7 +1,8 @@
-"""Assertion helpers and test-only optics shared by the test modules."""
+"""Assertion helpers, test-only optics and the row-wise CSV writer oracle."""
 
 import numpy as np
 
+from ipmsim.decoy import RatePoint
 from ipmsim.polarimetry import IDEAL_RETARDANCE, setting
 from ipmsim.polarization import CONSTRUCTION_TOL
 
@@ -29,3 +30,39 @@ def stokes_from_jones(e: np.ndarray) -> np.ndarray:
 def standard_settings(retardance: float = IDEAL_RETARDANCE):
     """The three S1+/S2+/S3+ settings at the given waveplate retardance."""
     return tuple(setting(label, retardance) for label in ("S1+", "S2+", "S3+"))
+
+
+# The row-wise CSV writer the CLI used before it wrote columns; the tests
+# hold the columnar writer to these bytes.
+
+
+def _fmt(value) -> str:
+    """Fixed 9-significant-digit rendering for floats; ints and text pass through."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.9g}"
+    return str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _rate_row(pt: RatePoint) -> tuple:
+    return (
+        pt.loss_db,
+        pt.q_mu,
+        pt.q_nu,
+        pt.e_mu,
+        pt.y0,
+        pt.q1_lower,
+        pt.e1_upper,
+        pt.qber,
+        pt.rate_per_pulse,
+        pt.rate_per_second,
+    )

@@ -1,9 +1,16 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ipmsim.cli import _null_z, main
+from ipmsim import decoy
+from ipmsim.cli import RATE_COLUMNS, _null_z, _read_csv, _write_csv, main
+from ipmsim.decoy import ChannelParams, ProtocolParams, sweep_loss
 from ipmsim.modulator import (
     BB84_TARGET_STOKES,
     RECEIVER_FRAME,
@@ -18,10 +25,14 @@ from ipmsim.scenario import (
     ParameterError,
     Scenario,
     ScenarioError,
+    SweepSpec,
     load_scenario,
     resolved_dict,
     scenario_from_dict,
 )
+
+from helpers import _rate_row
+from helpers import _write_csv as rowwise_write_csv
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -112,15 +123,22 @@ class TestStatesCommand:
         assert float(d_row[9]) == pytest.approx(1.0, abs=1e-12)       # S2 exact
         assert float(d_row[10]) == pytest.approx(np.cos(0.93 * np.pi / 2), abs=1e-9)
 
-    def test_splitter_offset_gives_the_physical_receiver_frame_states(self, tmp_path):
+    def test_splitter_offset_gives_the_physical_receiver_frame_states(self, tmp_path, capsys):
         # at delta = 0.3 the receiver sees the element pipeline's output
         # through the half-wave plate at 22.5 deg; through the default
-        # waveplate the A state's S3 leakage lifts its recovered DOP past 1.05
+        # waveplate the A state's S3 leakage lifts its recovered DOP past 1.05,
+        # which the CLI reports as one JSON warning record on stderr
         scn = write_scenario(tmp_path, {"modulator": {"delta": 0.3}})
         cfg = load_scenario(scn).modulator
         out = tmp_path / "states.csv"
-        with pytest.warns(InconsistentProjectionsWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # no Python warning escapes main
             assert main(["states", "--scenario", str(scn), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert records == [{
+            "warning": "recovered DOP 1.0517 exceeds 1: projections are inconsistent",
+            "category": InconsistentProjectionsWarning.__name__,
+        }]
         _, rows = read_csv(out)
         h_in = np.array([1.0, 1.0, 0.0, 0.0])
         for row in rows:
@@ -185,6 +203,32 @@ class TestScanAndFit:
         _, rows = read_csv(out)
         assert len(rows) == 201
         assert float(rows[0][0]) == pytest.approx(1549.0)
+
+
+class TestCsvInput:
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("", "input file {path} has no data rows"),
+            ("1,2\n3\n", "{path}:3: expected 2 columns, got 1"),
+            # the first offending line is named, whatever is wrong with a later one
+            ("1,2\n1,x\n3\n", "{path}:3: could not convert string to float: 'x'"),
+            ("1,2\n3,4,5\n1,x\n", "{path}:3: expected 2 columns, got 3"),
+        ],
+    )
+    def test_malformed_input_names_the_line(self, tmp_path, capsys, body, error):
+        infile = tmp_path / "scan.csv"
+        infile.write_text("wavelength_nm,intensity\n" + body)
+        assert main(["fitdl", "--in", str(infile), "--out", str(tmp_path / "fit.csv")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == error.format(path=infile)
+
+    def test_values_parse_as_python_floats(self, tmp_path):
+        infile = tmp_path / "in.csv"
+        infile.write_text("a,b\n1_000, 2.5 \nnan,inf\n-Infinity,1e-3\n")
+        np.testing.assert_array_equal(
+            _read_csv(infile, 2), [[1000.0, 2.5], [np.nan, np.inf], [-np.inf, 1e-3]]
+        )
 
 
 class TestPolarimetryCommand:
@@ -332,7 +376,16 @@ class TestFlags:
         assert "unrecognized arguments" in record["error"]
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("argv", [[], ["keyrate", "--bogus"], ["mc", "--workers", "two"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["keyrate", "--bogus"],
+            ["mc", "--workers", "two"],
+            ["mc", "--workers", "0"],
+            ["mc", "--workers", "-3"],
+        ],
+    )
     def test_usage_error_is_one_json_record(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -345,3 +398,78 @@ class TestFlags:
             main(argv)
         assert exit_info.value.code == 0
         assert capsys.readouterr().out
+
+
+def rowwise_bytes(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "oracle.csv"
+        rowwise_write_csv(path, header, rows)
+        return path.read_bytes()
+
+
+def columnar_bytes(header, columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        _write_csv(path, header, columns)
+        return path.read_bytes()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e300, -1e-300, 1e16]
+FLOAT_COLUMN = st.builds(
+    lambda values: np.array(values, dtype=np.float64),
+    st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))),
+)
+INT_COLUMN = st.builds(
+    lambda values: np.array(values, dtype=np.int64),
+    st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+)
+TEXT_COLUMN = st.builds(
+    lambda values: np.array(values, dtype=str),
+    st.lists(st.text(st.characters(blacklist_categories=("Cs",)))),
+)
+
+
+@st.composite
+def mixed_tables(draw):
+    """Equal-length text, int64 and float columns in random order."""
+    columns = draw(st.lists(st.one_of(FLOAT_COLUMN, INT_COLUMN, TEXT_COLUMN), min_size=1, max_size=6))
+    rows = min(len(c) for c in columns)
+    return [c[:rows] for c in columns]
+
+
+class TestColumnarWriter:
+    """The columnar writer against the row-wise writer it replaced, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_tables())
+    def test_mixed_tables_match_the_rowwise_oracle(self, columns):
+        header = [f"c{k}" for k in range(len(columns))]
+        assert columnar_bytes(header, columns) == rowwise_bytes(header, zip(*columns))
+
+    @pytest.mark.parametrize(
+        "data, grid",
+        [
+            ({}, None),
+            # dark-free past eta's underflow, where the unclamped rate is -0.0
+            ({"channel": {"dark_rate": 0.0}}, SweepSpec(3000.0, 4000.0, 500.0)),
+        ],
+    )
+    def test_sweep_writes_the_oracle_bytes(self, tmp_path, data, grid):
+        scn_path = write_scenario(tmp_path, data)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", str(scn_path), "--out", str(out)]
+        if grid is not None:
+            argv += ["--grid", f"{grid.start_db}:{grid.stop_db}:{grid.step_db}"]
+        assert main(argv) == 0
+        scn = load_scenario(scn_path)
+        points = sweep_loss(scn.protocol, scn.channel, (grid or scn.sweep).grid()).points
+        assert out.read_bytes() == rowwise_bytes(RATE_COLUMNS, [_rate_row(pt) for pt in points])
+
+    def test_sweep_command_builds_no_rate_point(self, tmp_path, monkeypatch):
+        def no_points(*args, **kwargs):
+            raise AssertionError("the sweep command built a RatePoint")
+
+        monkeypatch.setattr(decoy, "RatePoint", no_points)
+        assert main(["sweep", "--out", str(tmp_path / "s.csv")]) == 0
+        with pytest.raises(AssertionError, match="built a RatePoint"):
+            sweep_loss(ProtocolParams(), ChannelParams(), [40.0]).points

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ipmsim.cli import _fmt, _rate_row
 from ipmsim.decoy import (
     ChannelParams,
     ProtocolParams,
@@ -19,6 +18,8 @@ from ipmsim.decoy import (
     transmittance,
     vacuum_yield,
 )
+
+from helpers import _fmt, _rate_row
 
 # Independent oracle: photon-number-resolved gains by truncated Poisson
 # summation with yields Y_i = Y0 + 1 - (1-eta)^i and error clicks
