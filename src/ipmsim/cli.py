@@ -3,8 +3,8 @@
 Every command reads one scenario file (all sections optional), writes its
 results to files, prints a one-line summary to stdout, and exits 0.  On
 failure an error record is printed to stderr as a single JSON line and the
-exit status is 2 for a usage error or a malformed scenario or 3 for a
-numerical/parameter failure (the record names the offending field).  Each
+exit status is 2 for a usage error, a malformed scenario or a file that
+cannot be read or written, or 3 for a numerical/parameter failure (the record names the offending field).  Each
 distinct warning is printed to stderr as one JSON line too.
 
 Output conventions: CSV with a mandatory header row, comma separator,
@@ -229,7 +229,7 @@ def _cmd_mc(args, scn: Scenario) -> str:
     def progress(done: int, total: int) -> None:
         print(f"mc: {done}/{total} pulses", file=sys.stderr)
 
-    tally = simulate(cfg, workers=args.workers, progress=progress)
+    tally = simulate(cfg, progress=progress)
     emp = estimate(tally, cfg)
 
     args.out.write_text(tally.to_json() + "\n")
@@ -329,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="input CSV (fitdl synthesizes a scan when omitted)")
         if name == "mc":
             cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-            cmd.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
+            cmd.add_argument("--workers", type=_positive_int, default=1,
+                             help="accepted and ignored; the MC runs in one process")
     return parser
 
 
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
             return 3
+        except OSError as exc:
+            print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
+            return 2
     print(summary)
     return 0
 

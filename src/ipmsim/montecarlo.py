@@ -16,18 +16,15 @@ binomials thin the clicks to sifted counts and those to errors.  This is
 the same distribution as simulating every pulse, at a cost that does not
 grow with the chunk size.
 
-Pulses are processed in fixed-size chunks.  Chunk ``k`` consumes its own
-counter-based random stream keyed by ``(seed, k)`` (Philox), and the tally
-is the sum of per-chunk tallies, so the result is a pure function of
-(config, seed, chunk size): any worker count or scheduling order produces
-the byte-identical tally.
+Pulses are processed in fixed-size chunks, in one process.  Chunk ``k``
+consumes its own counter-based random stream keyed by ``(seed, k)``
+(Philox), and the tally is the sum of per-chunk tallies, so the result is
+a pure function of (config, seed, chunk size).
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +34,7 @@ from .decoy import ChannelParams, ProtocolParams, transmittance
 PULSE_CLASSES = ("signal", "decoy", "vacuum")
 STATES = ("H", "D", "V", "A")
 
-DEFAULT_CHUNK = 1 << 20
+DEFAULT_CHUNK = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,9 @@ class SimConfig:
             raise ValueError(f"chunk_pulses must be positive, got {self.chunk_pulses}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        if self.n_pulses >= 2**63:
+            # bounds every chunk size and every count of the int64 tally
+            raise ValueError(f"n_pulses must be below 2**63, got {self.n_pulses}")
 
 
 @dataclass
@@ -209,55 +209,21 @@ def _simulate_chunk(cfg: SimConfig, probs: np.ndarray, chunk_index: int, n: int)
     )
 
 
-def _chunk_sizes(cfg: SimConfig) -> list[int]:
-    full, rem = divmod(cfg.n_pulses, cfg.chunk_pulses)
-    sizes = [cfg.chunk_pulses] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
-
-
-def _run_chunk(args: tuple[SimConfig, np.ndarray, int, int]) -> PulseTally:
-    return _simulate_chunk(*args)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all CPUs where affinity is not exposed)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def simulate(cfg: SimConfig, workers: int = 1, progress=None) -> PulseTally:
+def simulate(cfg: SimConfig, progress=None) -> PulseTally:
     """Simulate the full pulse train and return the merged tally.
 
-    ``workers`` only distributes chunks over processes, and is capped at
-    the chunk count and the CPUs this process may run on; the
-    chunk-to-stream mapping is fixed, and tally merging is an elementwise
-    integer sum (associative and commutative), so the result is identical
-    for any worker count.  ``progress``, if given, is called with
+    Every chunk holds ``chunk_pulses`` pulses except the last, which holds
+    the remainder.  ``progress``, if given, is called with
     (pulses_done, pulses_total) after every chunk.
     """
-    sizes = _chunk_sizes(cfg)
     probs = _cell_probs(cfg)
-    tasks = [(cfg, probs, idx, size) for idx, size in enumerate(sizes)]
-    workers = min(workers, len(tasks), _usable_cpus())
-    total = cfg.n_pulses
-    done = 0
+    total, size = cfg.n_pulses, cfg.chunk_pulses
     result = PulseTally.zeros()
-    if workers <= 1:
-        for task in tasks:
-            result = result + _run_chunk(task)
-            done += task[-1]
-            if progress is not None:
-                progress(done, total)
-        return result
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for idx, tally in enumerate(pool.map(_run_chunk, tasks)):
-            result = result + tally
-            done += tasks[idx][-1]
-            if progress is not None:
-                progress(done, total)
+    for k in range(-(-total // size)):  # ceil(total / size) chunks
+        n = min(size, total - k * size)
+        result = result + _simulate_chunk(cfg, probs, k, n)
+        if progress is not None:
+            progress(k * size + n, total)
     return result
 
 

@@ -25,9 +25,10 @@ from pathlib import Path
 
 from .decoy import ChannelParams, ProtocolParams
 from .modulator import ModulatorConfig
+from .montecarlo import DEFAULT_CHUNK
 
 DEFAULT_SWEEP = {"start_db": 0.0, "stop_db": 70.0, "step_db": 0.5}
-DEFAULT_SIM = {"n_pulses": 1_000_000, "seed": 12345, "chunk_pulses": 1 << 20}
+DEFAULT_SIM = {"n_pulses": 1_000_000, "seed": 12345, "chunk_pulses": DEFAULT_CHUNK}
 
 
 class ScenarioError(ValueError):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipmsim
 from ipmsim import decoy
 from ipmsim.cli import RATE_COLUMNS, _null_z, _read_csv, _write_csv, main
 from ipmsim.decoy import ChannelParams, ProtocolParams, sweep_loss
@@ -341,6 +345,15 @@ class TestMcCommand:
         assert out_a.read_bytes() != out_b.read_bytes()
         assert out_b.read_bytes() == out_c.read_bytes()
 
+    def test_oversized_chunk_is_a_parameter_error(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, {"sim": {"n_pulses": 2**65, "chunk_pulses": 2**65}})
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--scenario", str(scn), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "2**63" in json.loads(err)["error"]
+        assert not out.exists()
+
     def test_workers_do_not_change_bytes(self, tmp_path):
         scn = write_scenario(
             tmp_path,
@@ -384,9 +397,13 @@ class TestFlags:
             ["mc", "--workers", "two"],
             ["mc", "--workers", "0"],
             ["mc", "--workers", "-3"],
+            ["polarimetry", "--in", "nope.csv"],
+            ["fitdl", "--in", "nope.csv"],
+            ["trace", "--out", "no_such_dir/t.csv"],
         ],
     )
-    def test_usage_error_is_one_json_record(self, argv, capsys):
+    def test_usage_error_is_one_json_record(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
@@ -398,6 +415,17 @@ class TestFlags:
             main(argv)
         assert exit_info.value.code == 0
         assert capsys.readouterr().out
+
+
+def test_cli_import_loads_no_process_pool():
+    code = (
+        "import sys, ipmsim.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')])"
+    )
+    src = str(Path(ipmsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def rowwise_bytes(header, rows):

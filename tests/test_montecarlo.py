@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from ipmsim import montecarlo
 from ipmsim.decoy import ChannelParams, ProtocolParams, gains_and_errors, secure_rate, transmittance
 from ipmsim.montecarlo import (
     PULSE_CLASSES,
@@ -202,6 +201,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="chunk_pulses"):
             make_cfg(chunk=0)
 
+    def test_rejects_pulse_counts_an_int64_tally_cannot_hold(self):
+        # 2**65 pulses in 2**62-pulse chunks would wrap the sent total to 0
+        for chunk in (2**62, 2**65):
+            with pytest.raises(ValueError, match=r"2\*\*63"):
+                SimConfig(n_pulses=2**65, seed=1, chunk_pulses=chunk)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            SimConfig(n_pulses=2**63, seed=1)
+        SimConfig(n_pulses=2**63 - 1, seed=1, chunk_pulses=2**65)
+
     def test_rejects_oversized_seed(self):
         with pytest.raises(ValueError, match="seed"):
             SimConfig(n_pulses=1, seed=2**64)
@@ -280,38 +288,17 @@ class TestSimulate:
 
 
 class TestDeterminism:
-    def test_identical_across_worker_counts(self):
+    def test_tally_is_the_sum_of_its_chunk_tallies(self):
+        # merging is an integer sum, so the order chunks are added in is free
         cfg = make_cfg(n_pulses=600_000, seed=99, chunk=1 << 17, total_loss_db=20.0)
-        t1 = simulate(cfg, workers=1)
-        t2 = simulate(cfg, workers=2)
-        t8 = simulate(cfg, workers=8)
-        assert t1 == t2 == t8
-        assert t1.to_json() == t2.to_json() == t8.to_json()
-
-    @pytest.mark.parametrize("cpus, chunks, expected", [(8, 2, 2), (3, 4, 3)])
-    def test_worker_count_capped_at_chunks_and_cpus(self, monkeypatch, cpus, chunks, expected):
-        # a stand-in pool records the size it is asked for and starts no process
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        cfg = make_cfg(n_pulses=chunks * 1000, chunk=1000)
-        tally = simulate(cfg, workers=10**6)
-        assert seen == [expected]
-        assert tally == simulate(cfg, workers=1)
+        probs = _cell_probs(cfg)
+        sizes = [1 << 17] * 4 + [600_000 - 4 * (1 << 17)]
+        total = PulseTally.zeros()
+        for k in reversed(range(len(sizes))):
+            total = total + _simulate_chunk(cfg, probs, k, sizes[k])
+        tally = simulate(cfg)
+        assert tally == total
+        assert tally.to_json() == total.to_json()
 
     def test_same_seed_same_tally(self):
         cfg = make_cfg(n_pulses=300_000, seed=5)
