@@ -10,8 +10,8 @@ distinct warning is printed to stderr as one JSON line too.
 Output conventions: CSV with a mandatory header row, comma separator,
 '.' decimal point, floats as printf %.9g, integers as %d and text verbatim,
 so identical scenario + seed produces byte-identical files.  Each command
-also writes a ``<out>.params.json`` sidecar with the fully resolved
-parameter set for provenance.
+also writes a ``<out>.params.json`` sidecar with the resolved scenario
+sections it reads, for provenance.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _write_csv(path: Path, header, columns) -> None:
 
 
 def _write_sidecar(out: Path, command: str, scn: Scenario, extra: dict | None = None) -> None:
-    record = {"command": command, "parameters": resolved_dict(scn)}
+    record = {"command": command, "parameters": resolved_dict(scn, _COMMANDS[command][2])}
     if extra:
         record.update(extra)
     sidecar = out.with_name(out.name + ".params.json")
@@ -80,7 +80,7 @@ def _write_sidecar(out: Path, command: str, scn: Scenario, extra: dict | None = 
 def _scan_wavelengths(scn: Scenario, grid: SweepSpec | None):
     """Wavelength grid in meters; --grid (in nm) overrides the default span."""
     if grid is not None:
-        return np.array(grid.grid()) * 1e-9
+        return grid.grid() * 1e-9
     # default: 1201 points, +-1.2 nm around the operating wavelength
     start_nm = scn.modulator.wavelength * 1e9 - 1.2
     return (start_nm + np.arange(1201) * 0.002) * 1e-9
@@ -218,13 +218,11 @@ def _null_z(est: RateEstimate, analytic: float) -> float:
 
 def _cmd_mc(args, scn: Scenario) -> str:
     seed = args.seed if args.seed is not None else scn.sim.seed
-    cfg = SimConfig(
-        n_pulses=scn.sim.n_pulses,
-        seed=seed,
-        protocol=scn.protocol,
-        channel=scn.channel,
-        chunk_pulses=scn.sim.chunk_pulses,
-    )
+    try:
+        cfg = SimConfig(n_pulses=scn.sim.n_pulses, seed=seed, protocol=scn.protocol,
+                        channel=scn.channel, chunk_pulses=scn.sim.chunk_pulses)
+    except ValueError as exc:
+        raise ParameterError(f"invalid value in section 'sim': {exc}", "sim") from exc
 
     def progress(done: int, total: int) -> None:
         print(f"mc: {done}/{total} pulses", file=sys.stderr)
@@ -244,15 +242,10 @@ def _cmd_mc(args, scn: Scenario) -> str:
 
     ge = gains_and_errors(scn.protocol, scn.channel)
     report = args.out.with_name(args.out.name + ".report.csv")
-    comparisons = (
-        ("Q_mu", emp.q_mu, ge.q_mu),
-        ("Q_nu", emp.q_nu, ge.q_nu),
-        ("E_mu", emp.e_mu, ge.e_mu),
-        ("E_nu", emp.e_nu, ge.e_nu),
-        ("Y0", emp.y0, ge.y0),
-    )
-    report_rows = [(name, est.value, est.stderr, analytic, _null_z(est, analytic))
-                   for name, est, analytic in comparisons]
+    report_rows = []
+    for name in ("Q_mu", "Q_nu", "E_mu", "E_nu", "Y0"):
+        est, analytic = getattr(emp, name.lower()), getattr(ge, name.lower())
+        report_rows.append((name, est.value, est.stderr, analytic, _null_z(est, analytic)))
     _write_csv(report, ("quantity", "empirical", "stderr", "analytic", "z_score"),
                list(zip(*report_rows)))
     _write_sidecar(args.out, "mc", scn, {"seed": seed})
@@ -263,15 +256,17 @@ def _cmd_mc(args, scn: Scenario) -> str:
     )
 
 
+# command -> (handler, help text, the scenario sections it reads)
 _COMMANDS = {
-    "states": (_cmd_states, "BB84 drive-voltage table and output Stokes vectors"),
-    "trace": (_cmd_trace, "Poincare trace under triangular differential drive"),
-    "scan": (_cmd_scan, "synthetic analyzer wavelength scan"),
-    "fitdl": (_cmd_fitdl, "fit the arm-length imbalance from a scan"),
-    "polarimetry": (_cmd_polarimetry, "batch Stokes extraction from projection CSV"),
-    "keyrate": (_cmd_keyrate, "single secure-rate point"),
-    "sweep": (_cmd_sweep, "secure rate versus channel loss"),
-    "mc": (_cmd_mc, "Monte Carlo pulse simulation with analytic comparison"),
+    "states": (_cmd_states, "BB84 drive-voltage table and output Stokes vectors", ("modulator",)),
+    "trace": (_cmd_trace, "Poincare trace under triangular differential drive", ("modulator",)),
+    "scan": (_cmd_scan, "synthetic analyzer wavelength scan", ("modulator",)),
+    "fitdl": (_cmd_fitdl, "fit the arm-length imbalance from a scan", ("modulator",)),
+    "polarimetry": (_cmd_polarimetry, "batch Stokes extraction from projection CSV", ()),
+    "keyrate": (_cmd_keyrate, "single secure-rate point", ("protocol", "channel")),
+    "sweep": (_cmd_sweep, "secure rate versus channel loss", ("protocol", "channel", "sweep")),
+    "mc": (_cmd_mc, "Monte Carlo pulse simulation with analytic comparison",
+           ("protocol", "channel", "sim")),
 }
 
 
@@ -310,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--scenario", type=Path, default=None, help="scenario JSON file")
         cmd.add_argument(

@@ -1,13 +1,23 @@
-"""Vacuum+weak decoy-state BB84 key-rate engine.
+"""Vacuum+weak decoy-state BB84 key-rate engine and the detector law.
 
 Channel model (Poissonian weak coherent pulses, threshold detectors):
 
     eta  = 10^(-loss_db/10) * detector_efficiency
-    Y0   = num_detectors * dark_rate * gate_window      (per pulse)
-    Q_x  = Y0 + 1 - exp(-eta x)                          x in {mu, nu}
-    E_x Q_x = e0 Y0 + e_d (1 - exp(-eta x))
+    P_x  = 1 - exp(-eta x)                   photon click, x in {mu, nu, 0}
+    p_d  = min(dark_rate * gate_window, 1)   dark fire, per detector and pulse
 
-Decoy bounds on the single-photon contribution:
+``click_law`` is the one detector law of this engine and the Monte Carlo:
+five click-type probabilities given a photon click (row 0) or none (row 1),
+darks independent on each of the n detectors.  A photon pulse double-clicks
+only when another detector dark-fires; a double click is a random bit
+(Lutkenhaus, PRA 61, 052304, 2000).  Over the four click types:
+
+    Q_x     = P_x sum(row 0) + (1 - P_x) sum(row 1)
+    E_x Q_x = the same, weighted by the error rates (e_d, 1/2, e0, 1/2)
+    Y0      = sum(row 1) = 1 - (1 - p_d)^n
+
+Decoy bounds on the single-photon contribution (Ma, Qi, Zhao, Lo, PRA 72,
+012326, 2005):
 
     Q1_L = mu^2 e^-mu / (mu nu - nu^2)
            * ( Q_nu e^nu - Q_mu e^mu nu^2/mu^2 - (mu^2 - nu^2)/mu^2 Y0 )
@@ -142,14 +152,46 @@ class RatePoint:
     flags: tuple[str, ...] = field(default=())
 
 
-def transmittance(ch: ChannelParams) -> float:
-    """Overall transmittance eta = 10^(-loss/10) * detector efficiency."""
-    return 10.0 ** (-ch.total_loss_db / 10.0) * ch.detector_efficiency
+def transmittance(ch: ChannelParams, loss_db=None):
+    """eta = 10^(-loss/10) * detector efficiency, at the channel's loss or over ``loss_db``."""
+    loss = ch.total_loss_db if loss_db is None else loss_db
+    return 10.0 ** (-loss / 10.0) * ch.detector_efficiency
 
 
-def vacuum_yield(ch: ChannelParams) -> float:
-    """Background click probability per pulse across all detectors."""
-    return ch.num_detectors * ch.dark_rate * ch.gate_window
+def photon_click(ch: ChannelParams, x, loss_db=None):
+    """P_x = 1 - e^(-eta x), 1 - (1 - eta)^n averaged over the Poisson photon number n.
+
+    The result has the shape of x followed by the shape of the loss.
+    """
+    return -np.expm1(-np.multiply.outer(x, transmittance(ch, loss_db)))
+
+
+# click types, the columns of click_law: a photon click (a dark on the same
+# detector is the same click), a photon click plus a dark on another
+# detector, one dark alone, several darks alone, and no click
+_PHOTON, _PHOTON_DOUBLE, _ONE_DARK, _MULTI_DARK, _NO_CLICK = range(5)
+
+
+def click_law(ch: ChannelParams) -> np.ndarray:
+    """Click-type probabilities given a photon click (row 0) or none (row 1)."""
+    n_det = ch.num_detectors
+    dark_p = min(ch.dark_rate * ch.gate_window, 1.0)      # per detector, per pulse
+    none = (1.0 - dark_p) ** n_det
+    one = n_det * dark_p * (1.0 - dark_p) ** (n_det - 1)
+    # multi = 1 - none - one, with 1 - none from expm1 so that the
+    # O(dark_p^2) remainder is not lost to rounding at small dark_p
+    any_dark = -np.expm1(n_det * np.log1p(-dark_p)) if dark_p < 1.0 else 1.0
+    multi = max(any_dark - one, 0.0)
+    # a lone dark fires another detector than the photon's w.p. (n_det - 1)/n_det
+    return np.array([
+        [none + one / n_det, one * (n_det - 1) / n_det + multi, 0.0, 0.0, 0.0],
+        [0.0, 0.0, one, multi, none],
+    ])
+
+
+def click_errors(p: ProtocolParams, ch: ChannelParams) -> np.ndarray:
+    """Error rate of each click type but the last: e_d, a random bit, e0, a random bit."""
+    return np.array([ch.intrinsic_qber, 0.5, p.e0, 0.5])
 
 
 def gains_and_errors(
@@ -163,19 +205,15 @@ def gains_and_errors(
     loss = np.asarray(ch.total_loss_db if loss_db is None else loss_db, dtype=float)
     if np.any(loss < 0):
         raise ValueError(f"total_loss_db must be >= 0, got {loss.min()}")
-    eta = 10.0 ** (-loss / 10.0) * ch.detector_efficiency
-    y0 = vacuum_yield(ch)
-    e_d = ch.intrinsic_qber
-
-    def gain_error(x: float):
-        click = -np.expm1(-eta * x)     # 1 - e^(-eta x), precise at high loss
-        q = y0 + click
-        err = np.divide(p.e0 * y0 + e_d * click, q, out=np.full_like(q, p.e0), where=q > 0)
-        return q, err[()]
-
-    q_mu, e_mu = gain_error(p.mu)
-    q_nu, e_nu = gain_error(p.nu)
-    return GainsAndErrors(q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0)
+    # click and error-click probabilities given a photon click or none
+    clicks = click_law(ch)[:, :_NO_CLICK]
+    q_photon, q_dark = clicks.sum(axis=1)
+    eq_photon, eq_dark = (clicks * click_errors(p, ch)).sum(axis=1)
+    click = photon_click(ch, np.array([p.mu, p.nu]), loss)
+    q = click * q_photon + (1.0 - click) * q_dark
+    eq = click * eq_photon + (1.0 - click) * eq_dark
+    err = np.divide(eq, q, out=np.full_like(q, p.e0), where=q > 0)
+    return GainsAndErrors(q_mu=q[0], q_nu=q[1], e_mu=err[0], e_nu=err[1], y0=float(q_dark))
 
 
 def q1_lower(p: ProtocolParams, q_mu, q_nu, y0):
@@ -278,13 +316,38 @@ class SweepResult:
         return _rate_points(self.columns, self.flag_codes)
 
 
+def _threshold(p: ProtocolParams, ch: ChannelParams, l1, l2, r1, r2) -> float:
+    """Loss in [l1, l2] where the unclamped rate, r1 > 0 at l1 and r2 <= 0 at l2, reaches 0.
+
+    Secant steps on the one-point engine that keep the bracket (Illinois
+    family, Anderson-Bjorck factor), from the linear interpolation until a
+    step moves less than 1e-9 dB.
+    """
+    x, last = l1 + (l2 - l1) * r1 / (r1 - r2), None
+    for _ in range(100):    # a few steps converge; the cap guards a rate that never does
+        r = float(_rate_curve(p, ch, [x])[2][0])
+        scale = 1.0     # shrinks the kept end's rate when one end is replaced twice running
+        if last is not None and (r > 0.0) == (last > 0.0):
+            scale = 1.0 - r / last if r / last < 1.0 else 0.5
+        if r > 0.0:
+            l1, r1, r2 = x, r, r2 * scale
+        else:
+            l2, r2, r1 = x, r, r1 * scale
+        last = r
+        step = l1 + (l2 - l1) * r1 / (r1 - r2)
+        if not abs(step - x) > 1e-9:   # NaN stops too
+            return step
+        x = step
+    return x
+
+
 def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_grid) -> SweepResult:
     """Rate points over a monotone loss grid plus the positive-rate threshold.
 
-    The threshold interpolates the unclamped per-pulse rate linearly
-    between the last positive and first non-positive grid points.  If the
-    rate is still positive at the end of the grid the last grid loss is
-    returned as a lower bound (``threshold_is_grid_edge`` set).
+    The threshold is the loss where the unclamped per-pulse rate reaches 0
+    between the last positive and the first non-positive grid points, to
+    1e-9 dB.  If the rate is still positive at the end of the grid the last
+    grid loss is returned as a lower bound (``threshold_is_grid_edge`` set).
     """
     grid = np.asarray(loss_grid, dtype=float).ravel()
     if grid.size == 0:
@@ -302,7 +365,6 @@ def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_grid) -> SweepResult:
             threshold = float(grid[-1])
             edge = True
         else:
-            l1, l2 = float(grid[last]), float(grid[last + 1])
-            r1, r2 = float(raw[last]), float(raw[last + 1])
-            threshold = l1 + (l2 - l1) * r1 / (r1 - r2)
+            (l1, l2), (r1, r2) = grid[last:last + 2].tolist(), raw[last:last + 2].tolist()
+            threshold = _threshold(p, ch, l1, l2, r1, r2)
     return SweepResult(columns, codes, threshold, edge)

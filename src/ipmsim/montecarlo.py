@@ -1,14 +1,12 @@
 """Count-level Monte Carlo of the decoy-BB84 pulse train, exact in law.
 
 Each pulse has a class (signal/decoy/vacuum) drawn from the allocation, a
-BB84 state drawn uniformly, a Poisson photon number, independent
-per-photon survival at the channel transmittance, independent dark fires
-on every receiver detector, a uniform receiver basis, sifting on matched
-bases, and error draws (intrinsic QBER for photon clicks, the vacuum error
-rate for dark-only clicks).  Multi detector clicks resolve to a uniformly
-random bit and still count as sifted; a dark count on the detector the
-photon already fired is the same click, so a photon pulse double-clicks
-only when one of the other ``num_detectors - 1`` detectors dark-fires.
+BB84 state drawn uniformly, a click type drawn from the detector law of
+``decoy.click_law`` (photon click with probability ``decoy.photon_click``,
+independent dark fires on every receiver detector), a uniform receiver
+basis, sifting on matched bases, and an error drawn at the click type's
+rate (``decoy.click_errors``).  The analytic engine reads the same law, so
+the two agree in expectation at any loss and dark rate.
 
 Pulses are iid, so a chunk's tally is drawn without realizing them: one
 multinomial splits the chunk over (class, state, click type) cells, and
@@ -29,12 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoy import ChannelParams, ProtocolParams, transmittance
+from .decoy import _MULTI_DARK, _NO_CLICK, _ONE_DARK, _PHOTON_DOUBLE
+from .decoy import ChannelParams, ProtocolParams, click_errors, click_law, photon_click
 
 PULSE_CLASSES = ("signal", "decoy", "vacuum")
 STATES = ("H", "D", "V", "A")
 
 DEFAULT_CHUNK = 1 << 30
+MAX_CHUNKS = 1 << 20    # a chunk costs about 0.1 ms of Python and one progress line
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,9 @@ class SimConfig:
         if self.n_pulses >= 2**63:
             # bounds every chunk size and every count of the int64 tally
             raise ValueError(f"n_pulses must be below 2**63, got {self.n_pulses}")
+        if -(-self.n_pulses // self.chunk_pulses) > MAX_CHUNKS:
+            raise ValueError(f"n_pulses / chunk_pulses must not exceed 2**20 chunks, got "
+                             f"{self.n_pulses} / {self.chunk_pulses}")
 
 
 @dataclass
@@ -151,37 +154,14 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-# click types, the last axis of a chunk's cell counts: a photon click (a
-# dark on the same detector is the same click), a photon click plus a dark
-# on another detector, one dark alone, several darks alone, and no click
-_PHOTON, _PHOTON_DOUBLE, _ONE_DARK, _MULTI_DARK, _NO_CLICK = range(5)
-_CELLS = (len(PULSE_CLASSES), len(STATES), 5)
+_CELLS = (len(PULSE_CLASSES), len(STATES), _NO_CLICK + 1)
 
 
 def _cell_probs(cfg: SimConfig) -> np.ndarray:
     """Per-pulse probability of each (class, state, click type) cell."""
     p, ch = cfg.protocol, cfg.channel
-    n_det = ch.num_detectors
-    dark_p = min(ch.dark_rate * ch.gate_window, 1.0)      # per detector, per pulse
-    none = (1.0 - dark_p) ** n_det
-    one = n_det * dark_p * (1.0 - dark_p) ** (n_det - 1)
-    # multi = 1 - none - one, with 1 - none from expm1 so that the
-    # O(dark_p^2) remainder is not lost to rounding at small dark_p
-    any_dark = -np.expm1(n_det * np.log1p(-dark_p)) if dark_p < 1.0 else 1.0
-    multi = max(any_dark - one, 0.0)
-    # 1 - e^(-eta x) is 1 - (1 - eta)^photons averaged over the Poisson
-    # photon number; a lone dark fires another detector w.p. (n_det - 1)/n_det
-    photon = -np.expm1(-transmittance(ch) * np.array([p.mu, p.nu, 0.0]))
-    click_types = np.stack(
-        [
-            photon * (none + one / n_det),
-            photon * (one * (n_det - 1) / n_det + multi),
-            (1.0 - photon) * one,
-            (1.0 - photon) * multi,
-            (1.0 - photon) * none,
-        ],
-        axis=-1,
-    )
+    click = photon_click(ch, np.array([p.mu, p.nu, 0.0]))
+    click_types = np.stack([click, 1.0 - click], axis=-1) @ click_law(ch)
     class_p = np.array([p.p_signal, p.p_decoy, p.p_vacuum]) / len(STATES)
     return np.repeat((class_p[:, None] * click_types)[:, None, :], len(STATES), axis=1)
 
@@ -195,10 +175,7 @@ def _simulate_chunk(cfg: SimConfig, probs: np.ndarray, chunk_index: int, n: int)
     counts = rng.multinomial(n, probs.ravel()).reshape(_CELLS)
     clicks = counts[..., :_NO_CLICK]
     sifted = rng.binomial(clicks, 0.5)
-    # intrinsic QBER on photon clicks, a random bit on double clicks, the
-    # vacuum error rate on a lone dark
-    err_p = np.array([cfg.channel.intrinsic_qber, 0.5, cfg.protocol.e0, 0.5])
-    errors = rng.binomial(sifted, err_p)
+    errors = rng.binomial(sifted, click_errors(cfg.protocol, cfg.channel))
     return PulseTally(
         sent=counts.sum(axis=-1),
         detected=clicks.sum(axis=-1),
@@ -273,25 +250,15 @@ def estimate(tally: PulseTally, cfg: SimConfig) -> EmpiricalRates:
     sifted = tally.class_totals("sifted")
     errors = tally.class_totals("errors")
 
-    q_mu = _ratio(int(detected[0]), int(sent[0]))
-    q_nu = _ratio(int(detected[1]), int(sent[1]))
-    e_mu = _ratio(int(errors[0]), int(sifted[0]))
-    e_nu = _ratio(int(errors[1]), int(sifted[1]))
-    y0 = _ratio(int(detected[2]), int(sent[2]))
-    sifted_rate = _ratio(int(sifted.sum()), int(sent.sum()))
-
+    rates = {
+        "q_mu": _ratio(int(detected[0]), int(sent[0])),
+        "q_nu": _ratio(int(detected[1]), int(sent[1])),
+        "e_mu": _ratio(int(errors[0]), int(sifted[0])),
+        "e_nu": _ratio(int(errors[1]), int(sifted[1])),
+        "y0": _ratio(int(detected[2]), int(sent[2])),
+        "sifted_rate": _ratio(int(sifted.sum()), int(sent.sum())),
+    }
     flags = tuple(
-        f"low_statistics:{name}"
-        for name, est in (
-            ("q_mu", q_mu),
-            ("q_nu", q_nu),
-            ("e_mu", e_mu),
-            ("e_nu", e_nu),
-            ("y0", y0),
-            ("sifted_rate", sifted_rate),
-        )
-        if est.denominator < MIN_EVENTS
+        f"low_statistics:{name}" for name, est in rates.items() if est.denominator < MIN_EVENTS
     )
-    return EmpiricalRates(
-        q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0, sifted_rate=sifted_rate, flags=flags
-    )
+    return EmpiricalRates(**rates, flags=flags)

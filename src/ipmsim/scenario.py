@@ -12,8 +12,8 @@ performance operating point, so an empty scenario is valid):
     }
 
 Unknown keys are rejected anywhere in the tree, naming the offending
-path.  ``resolved_dict`` returns the fully expanded parameter set (all
-defaults applied) for provenance sidecars.
+path.  ``resolved_dict`` returns the expanded sections (all defaults
+applied) for provenance sidecars.
 """
 
 from __future__ import annotations
@@ -23,12 +23,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .decoy import ChannelParams, ProtocolParams
 from .modulator import ModulatorConfig
 from .montecarlo import DEFAULT_CHUNK
 
 DEFAULT_SWEEP = {"start_db": 0.0, "stop_db": 70.0, "step_db": 0.5}
 DEFAULT_SIM = {"n_pulses": 1_000_000, "seed": 12345, "chunk_pulses": DEFAULT_CHUNK}
+MAX_GRID_POINTS = 10**7
 
 
 class ScenarioError(ValueError):
@@ -54,10 +57,12 @@ class SweepSpec:
             raise ValueError(f"step_db must be positive, got {self.step_db}")
         if self.stop_db < self.start_db:
             raise ValueError("stop_db must be >= start_db")
+        if not np.round((self.stop_db - self.start_db) / self.step_db) < MAX_GRID_POINTS:
+            raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} points")
 
-    def grid(self) -> list[float]:
+    def grid(self) -> np.ndarray:
         n = int(round((self.stop_db - self.start_db) / self.step_db)) + 1
-        return [self.start_db + i * self.step_db for i in range(n)]
+        return self.start_db + np.arange(n) * self.step_db
 
 
 @dataclass(frozen=True)
@@ -126,9 +131,6 @@ def load_scenario(path: str | Path | None) -> Scenario:
     return scenario_from_dict(data)
 
 
-def resolved_dict(scn: Scenario) -> dict:
-    """Fully expanded parameter tree (defaults applied) for provenance output."""
-    return {
-        name: dataclasses.asdict(getattr(scn, name))
-        for name in ("modulator", "protocol", "channel", "sim", "sweep")
-    }
+def resolved_dict(scn: Scenario, sections=tuple(_SECTIONS)) -> dict:
+    """Expanded parameter tree of the named sections (defaults applied) for provenance output."""
+    return {name: dataclasses.asdict(getattr(scn, name)) for name in sections}

@@ -96,7 +96,25 @@ class TestScenario:
 
     def test_sweep_grid_construction(self):
         scn = scenario_from_dict({"sweep": {"start_db": 1.0, "stop_db": 2.0, "step_db": 0.5}})
-        assert scn.sweep.grid() == [1.0, 1.5, 2.0]
+        assert scn.sweep.grid().tolist() == [1.0, 1.5, 2.0]
+
+    def test_grid_is_the_python_float_grid(self):
+        spec = SweepSpec(start_db=0.3, stop_db=80.0, step_db=0.01)
+        assert spec.grid().tolist() == [0.3 + i * 0.01 for i in range(7971)]
+
+    @pytest.mark.parametrize(
+        "sweep", [{"stop_db": 1e7, "step_db": 1.0}, {"stop_db": 70.0, "step_db": 1e-300},
+                  {"stop_db": 1e308, "step_db": 1e-308}]
+    )
+    def test_grid_over_ten_million_points_is_a_parameter_error(self, sweep, tmp_path, capsys):
+        SweepSpec(stop_db=1e7 - 1, step_db=1.0)   # exactly 10^7 points
+        scn = write_scenario(tmp_path, {"sweep": sweep})
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--scenario", str(scn), "--out", str(out)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "sweep"
+        assert "at most 10000000 points" in record["error"]
+        assert not out.exists()
 
 
 class TestStatesCommand:
@@ -162,6 +180,33 @@ class TestStatesCommand:
         sidecar = json.loads((tmp_path / "states.csv.params.json").read_text())
         assert sidecar["command"] == "states"
         assert sidecar["parameters"]["modulator"]["v_pi_im"] == 4.0
+
+
+SIDECAR_SECTIONS = {
+    "states": {"modulator"},
+    "trace": {"modulator"},
+    "scan": {"modulator"},
+    "fitdl": {"modulator"},
+    "polarimetry": set(),
+    "keyrate": {"protocol", "channel"},
+    "sweep": {"protocol", "channel", "sweep"},
+    "mc": {"protocol", "channel", "sim"},
+}
+
+
+class TestSidecars:
+    @pytest.mark.parametrize("command", list(SIDECAR_SECTIONS))
+    def test_sidecar_records_only_the_sections_its_command_reads(self, command, tmp_path):
+        proj = tmp_path / "proj.csv"
+        proj.write_text("i1,i2,i3,s0\n1.0,0.5,0.5,1.0\n")
+        out = tmp_path / "out"
+        argv = [command, "--in", str(proj)] if command == "polarimetry" else [command]
+        assert main([*argv, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "out.params.json").read_text())
+        sections = SIDECAR_SECTIONS[command]
+        assert sidecar["command"] == command
+        assert sidecar["parameters"] == resolved_dict(Scenario(), sorted(sections))
+        assert set(sidecar["parameters"]) == sections
 
 
 class TestTraceCommand:
@@ -292,6 +337,16 @@ class TestKeyrateAndSweep:
         column = header.index("R_per_pulse")
         assert [row[column] for row in rows[1:]] == ["0", "0"]
 
+    def test_saturated_darks_give_a_vacuum_yield_of_one(self, tmp_path):
+        # 1e9 darks/s in a 1 us gate: p_d = 1000 clamps to 1, so every
+        # detector fires on every pulse and Y0 = 1 - (1 - p_d)^4 = 1
+        scn = write_scenario(tmp_path, {"channel": {"dark_rate": 1e9, "gate_window": 1e-6}})
+        out = tmp_path / "r.csv"
+        assert main(["keyrate", "--scenario", str(scn), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["Y0"], row["Q_mu"], row["E_mu"], row["R_per_pulse"]) == ("1", "1", "0.5", "0")
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["sweep", "--out", str(out_a), "--grid", "40:55:0.5"])
@@ -352,6 +407,15 @@ class TestMcCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "2**63" in json.loads(err)["error"]
+        assert not out.exists()
+
+    def test_more_than_2_20_chunks_is_a_parameter_error(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, {"sim": {"n_pulses": 10**9, "chunk_pulses": 1}})
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--scenario", str(scn), "--out", str(out)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "sim"
+        assert "2**20 chunks" in record["error"]
         assert not out.exists()
 
     def test_workers_do_not_change_bytes(self, tmp_path):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ipmsim import decoy
 from ipmsim.decoy import (
     ChannelParams,
     ProtocolParams,
@@ -16,35 +17,53 @@ from ipmsim.decoy import (
     secure_rate,
     sweep_loss,
     transmittance,
-    vacuum_yield,
 )
 
 from helpers import _fmt, _rate_row
 
 # Independent oracle: photon-number-resolved gains by truncated Poisson
-# summation with yields Y_i = Y0 + 1 - (1-eta)^i and error clicks
-# e_i Y_i = e0 Y0 + e_d (1 - (1-eta)^i).  This is the same physical model
-# as the closed forms but a different computational path, and it exposes
-# the exact single-photon truth Y1 = Y0 + eta, e1 Y1 = e0 Y0 + e_d eta.
+# summation, with the detector law written out from first principles.  An
+# i-photon pulse gives a photon click with probability eta_i = 1 - (1-eta)^i;
+# each of n detectors dark-fires independently with probability d.  A photon
+# click is clean (error e_d) unless one of the other n - 1 detectors fires
+# (a double click, a random bit); without one, a lone dark errs at e0 and
+# several darks are a random bit.  This is the law of decoy.click_law by a
+# different computational path, and it exposes the exact single-photon
+# truth Y1, e1 Y1 as the i = 1 term.
 
 
-def oracle_gain_error(x, eta, y0, e_d, e0=0.5, terms=80):
+def _one_minus_pow(d, k):
+    """1 - (1-d)^k without cancellation."""
+    return -math.expm1(k * math.log1p(-d)) if d < 1.0 else float(k > 0)
+
+
+def oracle_yield_error(eta_i, d, n, e_d, e0=0.5):
+    """Yield Y_i and error-click probability e_i Y_i given photon-click probability eta_i."""
+    y0 = _one_minus_pow(d, n)
+    double = _one_minus_pow(d, n - 1)
+    lone = n * d * (1.0 - d) ** (n - 1)
+    y = eta_i + (1.0 - eta_i) * y0
+    ey = eta_i * (e_d * (1.0 - double) + 0.5 * double) + (1.0 - eta_i) * (
+        e0 * lone + 0.5 * (y0 - lone)
+    )
+    return y, ey
+
+
+def oracle_gain_error(x, eta, d, n, e_d, e0=0.5, terms=80):
     q = 0.0
     eq = 0.0
     p_i = math.exp(-x)
     for i in range(terms):
-        # 1 - (1-eta)^i evaluated without cancellation
-        eta_i = -math.expm1(i * math.log1p(-eta)) if eta < 1.0 else float(i > 0)
-        q += p_i * (y0 + eta_i)
-        eq += p_i * (e0 * y0 + e_d * eta_i)
+        y_i, ey_i = oracle_yield_error(_one_minus_pow(eta, i), d, n, e_d, e0)
+        q += p_i * y_i
+        eq += p_i * ey_i
         p_i *= x / (i + 1)
     return q, eq / q if q > 0 else e0
 
 
-def oracle_single_photon_truth(eta, y0, e_d, e0=0.5):
-    y1 = y0 + eta
-    e1 = (e0 * y0 + e_d * eta) / y1 if y1 > 0 else e0
-    return y1, e1
+def oracle_single_photon_truth(eta, d, n, e_d, e0=0.5):
+    y1, ey1 = oracle_yield_error(eta, d, n, e_d, e0)
+    return y1, ey1 / y1 if y1 > 0 else e0
 
 
 class TestParams:
@@ -96,8 +115,11 @@ class TestGainsAndErrors:
         assert gains_and_errors(p, ch).q_mu == pytest.approx(0.451188364, rel=1e-9)
 
     def test_dark_count_budget(self):
+        # Y0 = 1 - (1 - p_d)^4 with p_d = 5e-8 per detector, just under 4 p_d
         ch = ChannelParams(dark_rate=50.0, num_detectors=4, gate_window=1e-9)
-        assert vacuum_yield(ch) == pytest.approx(2.0e-7)
+        y0 = gains_and_errors(ProtocolParams(), ch).y0
+        assert y0 == pytest.approx(-math.expm1(4 * math.log1p(-5e-8)), rel=1e-15)
+        assert y0 == pytest.approx(2.0e-7, rel=1e-6)
 
     def test_dark_dominated_limit(self):
         p = ProtocolParams()
@@ -121,13 +143,14 @@ class TestGainsAndErrors:
                 total_loss_db=rng.uniform(0.0, 70.0),
                 detector_efficiency=rng.uniform(0.05, 1.0),
                 dark_rate=rng.uniform(0.0, 1e4),
+                num_detectors=int(rng.integers(1, 5)),
                 gate_window=rng.uniform(1e-11, 1e-8),
                 intrinsic_qber=rng.uniform(0.0, 0.1),
             )
             ge = gains_and_errors(p, ch)
-            eta, y0 = transmittance(ch), vacuum_yield(ch)
-            q_mu, e_mu = oracle_gain_error(p.mu, eta, y0, ch.intrinsic_qber)
-            q_nu, e_nu = oracle_gain_error(p.nu, eta, y0, ch.intrinsic_qber)
+            law = (transmittance(ch), ch.dark_rate * ch.gate_window, ch.num_detectors)
+            q_mu, e_mu = oracle_gain_error(p.mu, *law, ch.intrinsic_qber)
+            q_nu, e_nu = oracle_gain_error(p.nu, *law, ch.intrinsic_qber)
             assert ge.q_mu == pytest.approx(q_mu, rel=1e-12, abs=1e-15)
             assert ge.q_nu == pytest.approx(q_nu, rel=1e-12, abs=1e-15)
             assert ge.e_mu == pytest.approx(e_mu, rel=1e-12, abs=1e-15)
@@ -173,9 +196,10 @@ class TestQ1Lower:
             eta = 10 ** rng.uniform(-6, 0)
             y0 = 10 ** rng.uniform(-9, -3)
             e_d = rng.uniform(0, 0.05)
-            q_mu, _ = oracle_gain_error(p.mu, eta, y0, e_d)
-            q_nu, _ = oracle_gain_error(p.nu, eta, y0, e_d)
-            y1, _ = oracle_single_photon_truth(eta, y0, e_d)
+            # one detector, so its dark fire probability is Y0
+            q_mu, _ = oracle_gain_error(p.mu, eta, y0, 1, e_d)
+            q_nu, _ = oracle_gain_error(p.nu, eta, y0, 1, e_d)
+            y1, _ = oracle_single_photon_truth(eta, y0, 1, e_d)
             q1 = q1_lower(p, q_mu, q_nu, y0)
             assert q1 <= y1 * p.mu * math.exp(-p.mu) + 1e-12
 
@@ -209,12 +233,12 @@ class TestE1Upper:
             eta = 10 ** rng.uniform(-5, 0)
             y0 = 10 ** rng.uniform(-9, -3)
             e_d = rng.uniform(0, 0.05)
-            q_mu, _ = oracle_gain_error(p.mu, eta, y0, e_d)
-            q_nu, e_nu = oracle_gain_error(p.nu, eta, y0, e_d)
+            q_mu, _ = oracle_gain_error(p.mu, eta, y0, 1, e_d)
+            q_nu, e_nu = oracle_gain_error(p.nu, eta, y0, 1, e_d)
             q1 = q1_lower(p, q_mu, q_nu, y0)
             if q1 <= 0:
                 continue
-            _, e1_true = oracle_single_photon_truth(eta, y0, e_d)
+            _, e1_true = oracle_single_photon_truth(eta, y0, 1, e_d)
             assert e1_upper(p, q1, e_nu, q_nu, y0) >= e1_true - 1e-12
             checked += 1
         assert checked > 900
@@ -319,6 +343,28 @@ class TestSweepLoss:
         qbers = [pt.qber for pt in sweep_loss(p, ch, np.arange(0, 71, 1.0)).points]
         assert all(b >= a - 1e-15 for a, b in zip(qbers, qbers[1:]))
 
+    @pytest.mark.parametrize("step", [0.5, 0.01])
+    @pytest.mark.parametrize(
+        "channel",
+        [ChannelParams(), ChannelParams(dark_rate=1e5, gate_window=1e-9)],
+        ids=["default", "1e5-darks"],
+    )
+    def test_threshold_is_the_zero_of_the_rate(self, channel, step, monkeypatch):
+        # on the default channel and grid, linear interpolation between the
+        # grid points read 62.30657 dB; the rate's zero is at 62.29798 dB
+        p = ProtocolParams()
+        grid = np.arange(round(70.0 / step) + 1) * step
+        calls = []
+        engine = decoy._rate_curve
+        monkeypatch.setattr(decoy, "_rate_curve", lambda *args: calls.append(1) or engine(*args))
+        threshold = sweep_loss(p, channel, grid).threshold_db
+        last = int(np.flatnonzero(grid < threshold)[-1])
+        exact = bisect_threshold(p, channel, grid[last], grid[last + 1])
+        assert threshold == pytest.approx(exact, abs=1e-8)
+        if step == 0.01:
+            # the grid pass, then at most three one-point refinements
+            assert len(calls) <= 4
+
     def test_all_dead_grid_has_nan_threshold(self):
         p, ch = ProtocolParams(), ChannelParams()
         result = sweep_loss(p, ch, [68.0, 69.0, 70.0])
@@ -336,7 +382,7 @@ class TestArrayBuildingBlocks:
             assert (ge.q_mu[i], ge.q_nu[i], ge.e_mu[i], ge.e_nu[i]) == pytest.approx(
                 (one.q_mu, one.q_nu, one.e_mu, one.e_nu), rel=1e-15
             )
-        assert ge.y0 == vacuum_yield(ch)
+        assert ge.y0 == pytest.approx(-math.expm1(4 * math.log1p(-50.0 * 1e-9)), rel=1e-15)
 
     def test_bounds_and_entropy_broadcast(self):
         p = ProtocolParams()
@@ -372,14 +418,19 @@ class TestArrayBuildingBlocks:
 
 def scalar_gains_and_errors(p, ch):
     eta = transmittance(ch)
-    y0 = vacuum_yield(ch)
-    e_d = ch.intrinsic_qber
+    n, e_d = ch.num_detectors, ch.intrinsic_qber
+    d = min(ch.dark_rate * ch.gate_window, 1.0)
+    none = (1.0 - d) ** n
+    one = n * d * (1.0 - d) ** (n - 1)
+    multi = max((-math.expm1(n * math.log1p(-d)) if d < 1.0 else 1.0) - one, 0.0)
+    photon, double = none + one / n, one * (n - 1) / n + multi
+    y0 = one + multi
 
     def gain_error(x):
         click = -math.expm1(-eta * x)
-        q = y0 + click
-        err = (p.e0 * y0 + e_d * click) / q if q > 0 else p.e0
-        return q, err
+        q = click * (photon + double) + (1.0 - click) * y0
+        eq = click * (e_d * photon + 0.5 * double) + (1.0 - click) * (p.e0 * one + 0.5 * multi)
+        return q, eq / q if q > 0 else p.e0
 
     q_mu, e_mu = gain_error(p.mu)
     q_nu, e_nu = gain_error(p.nu)
@@ -514,10 +565,26 @@ def assert_sweep_matches_oracle(p, ch, grid):
     if not positive or positive[-1] == len(raws) - 1:
         return 0
     last = positive[-1]
-    l1, l2 = grid[last], grid[last + 1]
-    r1, r2 = raws[last], raws[last + 1]
-    assert result.threshold_db == pytest.approx(l1 + (l2 - l1) * r1 / (r1 - r2), rel=1e-9)
+    if raws[last + 1] == 0.0:
+        # no sign change to find (a dark-free rate past eta's underflow):
+        # the first grid loss where the rate reads 0 is where it reaches 0
+        assert result.threshold_db == grid[last + 1]
+    else:
+        assert result.threshold_db == pytest.approx(
+            bisect_threshold(p, ch, grid[last], grid[last + 1]), abs=1e-8
+        )
     return 1
+
+
+def bisect_threshold(p, ch, positive_db, dead_db, tol_db=1e-10):
+    """The loss where the oracle's unclamped rate reaches 0, by bisection."""
+    while dead_db - positive_db > tol_db:
+        mid = 0.5 * (positive_db + dead_db)
+        if scalar_rate_point(p, replace(ch, total_loss_db=mid))[1] > 0.0:
+            positive_db = mid
+        else:
+            dead_db = mid
+    return 0.5 * (positive_db + dead_db)
 
 
 class TestArrayEngineAgainstScalarOracle:

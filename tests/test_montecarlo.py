@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from ipmsim.decoy import ChannelParams, ProtocolParams, gains_and_errors, secure_rate, transmittance
+from ipmsim.decoy import (
+    _NO_CLICK,
+    ChannelParams,
+    ProtocolParams,
+    click_errors,
+    gains_and_errors,
+    secure_rate,
+    transmittance,
+)
 from ipmsim.montecarlo import (
     PULSE_CLASSES,
     STATES,
@@ -194,6 +202,44 @@ class TestAgainstEventLevelOracle:
         assert np.max(np.abs(log_ratio)) <= 0.6, f"variance log-ratios {np.round(log_ratio, 2)}"
 
 
+DARK_25_DB = dict(total_loss_db=25.0, dark_rate=1e5, gate_window=1e-9)
+
+
+class TestOneClickLaw:
+    """The MC and the analytic engine read one detector law."""
+
+    @pytest.mark.parametrize("seed", [101, 202])
+    def test_large_run_agrees_with_the_analytic_engine(self, seed):
+        # 1e12 pulses in one chunk resolve Q_mu to about 3e-5 relative, so a
+        # law mismatch of the size of the dark-count term (3.4e-4) shows
+        cfg = make_cfg(n_pulses=10**12, seed=seed, chunk=10**12, **DARK_25_DB)
+        emp = estimate(simulate(cfg), cfg)
+        ge = gains_and_errors(cfg.protocol, cfg.channel)
+        for name in ("q_mu", "q_nu", "e_mu", "e_nu", "y0"):
+            est, target = getattr(emp, name), getattr(ge, name)
+            z = (est.value - target) / math.sqrt(target * (1.0 - target) / est.denominator)
+            assert abs(z) <= 4.5, f"{name} = {est.value:.9g} is {z:+.2f} sigma from {target:.9g}"
+
+    @pytest.mark.parametrize(
+        "channel",
+        [{}, DARK_25_DB, dict(total_loss_db=45.0, dark_rate=1e5, gate_window=1e-9),
+         ORACLE_CHANNELS["dense-darks"], ORACLE_CHANNELS["dark-p-at-least-1"],
+         ORACLE_CHANNELS["one-detector"]],
+    )
+    def test_cell_probabilities_sum_to_the_analytic_gains(self, channel):
+        cfg = make_cfg(**channel)
+        p = cfg.protocol
+        share = np.array([p.p_signal, p.p_decoy, p.p_vacuum])
+        clicks = _cell_probs(cfg)[..., :_NO_CLICK]
+        gains = clicks.sum(axis=(1, 2)) / share
+        error_clicks = (clicks * click_errors(p, cfg.channel)).sum(axis=(1, 2)) / share
+        ge = gains_and_errors(p, cfg.channel)
+        np.testing.assert_allclose(gains, [ge.q_mu, ge.q_nu, ge.y0], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(
+            error_clicks[:2], [ge.e_mu * ge.q_mu, ge.e_nu * ge.q_nu], rtol=1e-15, atol=0.0
+        )
+
+
 class TestSimConfig:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="n_pulses"):
@@ -213,6 +259,14 @@ class TestSimConfig:
     def test_rejects_oversized_seed(self):
         with pytest.raises(ValueError, match="seed"):
             SimConfig(n_pulses=1, seed=2**64)
+
+    def test_rejects_more_than_2_20_chunks(self):
+        SimConfig(n_pulses=2**20, seed=1, chunk_pulses=1)
+        SimConfig(n_pulses=2**40, seed=1, chunk_pulses=2**20)
+        with pytest.raises(ValueError, match=r"2\*\*20 chunks"):
+            SimConfig(n_pulses=2**20 + 1, seed=1, chunk_pulses=1)
+        with pytest.raises(ValueError, match=r"2\*\*20 chunks"):
+            SimConfig(n_pulses=10**9, seed=1, chunk_pulses=1)
 
 
 class TestSimulate:
