@@ -218,7 +218,7 @@ def _null_z(est: RateEstimate, analytic: float) -> float:
 
 def _cmd_mc(args, scn: Scenario) -> str:
     seed = args.seed if args.seed is not None else scn.sim.seed
-    try:
+    try:    # the scenario's sim section passed these checks at load; --seed has not
         cfg = SimConfig(n_pulses=scn.sim.n_pulses, seed=seed, protocol=scn.protocol,
                         channel=scn.channel, chunk_pulses=scn.sim.chunk_pulses)
     except ValueError as exc:
@@ -339,19 +339,14 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             scn = load_scenario(args.scenario)
             summary = _COMMANDS[args.command][0](args, scn)
-        except argparse.ArgumentError as exc:
+        except (argparse.ArgumentError, OSError) as exc:
             print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
             return 2
-        except ScenarioError as exc:
-            record = {"error": str(exc), "field": exc.field_path or None}
-            print(json.dumps(record), file=sys.stderr)
-            return 3 if isinstance(exc, ParameterError) else 2
         except ValueError as exc:
-            print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
-            return 3
-        except OSError as exc:
-            print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
-            return 2
+            # a ScenarioError is malformed input (2); a ParameterError or numerical failure 3
+            record = {"error": str(exc), "field": getattr(exc, "field_path", "") or None}
+            print(json.dumps(record), file=sys.stderr)
+            return 2 if type(exc) is ScenarioError else 3
     print(summary)
     return 0
 

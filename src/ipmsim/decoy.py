@@ -236,8 +236,8 @@ def q1_lower(p: ProtocolParams, q_mu, q_nu, y0):
 
 def e1_upper(p: ProtocolParams, q1_low, e_nu, q_nu, y0):
     """Upper bound on the single-photon error rate, clamped to [0, 1]."""
-    if np.any(q1_low <= 0):
-        raise ValueError("e1 bound undefined for Q1_lower <= 0; treat the rate as 0")
+    if np.any(p.nu * q1_low <= 0):    # a subnormal Q1_lower can underflow nu Q1_lower
+        raise ValueError("e1 bound undefined for nu Q1_lower <= 0; treat the rate as 0")
     raw = (e_nu * q_nu * math.exp(p.nu) - p.e0 * y0) * p.mu * math.exp(-p.mu) / (p.nu * q1_low)
     return np.clip(raw, 0.0, 1.0)
 
@@ -245,8 +245,9 @@ def e1_upper(p: ProtocolParams, q1_low, e_nu, q_nu, y0):
 def binary_entropy(x):
     """Binary entropy H2(x) in bits, with H2(0) = H2(1) = 0."""
     x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise ValueError(f"binary entropy needs x in [0, 1], got {x}")
+    bad = x[~((x >= 0.0) & (x <= 1.0))]
+    if bad.size:
+        raise ValueError(f"binary entropy needs x in [0, 1], got {bad[0]}")
     inner = (x > 0.0) & (x < 1.0)
     x = np.where(inner, x, 0.5)
     h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
@@ -264,13 +265,13 @@ def _rate_curve(p: ProtocolParams, ch: ChannelParams, loss) -> tuple[dict, np.nd
     """Rate columns, flag codes and the unclamped per-pulse rate over an array of losses.
 
     The columns map each numeric RatePoint field, in field order, to its
-    array over loss.  Where Q1_L is 0 (flagged "no_single_photon_gain")
+    array over loss.  Where nu Q1_L is 0 (flagged "no_single_photon_gain")
     e1_U reads 1 and only the error-correction cost remains.
     """
     loss = np.asarray(loss, dtype=float)
     ge = gains_and_errors(p, ch, loss)
     q1 = q1_lower(p, ge.q_mu, ge.q_nu, ge.y0)
-    gain = q1 > 0.0
+    gain = p.nu * q1 > 0.0
     e1 = np.ones_like(q1)
     e1[gain] = e1_upper(p, q1[gain], ge.e_nu[gain], ge.q_nu[gain], ge.y0)
     ec = -ge.q_mu * p.f_ec * binary_entropy(ge.e_mu)

@@ -33,19 +33,16 @@ from .decoy import ChannelParams, ProtocolParams, click_errors, click_law, photo
 PULSE_CLASSES = ("signal", "decoy", "vacuum")
 STATES = ("H", "D", "V", "A")
 
-DEFAULT_CHUNK = 1 << 30
 MAX_CHUNKS = 1 << 20    # a chunk costs about 0.1 ms of Python and one progress line
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Pulse count, seed and chunking policy plus the physical parameters."""
+class SimSpec:
+    """Pulse count, seed and chunking policy: the scenario's sim section."""
 
-    n_pulses: int
-    seed: int
-    protocol: ProtocolParams = field(default_factory=ProtocolParams)
-    channel: ChannelParams = field(default_factory=ChannelParams)
-    chunk_pulses: int = DEFAULT_CHUNK
+    n_pulses: int = 1_000_000
+    seed: int = 12345
+    chunk_pulses: int = 1 << 30
 
     def __post_init__(self) -> None:
         if self.n_pulses <= 0:
@@ -60,6 +57,14 @@ class SimConfig:
         if -(-self.n_pulses // self.chunk_pulses) > MAX_CHUNKS:
             raise ValueError(f"n_pulses / chunk_pulses must not exceed 2**20 chunks, got "
                              f"{self.n_pulses} / {self.chunk_pulses}")
+
+
+@dataclass(frozen=True)
+class SimConfig(SimSpec):
+    """A sim section plus the physical parameters it runs at."""
+
+    protocol: ProtocolParams = field(default_factory=ProtocolParams)
+    channel: ChannelParams = field(default_factory=ChannelParams)
 
 
 @dataclass

@@ -1,25 +1,25 @@
 """Scenario files: a single JSON key-value tree configuring every command.
 
-Top-level sections (all optional; defaults reproduce the projected
-performance operating point, so an empty scenario is valid):
+The top-level keys are the fields of ``Scenario``: ``modulator``
+(``ModulatorConfig``), ``protocol`` (``ProtocolParams``), ``channel``
+(``ChannelParams``), ``sim`` (``montecarlo.SimSpec``) and ``sweep``
+(``SweepSpec``).  All are optional, and the defaults reproduce the
+projected performance operating point, so an empty scenario is valid.
 
-    {
-      "modulator": { ... ModulatorConfig fields ... },
-      "protocol":  { ... ProtocolParams fields ... },
-      "channel":   { ... ChannelParams fields ... },
-      "sim":       { "n_pulses": ..., "seed": ..., "chunk_pulses": ... },
-      "sweep":     { "start_db": ..., "stop_db": ..., "step_db": ... }
-    }
-
-Unknown keys are rejected anywhere in the tree, naming the offending
-path.  ``resolved_dict`` returns the expanded sections (all defaults
-applied) for provenance sidecars.
+Each section is checked at load, for every command.  An unknown key or a
+value unlike its field's annotation (``int``: a non-boolean integer,
+``float``: any number, ``| None``: also null) is a ``ScenarioError``, and
+a NaN, an infinity or an int past the float range a ``ParameterError``;
+both name ``section.key``.  A range check in a section's constructor
+raises a ``ParameterError`` naming the section.  ``resolved_dict`` returns
+the expanded sections (all defaults applied) for provenance sidecars.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,15 +27,13 @@ import numpy as np
 
 from .decoy import ChannelParams, ProtocolParams
 from .modulator import ModulatorConfig
-from .montecarlo import DEFAULT_CHUNK
+from .montecarlo import SimSpec
 
-DEFAULT_SWEEP = {"start_db": 0.0, "stop_db": 70.0, "step_db": 0.5}
-DEFAULT_SIM = {"n_pulses": 1_000_000, "seed": 12345, "chunk_pulses": DEFAULT_CHUNK}
 MAX_GRID_POINTS = 10**7
 
 
 class ScenarioError(ValueError):
-    """Scenario file is structurally invalid (bad JSON, unknown keys, ...)."""
+    """Scenario file is structurally invalid (bad JSON, unknown keys, wrong types, ...)."""
 
     def __init__(self, message: str, field_path: str = ""):
         super().__init__(message)
@@ -48,11 +46,13 @@ class ParameterError(ScenarioError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    start_db: float = DEFAULT_SWEEP["start_db"]
-    stop_db: float = DEFAULT_SWEEP["stop_db"]
-    step_db: float = DEFAULT_SWEEP["step_db"]
+    start_db: float = 0.0
+    stop_db: float = 70.0
+    step_db: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.start_db < 0:
+            raise ValueError(f"start_db must be >= 0, got {self.start_db}")
         if self.step_db <= 0:
             raise ValueError(f"step_db must be positive, got {self.step_db}")
         if self.stop_db < self.start_db:
@@ -66,13 +66,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SimSpec:
-    n_pulses: int = DEFAULT_SIM["n_pulses"]
-    seed: int = DEFAULT_SIM["seed"]
-    chunk_pulses: int = DEFAULT_SIM["chunk_pulses"]
-
-
-@dataclass(frozen=True)
 class Scenario:
     modulator: ModulatorConfig = field(default_factory=ModulatorConfig)
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
@@ -81,26 +74,29 @@ class Scenario:
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
 
-_SECTIONS = {
-    "modulator": ModulatorConfig,
-    "protocol": ProtocolParams,
-    "channel": ChannelParams,
-    "sim": SimSpec,
-    "sweep": SweepSpec,
-}
+# section name -> its dataclass, the default factory of its Scenario field
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(Scenario)}
+
+
+def _check_value(value, annotation: str, path: str) -> None:
+    """Type and finiteness of one value against its field's annotation."""
+    accepted = {"int": int, "float": (int, float), "float | None": (int, float, type(None))}
+    if isinstance(value, bool) or not isinstance(value, accepted[annotation]):
+        raise ScenarioError(f"'{path}' must be {annotation}, got {type(value).__name__}", path)
+    if value is not None and not abs(value) <= sys.float_info.max:   # NaN fails too
+        raise ParameterError(f"'{path}' must be a finite number within the float range", path)
 
 
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ScenarioError(f"section '{path}' must be an object", path)
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in known:
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in data.items():
+        if key not in annotations:
             raise ScenarioError(f"unknown key '{path}.{key}'", f"{path}.{key}")
+        _check_value(value, annotations[key], f"{path}.{key}")
     try:
         return cls(**data)
-    except TypeError as exc:
-        raise ScenarioError(f"invalid section '{path}': {exc}", path) from exc
     except ValueError as exc:
         raise ParameterError(f"invalid value in section '{path}': {exc}", path) from exc
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -115,6 +117,97 @@ class TestScenario:
         assert record["field"] == "sweep"
         assert "at most 10000000 points" in record["error"]
         assert not out.exists()
+
+
+NO_FLOAT = 10**400   # a JSON integer that no float can hold
+
+# the probes that reached a traceback, a nan rate or an unchecked section
+PROBES = [
+    ("keyrate", {"protocol": {"f_ec": float("nan")}}, 3, "protocol.f_ec"),
+    ("keyrate", {"channel": {"num_detectors": 2.5}}, 2, "channel.num_detectors"),
+    ("keyrate", {"channel": {"num_detectors": True}}, 2, "channel.num_detectors"),
+    ("keyrate", {"channel": {"total_loss_db": float("inf")}}, 3, "channel.total_loss_db"),
+    ("keyrate", {"channel": {"num_detectors": NO_FLOAT}}, 3, "channel.num_detectors"),
+    ("keyrate", {"channel": {"total_loss_db": NO_FLOAT}}, 3, "channel.total_loss_db"),
+    ("states", {"modulator": {"delta": NO_FLOAT}}, 3, "modulator.delta"),
+    ("sweep", {"sweep": {"stop_db": NO_FLOAT}}, 3, "sweep.stop_db"),
+    ("mc", {"sim": {"n_pulses": 1000.5}}, 2, "sim.n_pulses"),
+    ("mc", {"sim": {"seed": 1.5}}, 2, "sim.seed"),
+    ("mc", {"sim": {"n_pulses": [1]}}, 2, "sim.n_pulses"),
+    ("keyrate", {"modulator": {"phi0_operating": "pi/4"}}, 2, "modulator.phi0_operating"),
+    # range checks name the section
+    ("keyrate", {"sim": {"n_pulses": -5}}, 3, "sim"),
+    ("sweep", {"sweep": {"start_db": -5}}, 3, "sweep"),
+]
+
+SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
+ODD_VALUES = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), NO_FLOAT, -NO_FLOAT, 2**64, 1e308, 0, -1, True]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.integers() | st.floats() | ODD_VALUES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def near_default(default):
+    """The field's default or a number of its type, most of them in range."""
+    return st.just(default) | (st.integers(-1, 8) if type(default) is int else st.floats(0.0, 1.0))
+
+
+@st.composite
+def scenario_trees(draw):
+    """Sections of numbers near the defaults, plus one odd entry.
+
+    The odd entry is a value of any JSON type under a known or unknown key,
+    or an unknown or known section holding any JSON value.
+    """
+    tree = {}
+    for name in draw(st.lists(st.sampled_from(list(SECTION_KEYS)), unique=True, max_size=3)):
+        keys = draw(st.lists(st.sampled_from(list(SECTION_KEYS[name])), unique=True, max_size=4))
+        tree[name] = {key: draw(near_default(SECTION_KEYS[name][key])) for key in keys}
+    name = draw(st.sampled_from([*SECTION_KEYS, "bogus"]))
+    if name in SECTION_KEYS and draw(st.booleans()):
+        key = draw(st.sampled_from([*SECTION_KEYS[name], "bogus"]))
+        tree.setdefault(name, {})[key] = draw(ODD_VALUES | JSON_VALUES)
+    else:
+        tree[name] = draw(JSON_VALUES)
+    return tree
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("command, data, status, field", PROBES)
+    def test_bad_value_is_one_record_naming_its_field(self, command, data, status, field,
+                                                      tmp_path, capsys):
+        scn = write_scenario(tmp_path, data)
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(scn), "--out", str(out)]) == status
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert json.loads(err)["field"] == field
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenario_trees())
+    def test_random_trees_raise_only_scenario_errors(self, tree):
+        with contextlib.suppress(ScenarioError):   # ParameterError included
+            scenario_from_dict(tree)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["keyrate", "states"]), scenario_trees())
+    def test_random_trees_exit_0_2_or_3_with_json_stderr(self, command, tree):
+        with tempfile.TemporaryDirectory() as tmp:
+            scn = Path(tmp) / "scenario.json"
+            scn.write_text(json.dumps(tree))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                status = main([command, "--scenario", str(scn), "--out", str(Path(tmp) / "out")])
+        assert status in (0, 2, 3)
+        records = [json.loads(line) for line in err.getvalue().splitlines()]
+        assert all(isinstance(r, dict) for r in records)
+        assert (status != 0) == ("error" in (records[-1] if records else {}))
 
 
 class TestStatesCommand:
@@ -347,6 +440,15 @@ class TestKeyrateAndSweep:
         row = dict(zip(header, rows[0]))
         assert (row["Y0"], row["Q_mu"], row["E_mu"], row["R_per_pulse"]) == ("1", "1", "0.5", "0")
 
+    def test_dark_free_deep_loss_sweep_exits_0(self, tmp_path, capsys):
+        # Q1_L turns subnormal near 3219 dB and nu * Q1_L underflows to 0
+        scn = write_scenario(tmp_path, {"channel": {"dark_rate": 0.0}})
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--scenario", str(scn), "--out", str(out),
+                     "--grid", "3000:3300:1"]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_csv(out)[1]) == 301
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["sweep", "--out", str(out_a), "--grid", "40:55:0.5"])
@@ -464,6 +566,7 @@ class TestFlags:
             ["polarimetry", "--in", "nope.csv"],
             ["fitdl", "--in", "nope.csv"],
             ["trace", "--out", "no_such_dir/t.csv"],
+            ["sweep", "--grid=-5:10:1"],
         ],
     )
     def test_usage_error_is_one_json_record(self, argv, tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -224,6 +225,18 @@ class TestE1Upper:
         p = ProtocolParams()
         with pytest.raises(ValueError, match="Q1"):
             e1_upper(p, 0.0, 0.02, 1e-4, 1e-6)
+        with pytest.raises(ValueError, match="Q1"):   # nu * Q1 underflows to 0
+            e1_upper(p, 1e-323, 0.02, 1e-4, 1e-6)
+
+    @pytest.mark.parametrize("loss_db", [3219.0, 3223.0, 3224.0, 3225.0, 3226.0])
+    def test_subnormal_q1_is_no_single_photon_gain(self, loss_db):
+        # dark-free past about 3219 dB, Q1_L is subnormal and nu * Q1_L is 0
+        ch = ChannelParams(total_loss_db=loss_db, dark_rate=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pt = secure_rate(ProtocolParams(), ch)
+        assert pt.q1_lower > 0.0
+        assert (pt.e1_upper, pt.rate_per_pulse, pt.flags) == (1.0, 0.0, ("no_single_photon_gain",))
 
     def test_bound_above_truth_over_random_channels(self):
         rng = np.random.default_rng(33)
@@ -400,8 +413,8 @@ class TestArrayBuildingBlocks:
         p = ProtocolParams()
         with pytest.raises(ValueError, match="Q1"):
             e1_upper(p, np.array([1e-4, 0.0]), 0.02, 1e-4, 1e-6)
-        with pytest.raises(ValueError, match="x in"):
-            binary_entropy(np.array([0.2, 1.5]))
+        with pytest.raises(ValueError, match=r"x in \[0, 1\], got 1\.5$"):
+            binary_entropy(np.array([0.2, 1.5, np.nan, 2.0]))
 
     def test_sweep_rejects_negative_loss(self):
         with pytest.raises(ValueError, match="total_loss_db must be >= 0"):
@@ -455,8 +468,8 @@ def scalar_q1_lower(p, q_mu, q_nu, y0):
 
 
 def scalar_e1_upper(p, q1_low, e_nu, q_nu, y0):
-    if q1_low <= 0:
-        raise ValueError("e1 bound undefined for Q1_lower <= 0; treat the rate as 0")
+    if p.nu * q1_low <= 0:
+        raise ValueError("e1 bound undefined for nu Q1_lower <= 0; treat the rate as 0")
     raw = (e_nu * q_nu * math.exp(p.nu) - p.e0 * y0) * p.mu * math.exp(-p.mu) / (p.nu * q1_low)
     return min(max(raw, 0.0), 1.0)
 
@@ -472,10 +485,10 @@ def scalar_binary_entropy(x):
 def _rate_per_pulse_raw(p, ge):
     flags = []
     q1 = scalar_q1_lower(p, ge.q_mu, ge.q_nu, ge.y0)
-    if q1 <= 0.0:
+    if p.nu * q1 <= 0.0:
         flags.append("no_single_photon_gain")
         ec = p.q * p.l_mu * (-ge.q_mu * p.f_ec * scalar_binary_entropy(ge.e_mu))
-        return ec, 0.0, 1.0, tuple(flags)
+        return ec, q1, 1.0, tuple(flags)
     e1 = scalar_e1_upper(p, q1, ge.e_nu, ge.q_nu, ge.y0)
     if e1 >= 0.5:
         flags.append("e1_at_or_above_half")
