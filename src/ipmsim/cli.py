@@ -29,17 +29,10 @@ import numpy as np
 from . import __version__
 from .decoy import gains_and_errors, secure_rate, sweep_loss
 from .modulator import bb84_table, fit_delta_l, poincare_trace, wavelength_scan
-from .montecarlo import PULSE_CLASSES, STATES, RateEstimate, SimConfig, estimate, simulate
+from .montecarlo import RateEstimate, SimConfig, SimSpec, estimate, simulate
 from .polarimetry import extract_stokes, measure_stokes
 from .polarization import degree_of_polarization
-from .scenario import (
-    ParameterError,
-    Scenario,
-    ScenarioError,
-    SweepSpec,
-    load_scenario,
-    resolved_dict,
-)
+from .scenario import Scenario, ScenarioError, SweepSpec, _check_value, load_scenario, resolved_dict
 
 # rate CSV header -> the RatePoint field its column prints
 RATE_COLUMNS = {
@@ -218,27 +211,18 @@ def _null_z(est: RateEstimate, analytic: float) -> float:
 
 def _cmd_mc(args, scn: Scenario) -> str:
     seed = args.seed if args.seed is not None else scn.sim.seed
-    try:    # the scenario's sim section passed these checks at load; --seed has not
-        cfg = SimConfig(n_pulses=scn.sim.n_pulses, seed=seed, protocol=scn.protocol,
-                        channel=scn.channel, chunk_pulses=scn.sim.chunk_pulses)
-    except ValueError as exc:
-        raise ParameterError(f"invalid value in section 'sim': {exc}", "sim") from exc
+    cfg = SimConfig(n_pulses=scn.sim.n_pulses, seed=seed, protocol=scn.protocol,
+                    channel=scn.channel, chunk_pulses=scn.sim.chunk_pulses)
 
     def progress(done: int, total: int) -> None:
-        print(f"mc: {done}/{total} pulses", file=sys.stderr)
+        record = {"progress": {"pulses_done": done, "pulses_total": total}}
+        print(json.dumps(record), file=sys.stderr)
 
     tally = simulate(cfg, progress=progress)
     emp = estimate(tally, cfg)
 
     args.out.write_text(tally.to_json() + "\n")
-    flat = args.out.with_name(args.out.name + ".csv")
-    # one row per (class, state) cell, states varying fastest
-    _write_csv(
-        flat,
-        ("class", "state", "sent", "detected", "sifted", "errors"),
-        (np.repeat(PULSE_CLASSES, len(STATES)), np.tile(STATES, len(PULSE_CLASSES)),
-         tally.sent.ravel(), tally.detected.ravel(), tally.sifted.ravel(), tally.errors.ravel()),
-    )
+    _write_csv(args.out.with_name(args.out.name + ".csv"), *tally.table())
 
     ge = gains_and_errors(scn.protocol, scn.channel)
     report = args.out.with_name(args.out.name + ".report.csv")
@@ -275,8 +259,17 @@ def _parse_grid(text: str) -> SweepSpec:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be start:stop:step")
     try:
-        start, stop, step = (float(x) for x in parts)
-        return SweepSpec(start_db=start, stop_db=stop, step_db=step)
+        values = dict(zip(("start_db", "stop_db", "step_db"), map(float, parts)))
+        for key, value in values.items():
+            _check_value(value, "float", key)
+        return SweepSpec(**values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        return SimSpec(seed=int(text)).seed
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -323,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--in", dest="infile", type=Path, default=None,
                              help="input CSV (fitdl synthesizes a scan when omitted)")
         if name == "mc":
-            cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+            cmd.add_argument("--seed", type=_parse_seed, default=None, help="override the scenario seed")
             cmd.add_argument("--workers", type=_positive_int, default=1,
                              help="accepted and ignored; the MC runs in one process")
     return parser
@@ -339,7 +332,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             scn = load_scenario(args.scenario)
             summary = _COMMANDS[args.command][0](args, scn)
-        except (argparse.ArgumentError, OSError) as exc:
+        except (argparse.ArgumentError, OSError, UnicodeDecodeError) as exc:
             print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
             return 2
         except ValueError as exc:

@@ -2,12 +2,14 @@
 
 The modulator chain is an intensity modulator followed by a polarization
 modulator: a 45 deg splitter (with a small offset ``delta``), two phase
-modulator arms driven by voltages v1/v2, a combiner, and a quarter-wave
-output rotation that brings the modulation from the circular-diagonal
-plane onto the linear plane of the Poincare sphere.  The compositional
-pipeline here additionally contains a fixed rotator(-pi/4) output frame
-alignment, with which it agrees with the closed-form modulator-frame
-output ``output_stokes`` to machine precision:
+modulator arms driven by voltages v1/v2, a combiner, and a fixed output
+stage.  The splitter and the arms are the variable elements; the output
+stage, ``OUTPUT_STAGE``, is a quarter-wave retarder at -45 deg, which
+brings the modulation from the circular-diagonal plane onto the linear
+plane of the Poincare sphere, followed by a rotator(-pi/4) output frame
+alignment, and is built once, at import.  The element pipeline
+``modulator_mueller`` agrees with the closed-form modulator-frame output
+``output_stokes`` to machine precision:
 
     S = (1, cos(T) cos(2d), sin(T) cos(2d), sin(2d)),
     T = (v1 - v2) pi / v_pi_pm + phi0.
@@ -101,6 +103,10 @@ BB84_TARGET_STOKES = {
     Bb84State.A: np.array([1.0, 0.0, -1.0, 0.0]),
 }
 
+#: Jones matrix of the fixed output stage: a quarter-wave retarder at
+#: -45 deg, then a rotator(-pi/4) that aligns the output frame.
+OUTPUT_STAGE = rotator(-np.pi / 4) @ retarder(-np.pi / 4, np.pi / 2)
+
 #: Mueller matrix from the modulator output frame to the receiver frame.
 RECEIVER_FRAME = jones_to_mueller(retarder(np.pi / 8, np.pi))
 
@@ -141,24 +147,14 @@ def mzi_jones(v1: float, v2: float, cfg: ModulatorConfig) -> np.ndarray:
     )
 
 
-def modulator_jones(v1: float, v2: float, cfg: ModulatorConfig) -> np.ndarray:
-    """Full compositional Jones matrix of the polarization modulator.
-
-    rotator(-pi/4) [output frame alignment] . QWP(-pi/4) . MZI(v1, v2)
-    . rotator(pi/4 + delta); the splitter/combiner act as identity in this
-    basis (the MZI matrix is diagonal between them).
-    """
-    return (
-        rotator(-np.pi / 4)
-        @ retarder(-np.pi / 4, np.pi / 2)
-        @ mzi_jones(v1, v2, cfg)
-        @ rotator(np.pi / 4 + cfg.delta)
-    )
-
-
 def modulator_mueller(v1: float, v2: float, cfg: ModulatorConfig) -> np.ndarray:
-    """Mueller matrix of the full compositional pipeline."""
-    return jones_to_mueller(modulator_jones(v1, v2, cfg))
+    """Mueller matrix of the full element pipeline.
+
+    OUTPUT_STAGE . MZI(v1, v2) . rotator(pi/4 + delta); the splitter and
+    combiner act as identity in this basis (the MZI matrix is diagonal
+    between them).
+    """
+    return jones_to_mueller(OUTPUT_STAGE @ mzi_jones(v1, v2, cfg) @ rotator(np.pi / 4 + cfg.delta))
 
 
 def drive_angle(v1, v2, cfg: ModulatorConfig):
@@ -182,10 +178,10 @@ def output_stokes(v1, v2, cfg: ModulatorConfig) -> np.ndarray:
     return np.stack([np.ones_like(s1), s1, s2, s3], axis=-1)
 
 
-def bb84_drive(state: Bb84State, cfg: ModulatorConfig, v0: float = 0.0) -> DriveSettings:
-    """MZI arm voltages for a BB84 state (drive table, phi0 = pi/4 operating point)."""
+def bb84_drive(state: Bb84State, cfg: ModulatorConfig) -> DriveSettings:
+    """Arm voltages for a BB84 state (drive table, phi0 = pi/4 operating point; v0 = 0)."""
     f1, f2 = BB84_DRIVE_FRACTIONS[Bb84State(state)]
-    return DriveSettings(v0=v0, v1=f1 * cfg.v_pi_pm, v2=f2 * cfg.v_pi_pm)
+    return DriveSettings(v0=0.0, v1=f1 * cfg.v_pi_pm, v2=f2 * cfg.v_pi_pm)
 
 
 def bb84_table(cfg: ModulatorConfig) -> list[tuple[Bb84State, DriveSettings, np.ndarray]]:
@@ -342,18 +338,15 @@ def triangular_wave(phase) -> np.ndarray:
     return 4.0 * np.abs(x - 0.5) - 1.0
 
 
-def poincare_trace(cfg: ModulatorConfig, amplitude: float | None = None,
-                   n_periods: int = 2, samples_per_period: int = 512):
+def poincare_trace(cfg: ModulatorConfig, n_periods: int = 2, samples_per_period: int = 512):
     """Poincare-sphere trace under push-pull triangular arm drive.
 
-    v1 = A tri(t), v2 = -A tri(t); default amplitude A = v_pi_pm / 2 makes
-    the differential voltage span 2 v_pi so the trace covers a full great
-    circle.  Returns (t, v1, v2, stokes) with stokes of shape (n, 4).
+    v1 = A tri(t), v2 = -A tri(t) with A = v_pi_pm / 2, so the differential
+    voltage spans 2 v_pi and the trace covers a full great circle.  Returns
+    (t, v1, v2, stokes) with stokes of shape (n, 4).
     """
-    if amplitude is None:
-        amplitude = cfg.v_pi_pm / 2.0
     n = n_periods * samples_per_period
     t = np.arange(n) / samples_per_period
-    v1 = amplitude * triangular_wave(t)
+    v1 = cfg.v_pi_pm / 2.0 * triangular_wave(t)
     v2 = -v1
     return t, v1, v2, output_stokes(v1, v2, cfg)

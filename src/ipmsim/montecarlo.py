@@ -18,6 +18,9 @@ Pulses are processed in fixed-size chunks, in one process.  Chunk ``k``
 consumes its own counter-based random stream keyed by ``(seed, k)``
 (Philox), and the tally is the sum of per-chunk tallies, so the result is
 a pure function of (config, seed, chunk size).
+
+A ``PulseTally`` lists its per-cell counters once, in ``COUNTERS``; its
+JSON form (``to_dict``) and its flat table (``table``) follow that list.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .decoy import ChannelParams, ProtocolParams, click_errors, click_law, photo
 
 PULSE_CLASSES = ("signal", "decoy", "vacuum")
 STATES = ("H", "D", "V", "A")
+COUNTERS = ("sent", "detected", "sifted", "errors")
 
 MAX_CHUNKS = 1 << 20    # a chunk costs about 0.1 ms of Python and one progress line
 
@@ -71,9 +75,9 @@ class SimConfig(SimSpec):
 class PulseTally:
     """Counts per (pulse class x BB84 state), plus click bookkeeping.
 
-    Arrays are indexed [class, state] with the orders of ``PULSE_CLASSES``
-    and ``STATES``.  Invariants: detected <= sent and
-    errors <= sifted <= detected, elementwise.
+    Each of the ``COUNTERS`` is an array indexed [class, state] with the
+    orders of ``PULSE_CLASSES`` and ``STATES``.  Invariants: detected <=
+    sent and errors <= sifted <= detected, elementwise.
     """
 
     sent: np.ndarray
@@ -86,14 +90,10 @@ class PulseTally:
     @classmethod
     def zeros(cls) -> "PulseTally":
         shape = (len(PULSE_CLASSES), len(STATES))
-        return cls(
-            sent=np.zeros(shape, dtype=np.int64),
-            detected=np.zeros(shape, dtype=np.int64),
-            sifted=np.zeros(shape, dtype=np.int64),
-            errors=np.zeros(shape, dtype=np.int64),
-        )
+        return cls(**{name: np.zeros(shape, dtype=np.int64) for name in COUNTERS})
 
     def __add__(self, other: "PulseTally") -> "PulseTally":
+        # written out: a loop over COUNTERS makes every chunk merge slower
         return PulseTally(
             sent=self.sent + other.sent,
             detected=self.detected + other.detected,
@@ -106,30 +106,15 @@ class PulseTally:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PulseTally):
             return NotImplemented
-        return (
-            np.array_equal(self.sent, other.sent)
-            and np.array_equal(self.detected, other.detected)
-            and np.array_equal(self.sifted, other.sifted)
-            and np.array_equal(self.errors, other.errors)
-            and self.dark_only == other.dark_only
-            and self.double_click == other.double_click
-        )
-
-    def class_totals(self, which: str) -> np.ndarray:
-        """Per-class totals of one counter ("sent", "detected", ...)."""
-        return getattr(self, which).sum(axis=1)
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in (*COUNTERS, "dark_only", "double_click"))
 
     def to_dict(self) -> dict:
         """Nested class -> state -> counters mapping plus click totals."""
         out: dict = {"dark_only": int(self.dark_only), "double_click": int(self.double_click)}
         for ci, cls_name in enumerate(PULSE_CLASSES):
             out[cls_name] = {
-                state: {
-                    "sent": int(self.sent[ci, si]),
-                    "detected": int(self.detected[ci, si]),
-                    "sifted": int(self.sifted[ci, si]),
-                    "errors": int(self.errors[ci, si]),
-                }
+                state: {name: int(getattr(self, name)[ci, si]) for name in COUNTERS}
                 for si, state in enumerate(STATES)
             }
         return out
@@ -144,12 +129,21 @@ class PulseTally:
         tally.double_click = int(data["double_click"])
         for ci, cls_name in enumerate(PULSE_CLASSES):
             for si, state in enumerate(STATES):
-                cell = data[cls_name][state]
-                tally.sent[ci, si] = cell["sent"]
-                tally.detected[ci, si] = cell["detected"]
-                tally.sifted[ci, si] = cell["sifted"]
-                tally.errors[ci, si] = cell["errors"]
+                for name in COUNTERS:
+                    getattr(tally, name)[ci, si] = data[cls_name][state][name]
         return tally
+
+    def table(self) -> tuple[tuple[str, ...], list]:
+        """Header and columns of the flat CSV table.
+
+        One row per (class, state) cell, states varying fastest: the class,
+        the state, then one column per counter.
+        """
+        return (
+            ("class", "state", *COUNTERS),
+            [np.repeat(PULSE_CLASSES, len(STATES)), np.tile(STATES, len(PULSE_CLASSES)),
+             *(getattr(self, name).ravel() for name in COUNTERS)],
+        )
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -250,10 +244,7 @@ def estimate(tally: PulseTally, cfg: SimConfig) -> EmpiricalRates:
     errors by sifted counts; Y0 comes from the vacuum class.  Estimates
     whose denominator holds fewer than 100 events are flagged, not failed.
     """
-    sent = tally.class_totals("sent")
-    detected = tally.class_totals("detected")
-    sifted = tally.class_totals("sifted")
-    errors = tally.class_totals("errors")
+    sent, detected, sifted, errors = (getattr(tally, name).sum(axis=1) for name in COUNTERS)
 
     rates = {
         "q_mu": _ratio(int(detected[0]), int(sent[0])),

@@ -177,6 +177,18 @@ def scenario_trees(draw):
     return tree
 
 
+@st.composite
+def command_trees(draw):
+    """A command and a scenario tree; mc gets a small sim section that runs in ms."""
+    command = draw(st.sampled_from(["keyrate", "states", "mc"]))
+    tree = draw(scenario_trees())
+    if command == "mc":
+        # at most 1e5 pulses in at most 16 chunks, so no draw asks for 2**20 chunks
+        n = draw(st.integers(1, 10**5))
+        tree["sim"] = {"n_pulses": n, "chunk_pulses": draw(st.integers(-(-n // 16), n))}
+    return command, tree
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("command, data, status, field", PROBES)
     def test_bad_value_is_one_record_naming_its_field(self, command, data, status, field,
@@ -196,8 +208,9 @@ class TestInputBoundary:
             scenario_from_dict(tree)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["keyrate", "states"]), scenario_trees())
-    def test_random_trees_exit_0_2_or_3_with_json_stderr(self, command, tree):
+    @given(command_trees())
+    def test_random_trees_exit_0_2_or_3_with_json_stderr(self, command_tree):
+        command, tree = command_tree
         with tempfile.TemporaryDirectory() as tmp:
             scn = Path(tmp) / "scenario.json"
             scn.write_text(json.dumps(tree))
@@ -480,8 +493,9 @@ class TestMcCommand:
         assert [r[0] for r in rows] == ["Q_mu", "Q_nu", "E_mu", "E_nu", "Y0"]
         for row in rows:
             assert abs(float(row[4])) < 5.0  # z-scores sane, Y0 with no vacuum click too
-        err = capsys.readouterr().err
-        assert "pulses" in err  # progress stream
+        err = capsys.readouterr().err.splitlines()
+        records = [json.loads(line) for line in err]   # stderr holds only JSON lines
+        assert records[-1] == {"progress": {"pulses_done": 200_000, "pulses_total": 200_000}}
 
     def test_z_score_uses_the_analytic_spread(self):
         # an empirical count of 0 has no spread of its own; the null's does
@@ -575,6 +589,44 @@ class TestFlags:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert set(json.loads(err)) == {"error", "field"}
+
+    @pytest.mark.parametrize(
+        "command, flag, body",
+        [
+            ("keyrate", "--scenario", b"\xff\xfe{}"),
+            ("fitdl", "--in", b"wavelength_nm,intensity\n1550,\xff\n"),
+            ("polarimetry", "--in", b"i1,i2,i3,s0\n\xff,0,0,1\n"),
+        ],
+        ids=["scenario", "fitdl-in", "polarimetry-in"],
+    )
+    def test_file_that_is_not_utf8_exits_2(self, command, flag, body, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_bytes(body)
+        assert main([command, flag, str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["field"] is None
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["sweep", "--grid", "nan:1:1"], "finite"),
+            (["sweep", "--grid", "0:inf:1"], "finite"),
+            (["scan", "--grid", "1549:1551:nan"], "finite"),
+            (["mc", "--seed", "-1"], "64 bits"),
+            (["mc", "--seed", "18446744073709551616"], "64 bits"),
+        ],
+        ids=["sweep-nan-start", "sweep-inf-stop", "scan-nan-step", "mc-seed-negative",
+             "mc-seed-2**64"],
+    )
+    def test_bad_flag_value_exits_2_with_its_reason(self, argv, reason, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert reason in record["error"] and record["field"] is None
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
     def test_help_and_version_exit_0(self, argv, capsys):
