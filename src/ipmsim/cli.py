@@ -113,7 +113,11 @@ def _cmd_scan(args, scn: Scenario) -> str:
 
 def _read_csv(path: Path, expected_columns: int) -> np.ndarray:
     """The data rows below the header as a (rows, expected_columns) float array."""
-    lines = path.read_text().strip().splitlines()[1:]
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"input file {path} is not UTF-8: {exc}") from exc
+    lines = text.strip().splitlines()[1:]
     if not lines:
         raise ScenarioError(f"input file {path} has no data rows")
     # one pass: count each line's separators, then stream every cell through float()
@@ -332,7 +336,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             scn = load_scenario(args.scenario)
             summary = _COMMANDS[args.command][0](args, scn)
-        except (argparse.ArgumentError, OSError, UnicodeDecodeError) as exc:
+        except (argparse.ArgumentError, OSError) as exc:
             print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
             return 2
         except ValueError as exc:

@@ -298,19 +298,20 @@ def fit_delta_l(wavelengths, intensities, n_1: float,
             [-np.pi * c * m * np.sin(arg), 0.5 * np.cos(arg), -0.5 * c * np.sin(arg)]
         )
 
-    # damped Gauss-Newton on (frequency, contrast, phase)
-    cost = float(np.sum(residuals(params) ** 2))
+    # damped Gauss-Newton on (frequency, contrast, phase); r is the residual at params
+    r = residuals(params)
+    cost = float(np.sum(r**2))
     for _ in range(60):
-        r = residuals(params)
         jac = jacobian(params)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         lam_damp = 1.0
         improved = False
         for _ in range(12):
             trial = params + lam_damp * step
-            trial_cost = float(np.sum(residuals(trial) ** 2))
+            trial_r = residuals(trial)
+            trial_cost = float(np.sum(trial_r**2))
             if trial_cost < cost:
-                params, cost = trial, trial_cost
+                params, r, cost = trial, trial_r, trial_cost
                 improved = True
                 break
             lam_damp *= 0.5
@@ -320,7 +321,7 @@ def fit_delta_l(wavelengths, intensities, n_1: float,
     freq, contrast, psi = params
     if contrast < 0:
         contrast, psi = -contrast, psi + np.pi
-    rms = float(np.sqrt(np.mean(residuals(params) ** 2)))
+    rms = float(np.sqrt(np.mean(r**2)))
     if max_residual_rms is not None and rms > max_residual_rms:
         raise ValueError(f"fit residual RMS {rms:.3e} exceeds ceiling {max_residual_rms:.3e}")
     return ScanFit(

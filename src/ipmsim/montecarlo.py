@@ -44,7 +44,7 @@ MAX_CHUNKS = 1 << 20    # a chunk costs about 0.1 ms of Python and one progress 
 class SimSpec:
     """Pulse count, seed and chunking policy: the scenario's sim section."""
 
-    n_pulses: int = 1_000_000
+    n_pulses: int = 1_000_000_000
     seed: int = 12345
     chunk_pulses: int = 1 << 30
 

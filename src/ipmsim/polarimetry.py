@@ -101,11 +101,11 @@ def measure_stokes(s, retardance: float = IDEAL_RETARDANCE) -> np.ndarray:
 
     At the ideal retardance this is an exact round trip; away from it the
     S3 channel picks up the sin/cos bias documented in the module
-    docstring.  Useful for studying waveplate imperfection.
+    docstring.  Useful for studying waveplate imperfection.  The three
+    analyzers are built and converted as one (3, 2, 2) stack.
     """
     s = np.asarray(s, dtype=float)
-    i1, i2, i3 = (
-        projected_intensity(s, setting(label, retardance))
-        for label in ("S1+", "S2+", "S3+")
-    )
+    alpha, beta = np.array([_IDEAL_ANGLES[label] for label in ("S1+", "S2+", "S3+")]).T
+    analyzers = jones_to_mueller(polarizer(alpha) @ retarder(beta, retardance))
+    i1, i2, i3 = (float(row @ s) for row in analyzers[:, 0])
     return extract_stokes(i1, i2, i3, s[0])

@@ -12,11 +12,18 @@ Conventions (used consistently by every module in this package):
   the handedness adopted here (right circular positive).
 * Stokes vectors are ``(S0, S1, S2, S3)`` with S1 = H-V, S2 = D-A and
   S3 = -2*Im(Ex*conj(Ey)); the Jones->Mueller conversion uses the fixed
-  change-of-basis matrix ``A`` below, M = A (J kron J*) A^-1.
+  change-of-basis matrix ``A`` below, M = A (J kron J*) A^-1, with
+  J kron J* formed as one broadcast outer product.
 
-Lossless element matrices are normalized so their first nonzero entry
-(row-major) is real non-negative, giving deterministic comparisons; the
-global phase is invisible in the Mueller calculus anyway.
+Retarder and polarizer matrices are normalized so their first entry
+(row-major) above ``CONSTRUCTION_TOL`` is real non-negative, giving
+deterministic comparisons; the global phase is invisible in the Mueller
+calculus anyway.
+
+The element constructors take float or ndarray angles: a scalar call
+gives one 2x2 matrix, array arguments give a (..., 2, 2) stack equal,
+matrix by matrix, to the scalar calls.  ``jones_to_mueller`` maps a
+(..., 2, 2) stack to (..., 4, 4) Mueller matrices in one pass.
 
 All values are plain numpy arrays, immutable by convention; every function
 is pure and reentrant.
@@ -29,8 +36,9 @@ import numpy as np
 # Construction-time checks run at 1e-12.
 CONSTRUCTION_TOL = 1e-12
 
-# Residual imaginary part above this in a converted Mueller matrix signals a
-# non-physical Jones matrix (or a bug) rather than rounding noise.
+# Residual imaginary part above this in a converted Mueller matrix is
+# rejected.  A (J kron J*) A^-1 is real for every complex J, so what this
+# catches is rounding that has grown with the scale of J, not a non-physical J.
 IMAG_RESIDUE_LIMIT = 1e-9
 
 #: Stokes basis change for M = A (J kron J*) A^-1.
@@ -45,50 +53,78 @@ A_MATRIX = np.array(
 )
 A_INVERSE = A_MATRIX.conj().T / 2.0
 
+#: Horizontal polarizer in its own frame.
+_H_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
 
 def _normalize_phase(j: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first nonzero entry is real >= 0."""
-    flat = j.ravel()
-    for entry in flat:
-        if abs(entry) > CONSTRUCTION_TOL:
-            return j * np.exp(-1j * np.angle(entry))
-    return j
+    """Rotate each matrix's global phase so its first entry above tolerance is real >= 0.
+
+    Matrices with no such entry come back unchanged.  A 2x2 matrix is a
+    stack of one; the scan runs matrix by matrix, which for the stacks of a
+    few matrices built here costs less than a vectorized argmax/gather.
+    """
+    out = j.copy()
+    for row in out.reshape(-1, 4):
+        for entry in row.tolist():
+            if abs(entry) > CONSTRUCTION_TOL:
+                # np.arctan2(z.imag, z.real) is np.angle(z) without its Python-level dispatch
+                row *= np.exp(-1j * np.arctan2(entry.imag, entry.real))
+                break
+    return out
 
 
-def rotator(theta: float) -> np.ndarray:
-    """Frame-rotation Jones matrix [[c, s], [-s, c]] for angle theta."""
+def rotator(theta) -> np.ndarray:
+    """Frame-rotation Jones matrix [[c, s], [-s, c]]; array angles give a (..., 2, 2) stack."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]], dtype=complex)
+    r = np.array([[c, s], [-s, c]], dtype=complex)
+    if r.ndim == 2:
+        return r
+    return np.moveaxis(r, (0, 1), (-2, -1))
 
 
-def retarder(theta: float, retardance: float) -> np.ndarray:
-    """Linear retarder, fast axis at ``theta``, slow axis delayed by ``retardance``."""
-    j0 = np.array([[1.0, 0.0], [0.0, np.exp(-1j * retardance)]])
+def retarder(theta, retardance) -> np.ndarray:
+    """Linear retarder, fast axis at ``theta``, slow axis delayed by ``retardance``.
+
+    Array arguments broadcast against each other and give a (..., 2, 2) stack.
+    """
+    slow = np.exp(-1j * retardance)
+    j0 = np.zeros(np.shape(slow) + (2, 2), dtype=complex)
+    j0[..., 0, 0] = 1.0
+    j0[..., 1, 1] = slow
     return _normalize_phase(rotator(-theta) @ j0 @ rotator(theta))
 
 
-def polarizer(theta: float) -> np.ndarray:
-    """Ideal linear polarizer (projector) with transmission axis at ``theta``."""
-    j0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    return _normalize_phase(rotator(-theta) @ j0 @ rotator(theta))
+def polarizer(theta) -> np.ndarray:
+    """Ideal linear polarizer (projector) with transmission axis at ``theta``.
+
+    Array angles give a (..., 2, 2) stack.
+    """
+    return _normalize_phase(rotator(-theta) @ _H_PROJECTOR @ rotator(theta))
 
 
 def jones_to_mueller(j: np.ndarray) -> np.ndarray:
-    """Convert a 2x2 Jones matrix to its 4x4 real Mueller matrix.
+    """Convert a 2x2 Jones matrix, or a (..., 2, 2) stack, to real 4x4 Mueller matrices.
+
+    J kron J* is formed as one broadcast outer product, the same complex
+    products ``np.kron`` forms, so a stack converts in one pass.
 
     Raises
     ------
     ValueError
-        If the imaginary residue of A (J kron J*) A^-1 exceeds 1e-9,
-        which indicates a non-physical input.
+        If the last two axes are not 2x2, if any entry is not finite, or
+        if the imaginary residue of A (J kron J*) A^-1 exceeds 1e-9 for
+        any matrix of the stack (rounding grown with the scale of J; see
+        ``IMAG_RESIDUE_LIMIT``).
     """
     j = np.asarray(j, dtype=complex)
-    if j.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 Jones matrix, got shape {j.shape}")
-    if not np.all(np.isfinite(j)):
+    if j.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 Jones matrix or a (..., 2, 2) stack, got shape {j.shape}")
+    if not np.isfinite(j).all():
         raise ValueError("non-physical Jones matrix: entries must be finite")
-    m = A_MATRIX @ np.kron(j, j.conj()) @ A_INVERSE
-    residue = float(np.abs(m.imag).max())
+    kron = (j[..., :, None, :, None] * j.conj()[..., None, :, None, :]).reshape(*j.shape[:-2], 4, 4)
+    m = A_MATRIX @ kron @ A_INVERSE
+    residue = float(np.abs(m.imag).max(initial=0.0))
     if residue > IMAG_RESIDUE_LIMIT:
         raise ValueError(f"non-physical Jones matrix: imaginary residue {residue:.3e}")
     return np.ascontiguousarray(m.real)

@@ -120,6 +120,8 @@ def load_scenario(path: str | Path | None) -> Scenario:
         text = Path(path).read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

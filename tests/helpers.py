@@ -4,13 +4,18 @@ import numpy as np
 
 from ipmsim.decoy import RatePoint
 from ipmsim.polarimetry import IDEAL_RETARDANCE, setting
-from ipmsim.polarization import CONSTRUCTION_TOL
+from ipmsim.polarization import A_INVERSE, A_MATRIX, CONSTRUCTION_TOL
 
 
 def is_unitary(j, tol=CONSTRUCTION_TOL):
     """True if J is unitary to within ``tol`` (lossless element check)."""
     j = np.asarray(j, dtype=complex)
     return bool(np.abs(j.conj().T @ j - np.eye(2)).max() <= tol)
+
+
+def kron_jones_to_mueller(j) -> np.ndarray:
+    """One 2x2 Jones matrix to Mueller through np.kron: the reference for the outer-product form."""
+    return np.ascontiguousarray((A_MATRIX @ np.kron(j, np.conj(j)) @ A_INVERSE).real)
 
 
 def stokes_from_jones(e: np.ndarray) -> np.ndarray:

@@ -497,6 +497,13 @@ class TestMcCommand:
         records = [json.loads(line) for line in err]   # stderr holds only JSON lines
         assert records[-1] == {"progress": {"pulses_done": 200_000, "pulses_total": 200_000}}
 
+    def test_defaults_carry_no_low_statistics_flag(self, tmp_path, capsys):
+        # the default sim section is large enough to check the default 45 dB channel
+        assert main(["mc", "--out", str(tmp_path / "mc.json")]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith("mc: 1000000000 pulses")
+        assert "flags=" not in summary
+
     def test_z_score_uses_the_analytic_spread(self):
         # an empirical count of 0 has no spread of its own; the null's does
         none = RateEstimate(value=0.0, stderr=0.0, numerator=0, denominator=100)
@@ -605,7 +612,9 @@ class TestFlags:
         assert main([command, flag, str(path), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert json.loads(err)["field"] is None
+        record = json.loads(err)
+        assert record["field"] is None
+        assert str(path) in record["error"] and "UTF-8" in record["error"]
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(

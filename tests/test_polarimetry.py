@@ -112,6 +112,17 @@ class TestExtractStokes:
             s = random_physical_stokes(rng)
             np.testing.assert_allclose(measure_stokes(s), s, atol=1e-13)
 
+    def test_stacked_analyzers_equal_per_setting_projections(self):
+        # measure_stokes converts its three analyzers as one stack
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            s = random_physical_stokes(rng)
+            # within 15% of a quarter wave the bias keeps the DOP below the warning margin
+            retardance = rng.uniform(0.85, 1.15) * IDEAL_RETARDANCE
+            per_setting = [projected_intensity(s, m) for m in standard_settings(retardance)]
+            expected = extract_stokes(*per_setting, s[0])
+            assert measure_stokes(s, retardance).tobytes() == expected.tobytes()
+
     def test_biased_retardance_leaks_s2_into_s3(self):
         rng = np.random.default_rng(26)
         delta = DEFAULT_QWP_RETARDANCE

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ipmsim.polarization import (
     CONSTRUCTION_TOL,
+    _normalize_phase,
     apply_mueller,
     degree_of_polarization,
     jones_to_mueller,
@@ -11,7 +15,7 @@ from ipmsim.polarization import (
     rotator,
 )
 
-from helpers import is_unitary, stokes_from_jones
+from helpers import is_unitary, kron_jones_to_mueller, stokes_from_jones
 
 # randomized property tests run at 1e-9
 PROPERTY_TOL = 1e-9
@@ -102,6 +106,84 @@ class TestJonesToMueller:
             out = apply_mueller(m, s)
             assert abs(out[0] - s[0]) < PROPERTY_TOL
             assert abs(degree_of_polarization(out) - degree_of_polarization(s)) < PROPERTY_TOL
+
+
+def bitwise_equal(a, b) -> bool:
+    """Same shape, dtype and bytes: signed zeros count."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+FINITE = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def jones_stacks(draw):
+    """(n, 2, 2) or (n, m, 2, 2) complex stacks with entries in [-10, 10] + j[-10, 10]."""
+    lead = draw(st.sampled_from([(draw(st.integers(1, 6)),),
+                                 (draw(st.integers(1, 4)), draw(st.integers(1, 4)))]))
+    parts = arrays(float, (2, *lead, 2, 2), elements=FINITE)
+    re, im = draw(parts)
+    return re + 1j * im
+
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, np.pi / 4, np.pi / 2, np.pi, -np.pi / 2, 3 * np.pi / 2]),
+    st.floats(-10.0, 10.0),
+)
+
+
+class TestStacks:
+    @settings(max_examples=200, deadline=None)
+    @given(jones_stacks())
+    def test_stack_equals_per_matrix_calls_and_kron_oracle(self, stack):
+        mueller = jones_to_mueller(stack)
+        assert mueller.shape == stack.shape[:-2] + (4, 4)
+        flat = stack.reshape(-1, 2, 2)
+        per_matrix = np.array([jones_to_mueller(j) for j in flat]).reshape(mueller.shape)
+        oracle = np.array([kron_jones_to_mueller(j) for j in flat]).reshape(mueller.shape)
+        assert bitwise_equal(mueller, per_matrix)
+        assert bitwise_equal(mueller, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ANGLES, min_size=1, max_size=8), st.lists(FINITE, min_size=1, max_size=8))
+    def test_array_angles_equal_scalar_calls(self, thetas, retardances):
+        n = min(len(thetas), len(retardances))
+        theta, delta = np.array(thetas[:n]), np.array(retardances[:n])
+        assert bitwise_equal(rotator(theta), np.array([rotator(t) for t in theta]))
+        assert bitwise_equal(polarizer(theta), np.array([polarizer(t) for t in theta]))
+        assert bitwise_equal(retarder(theta, delta),
+                             np.array([retarder(t, d) for t, d in zip(theta, delta)]))
+        # a scalar argument broadcasts against an array one
+        assert bitwise_equal(retarder(theta, delta[0]),
+                             np.array([retarder(t, delta[0]) for t in theta]))
+        assert bitwise_equal(retarder(theta[0], delta),
+                             np.array([retarder(theta[0], d) for d in delta]))
+
+    def test_phase_normalization_per_matrix_zero_matrices_included(self):
+        stack = np.array([
+            np.zeros((2, 2)),                            # nothing above tolerance
+            [[1e-13j, -0.0], [0.0, -1e-14]],             # nonzero, all below tolerance
+            [[1e-13, 0.6j], [0.8, 0.0]],                 # leading entry below tolerance
+            [[-0.6, 0.0], [0.0, 0.8j]],
+            [[np.nan, 1j], [0.0, 1.0]],                  # nan is not above tolerance
+        ], dtype=complex)
+        per_matrix = np.array([_normalize_phase(j) for j in stack])
+        assert bitwise_equal(_normalize_phase(stack), per_matrix)
+        assert bitwise_equal(_normalize_phase(stack[:2]), stack[:2])
+        assert bitwise_equal(_normalize_phase(stack.reshape(5, 1, 2, 2)),
+                             per_matrix.reshape(5, 1, 2, 2))
+
+    def test_one_bad_matrix_fails_the_whole_stack(self):
+        good = np.array([rotator(0.3), retarder(0.2, 1.1), polarizer(0.4)])
+        non_finite = good.copy()
+        non_finite[1, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            jones_to_mueller(non_finite)
+        with pytest.raises(ValueError, match="2x2"):
+            jones_to_mueller(np.zeros((3, 2, 3), dtype=complex))
+        with pytest.raises(ValueError, match="2x2"):
+            jones_to_mueller(np.zeros(2, dtype=complex))
+        assert jones_to_mueller(np.zeros((0, 2, 2))).shape == (0, 4, 4)
 
 
 class TestElements:
