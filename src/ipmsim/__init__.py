@@ -19,7 +19,6 @@ from .modulator import (
     ModulatorConfig,
     bb84_drive,
     fit_delta_l,
-    im_transmission,
     mzi_jones,
     output_stokes,
     phi0,
@@ -27,9 +26,8 @@ from .modulator import (
     wavelength_scan,
 )
 from .montecarlo import PulseTally, SimConfig, estimate, simulate
-from .polarimetry import MeasurementSetting, extract_stokes, projected_intensity
+from .polarimetry import MeasurementSetting, extract_stokes
 from .polarization import (
-    apply_mueller,
     degree_of_polarization,
     jones_to_mueller,
     polarizer,
@@ -51,7 +49,6 @@ __all__ = [
     "RatePoint",
     "Scenario",
     "SimConfig",
-    "apply_mueller",
     "bb84_drive",
     "binary_entropy",
     "degree_of_polarization",
@@ -60,7 +57,6 @@ __all__ = [
     "extract_stokes",
     "fit_delta_l",
     "gains_and_errors",
-    "im_transmission",
     "jones_to_mueller",
     "load_scenario",
     "mzi_jones",
@@ -68,7 +64,6 @@ __all__ = [
     "phi0",
     "poincare_trace",
     "polarizer",
-    "projected_intensity",
     "q1_lower",
     "retarder",
     "rotator",

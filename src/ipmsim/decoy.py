@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import check_bounds
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -52,29 +54,21 @@ class ProtocolParams:
     2:1:1 signal/decoy/vacuum pulse allocation.
     """
 
-    mu: float = 0.6
-    nu: float = 0.2
-    q: float = 0.5
-    f_ec: float = 1.22
-    e0: float = 0.5
-    p_signal: float = 0.5
-    p_decoy: float = 0.25
-    p_vacuum: float = 0.25
+    mu: float = field(default=0.6, metadata={"gt": 0, "lt": 1})
+    nu: float = field(default=0.2, metadata={"gt": 0})
+    q: float = field(default=0.5, metadata={"gt": 0, "le": 1})
+    f_ec: float = field(default=1.22, metadata={"ge": 1})
+    e0: float = field(default=0.5, metadata={"ge": 0, "le": 1})
+    p_signal: float = field(default=0.5, metadata={"ge": 0})
+    p_decoy: float = field(default=0.25, metadata={"ge": 0})
+    p_vacuum: float = field(default=0.25, metadata={"ge": 0})
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.nu < self.mu < 1.0:
+        check_bounds(self)
+        if not self.nu < self.mu:
             raise ValueError(
-                f"need 0 < nu < mu < 1 (mu*nu - nu^2 must be positive), got mu={self.mu}, nu={self.nu}"
+                f"need nu < mu (mu*nu - nu^2 must be positive), got mu={self.mu}, nu={self.nu}"
             )
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must be in (0, 1], got {self.q}")
-        if self.f_ec < 1.0:
-            raise ValueError(f"error-correction efficiency must be >= 1, got {self.f_ec}")
-        if not 0.0 <= self.e0 <= 1.0:
-            raise ValueError(f"e0 must be in [0, 1], got {self.e0}")
-        for name in ("p_signal", "p_decoy", "p_vacuum"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
         total = self.p_signal + self.p_decoy + self.p_vacuum
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"pulse allocation must sum to 1, got {total}")
@@ -96,31 +90,16 @@ class ChannelParams:
     picosecond-pulse system can apply.
     """
 
-    total_loss_db: float = 45.0
-    detector_efficiency: float = 0.6
-    dark_rate: float = 50.0          # counts/s per detector
-    num_detectors: int = 4
-    rep_rate: float = 76e6           # pulses/s
-    intrinsic_qber: float = 0.01
-    gate_window: float = 1e-10       # s
+    total_loss_db: float = field(default=45.0, metadata={"ge": 0})
+    detector_efficiency: float = field(default=0.6, metadata={"gt": 0, "le": 1})
+    dark_rate: float = field(default=50.0, metadata={"ge": 0})   # counts/s per detector
+    num_detectors: int = field(default=4, metadata={"ge": 1})
+    rep_rate: float = field(default=76e6, metadata={"gt": 0})    # pulses/s
+    intrinsic_qber: float = field(default=0.01, metadata={"ge": 0, "le": 1})
+    gate_window: float = field(default=1e-10, metadata={"ge": 0})   # s
 
     def __post_init__(self) -> None:
-        if self.total_loss_db < 0:
-            raise ValueError(f"total_loss_db must be >= 0, got {self.total_loss_db}")
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise ValueError(
-                f"detector_efficiency must be in (0, 1], got {self.detector_efficiency}"
-            )
-        if self.dark_rate < 0:
-            raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
-        if self.num_detectors < 1:
-            raise ValueError(f"num_detectors must be >= 1, got {self.num_detectors}")
-        if self.rep_rate <= 0:
-            raise ValueError(f"rep_rate must be positive, got {self.rep_rate}")
-        if not 0.0 <= self.intrinsic_qber <= 1.0:
-            raise ValueError(f"intrinsic_qber must be in [0, 1], got {self.intrinsic_qber}")
-        if self.gate_window < 0:
-            raise ValueError(f"gate_window must be >= 0, got {self.gate_window}")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)

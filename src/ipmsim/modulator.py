@@ -24,10 +24,11 @@ targets are stated in the receiver frame.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import check_bounds
 from .polarimetry import DEFAULT_QWP_RETARDANCE
 from .polarization import jones_to_mueller, retarder, rotator
 
@@ -44,30 +45,21 @@ class ModulatorConfig:
     operating phase.
     """
 
-    v_pi_im: float = 4.0          # intensity modulator half-wave voltage [V]
-    v_pi_pm: float = 4.0          # phase modulator half-wave voltage [V]
-    mod_depth: float = 1.0        # intensity modulation depth b, in [0, 1]
+    v_pi_im: float = field(default=4.0, metadata={"gt": 0})   # IM half-wave voltage [V]
+    v_pi_pm: float = field(default=4.0, metadata={"gt": 0})   # PM half-wave voltage [V]
+    mod_depth: float = field(default=1.0, metadata={"ge": 0, "le": 1})   # IM modulation depth b
     phi_1: float = 0.0            # IM zero-voltage phase [rad]
     delta: float = 0.0            # splitter rotation offset [rad]
-    delta_l: float = 6.0e-3       # MZI arm length imbalance [m]
-    n_1: float = 1.468            # effective fiber index
-    wavelength: float = 1550e-9   # operating wavelength [m]
+    delta_l: float = field(default=6.0e-3, metadata={"ge": 0})   # MZI arm length imbalance [m]
+    n_1: float = field(default=1.468, metadata={"gt": 1})        # effective fiber index
+    wavelength: float = field(default=1550e-9, metadata={"gt": 0})   # operating wavelength [m]
     qwp_retardance: float = DEFAULT_QWP_RETARDANCE  # receiver QWP actual retardance
     phi0_operating: float | None = np.pi / 4
     temp_coeff: float = 0.0       # d(phi0)/dT [rad/K]
     temp_delta: float = 0.0       # T - T0 [K]
 
     def __post_init__(self) -> None:
-        if self.v_pi_im <= 0 or self.v_pi_pm <= 0:
-            raise ValueError("half-wave voltages must be positive")
-        if not 0.0 <= self.mod_depth <= 1.0:
-            raise ValueError(f"mod_depth must be in [0, 1], got {self.mod_depth}")
-        if self.delta_l < 0:
-            raise ValueError(f"delta_l must be >= 0, got {self.delta_l}")
-        if self.n_1 <= 1.0:
-            raise ValueError(f"n_1 must exceed 1, got {self.n_1}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -216,8 +208,7 @@ class ScanFit:
     periods_spanned: float
 
 
-def fit_delta_l(wavelengths, intensities, n_1: float,
-                max_residual_rms: float | None = None) -> ScanFit:
+def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
     """Fit I(m) = 0.5 (1 + C cos(2 pi n_1 dL m + psi)) over wavenumber m.
 
     A coarse frequency seed comes from the dominant discrete-frequency
@@ -229,9 +220,8 @@ def fit_delta_l(wavelengths, intensities, n_1: float,
     Raises
     ------
     ValueError
-        If fewer than two full oscillation periods are spanned, if the
-        scan shows no oscillation, or if the residual RMS exceeds
-        ``max_residual_rms`` (when given).
+        If fewer than two full oscillation periods are spanned or if the
+        scan shows no oscillation.
     """
     lam = np.asarray(wavelengths, dtype=float)
     y = np.asarray(intensities, dtype=float)
@@ -321,14 +311,11 @@ def fit_delta_l(wavelengths, intensities, n_1: float,
     freq, contrast, psi = params
     if contrast < 0:
         contrast, psi = -contrast, psi + np.pi
-    rms = float(np.sqrt(np.mean(r**2)))
-    if max_residual_rms is not None and rms > max_residual_rms:
-        raise ValueError(f"fit residual RMS {rms:.3e} exceeds ceiling {max_residual_rms:.3e}")
     return ScanFit(
         delta_l=float(freq / n_1),
         contrast=float(contrast),
         phase=float(np.mod(psi, 2 * np.pi)),
-        residual_rms=rms,
+        residual_rms=float(np.sqrt(np.mean(r**2))),
         periods_spanned=float(freq * span),
     )
 

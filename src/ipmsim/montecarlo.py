@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import BoundError, check_bounds
 from .decoy import _MULTI_DARK, _NO_CLICK, _ONE_DARK, _PHOTON_DOUBLE
 from .decoy import ChannelParams, ProtocolParams, click_errors, click_law, photon_click
 
@@ -44,20 +45,15 @@ MAX_CHUNKS = 1 << 20    # a chunk costs about 0.1 ms of Python and one progress 
 class SimSpec:
     """Pulse count, seed and chunking policy: the scenario's sim section."""
 
-    n_pulses: int = 1_000_000_000
-    seed: int = 12345
-    chunk_pulses: int = 1 << 30
+    n_pulses: int = field(default=1_000_000_000, metadata={"gt": 0})
+    seed: int = field(default=12345, metadata={"ge": 0, "lt": 2**64})
+    chunk_pulses: int = field(default=1 << 30, metadata={"gt": 0})
 
     def __post_init__(self) -> None:
-        if self.n_pulses <= 0:
-            raise ValueError(f"n_pulses must be positive, got {self.n_pulses}")
-        if self.chunk_pulses <= 0:
-            raise ValueError(f"chunk_pulses must be positive, got {self.chunk_pulses}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_bounds(self)
         if self.n_pulses >= 2**63:
             # bounds every chunk size and every count of the int64 tally
-            raise ValueError(f"n_pulses must be below 2**63, got {self.n_pulses}")
+            raise BoundError("n_pulses", f"must be below 2**63, got {self.n_pulses}")
         if -(-self.n_pulses // self.chunk_pulses) > MAX_CHUNKS:
             raise ValueError(f"n_pulses / chunk_pulses must not exceed 2**20 chunks, got "
                              f"{self.n_pulses} / {self.chunk_pulses}")

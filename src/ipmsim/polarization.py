@@ -36,11 +36,6 @@ import numpy as np
 # Construction-time checks run at 1e-12.
 CONSTRUCTION_TOL = 1e-12
 
-# Residual imaginary part above this in a converted Mueller matrix is
-# rejected.  A (J kron J*) A^-1 is real for every complex J, so what this
-# catches is rounding that has grown with the scale of J, not a non-physical J.
-IMAG_RESIDUE_LIMIT = 1e-9
-
 #: Stokes basis change for M = A (J kron J*) A^-1.
 A_MATRIX = np.array(
     [
@@ -108,14 +103,13 @@ def jones_to_mueller(j: np.ndarray) -> np.ndarray:
 
     J kron J* is formed as one broadcast outer product, the same complex
     products ``np.kron`` forms, so a stack converts in one pass.
+    A (J kron J*) A^-1 is real for every complex J; its imaginary part is
+    rounding only, and is dropped.
 
     Raises
     ------
     ValueError
-        If the last two axes are not 2x2, if any entry is not finite, or
-        if the imaginary residue of A (J kron J*) A^-1 exceeds 1e-9 for
-        any matrix of the stack (rounding grown with the scale of J; see
-        ``IMAG_RESIDUE_LIMIT``).
+        If the last two axes are not 2x2 or if any entry is not finite.
     """
     j = np.asarray(j, dtype=complex)
     if j.shape[-2:] != (2, 2):
@@ -123,11 +117,7 @@ def jones_to_mueller(j: np.ndarray) -> np.ndarray:
     if not np.isfinite(j).all():
         raise ValueError("non-physical Jones matrix: entries must be finite")
     kron = (j[..., :, None, :, None] * j.conj()[..., None, :, None, :]).reshape(*j.shape[:-2], 4, 4)
-    m = A_MATRIX @ kron @ A_INVERSE
-    residue = float(np.abs(m.imag).max(initial=0.0))
-    if residue > IMAG_RESIDUE_LIMIT:
-        raise ValueError(f"non-physical Jones matrix: imaginary residue {residue:.3e}")
-    return np.ascontiguousarray(m.real)
+    return np.ascontiguousarray((A_MATRIX @ kron @ A_INVERSE).real)
 
 
 def apply_mueller(m: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -10,8 +10,11 @@ Each section is checked at load, for every command.  An unknown key or a
 value unlike its field's annotation (``int``: a non-boolean integer,
 ``float``: any number, ``| None``: also null) is a ``ScenarioError``, and
 a NaN, an infinity or an int past the float range a ``ParameterError``;
-both name ``section.key``.  A range check in a section's constructor
-raises a ``ParameterError`` naming the section.  ``resolved_dict`` returns
+both name ``section.key``.  A value outside the bound its field declares
+(``bounds``), or an ``n_pulses`` of 2**63 or more, is a ``ParameterError``
+naming ``section.key`` too.  A rule across fields (nu < mu, the allocation
+summing to 1, stop_db >= start_db, the 10^7-point grid cap, the 2^20-chunk
+cap) is a ``ParameterError`` naming the section.  ``resolved_dict`` returns
 the expanded sections (all defaults applied) for provenance sidecars.
 """
 
@@ -25,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import BoundError, check_bounds
 from .decoy import ChannelParams, ProtocolParams
 from .modulator import ModulatorConfig
 from .montecarlo import SimSpec
@@ -46,15 +50,12 @@ class ParameterError(ScenarioError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    start_db: float = 0.0
+    start_db: float = field(default=0.0, metadata={"ge": 0})
     stop_db: float = 70.0
-    step_db: float = 0.5
+    step_db: float = field(default=0.5, metadata={"gt": 0})
 
     def __post_init__(self) -> None:
-        if self.start_db < 0:
-            raise ValueError(f"start_db must be >= 0, got {self.start_db}")
-        if self.step_db <= 0:
-            raise ValueError(f"step_db must be positive, got {self.step_db}")
+        check_bounds(self)
         if self.stop_db < self.start_db:
             raise ValueError("stop_db must be >= start_db")
         if not np.round((self.stop_db - self.start_db) / self.step_db) < MAX_GRID_POINTS:
@@ -97,6 +98,9 @@ def _build_section(cls, data: dict, path: str):
         _check_value(value, annotations[key], f"{path}.{key}")
     try:
         return cls(**data)
+    except BoundError as exc:
+        key = f"{path}.{exc.field}"
+        raise ParameterError(f"'{key}' {exc.requirement}", key) from exc
     except ValueError as exc:
         raise ParameterError(f"invalid value in section '{path}': {exc}", path) from exc
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import ipmsim
 from ipmsim import decoy
-from ipmsim.cli import RATE_COLUMNS, _null_z, _read_csv, _write_csv, main
+from ipmsim.cli import _COMMANDS, RATE_COLUMNS, _null_z, _read_csv, _write_csv, main
 from ipmsim.decoy import ChannelParams, ProtocolParams, sweep_loss
 from ipmsim.modulator import (
     BB84_TARGET_STOKES,
@@ -28,6 +29,7 @@ from ipmsim.montecarlo import RateEstimate
 from ipmsim.polarimetry import InconsistentProjectionsWarning
 from ipmsim.polarization import apply_mueller
 from ipmsim.scenario import (
+    _SECTIONS,
     ParameterError,
     Scenario,
     ScenarioError,
@@ -135,9 +137,9 @@ PROBES = [
     ("mc", {"sim": {"seed": 1.5}}, 2, "sim.seed"),
     ("mc", {"sim": {"n_pulses": [1]}}, 2, "sim.n_pulses"),
     ("keyrate", {"modulator": {"phi0_operating": "pi/4"}}, 2, "modulator.phi0_operating"),
-    # range checks name the section
-    ("keyrate", {"sim": {"n_pulses": -5}}, 3, "sim"),
-    ("sweep", {"sweep": {"start_db": -5}}, 3, "sweep"),
+    # a single-field range check names its key
+    ("keyrate", {"sim": {"n_pulses": -5}}, 3, "sim.n_pulses"),
+    ("sweep", {"sweep": {"start_db": -5}}, 3, "sweep.start_db"),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -189,6 +191,70 @@ def command_trees(draw):
     return command, tree
 
 
+# (section, key, bounds, is_int) for every section field that declares a bound
+BOUNDED_FIELDS = [
+    (section, f.name, dict(f.metadata), f.type == "int")
+    for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    if f.metadata
+]
+FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+def past_bound(comparison, bound, is_int):
+    """Values that fail one bound, the nearest one first."""
+    below = comparison in ("gt", "ge")   # the failing side lies below the bound
+    strict = comparison in ("gt", "lt")  # the bound itself fails
+    if is_int:
+        edge = bound if strict else bound - 1 if below else bound + 1
+        return st.just(edge) | (st.integers(max_value=edge) if below else st.integers(min_value=edge))
+    edge = bound if strict else float(np.nextafter(bound, -np.inf if below else np.inf))
+    if below:
+        return st.just(edge) | st.floats(max_value=bound, exclude_max=not strict, **FINITE)
+    return st.just(edge) | st.floats(min_value=bound, exclude_min=not strict, **FINITE)
+
+
+def within_bounds(bounds, is_int):
+    """Values that meet every bound of one field, its edges included."""
+    if is_int:   # int fields are int64 counts and seeds
+        low = bounds["gt"] + 1 if "gt" in bounds else bounds.get("ge")
+        high = bounds["lt"] - 1 if "lt" in bounds else bounds.get("le", 2**63 - 1)
+        return st.integers(low, high)
+    low, high = bounds.get("gt", bounds.get("ge")), bounds.get("lt", bounds.get("le"))
+    return st.floats(low, high, exclude_min="gt" in bounds, exclude_max="lt" in bounds, **FINITE)
+
+
+def run_main(argv):
+    """Exit status and stderr of one in-process CLI run; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    return status, err.getvalue()
+
+
+def run_scenario(command, tree):
+    """``run_main`` of one command on a scenario tree, in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = Path(tmp) / "scenario.json"
+        scn.write_text(json.dumps(tree))
+        return run_main([command, "--scenario", str(scn), "--out", str(Path(tmp) / "out")])
+
+
+def run_section(section, key, value):
+    """``run_scenario`` of the command that reads the section; keyrate loads sim and sweep."""
+    return run_scenario("states" if section == "modulator" else "keyrate", {section: {key: value}})
+
+
+def assert_json_stderr(status, err):
+    """The CLI contract: exit 0, 2 or 3, stderr only JSON records, an error record on failure."""
+    assert status in (0, 2, 3)
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in err.splitlines()]
+    assert all(isinstance(r, dict) for r in records)
+    assert (status != 0) == ("error" in (records[-1] if records else {}))
+    return records
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("command, data, status, field", PROBES)
     def test_bad_value_is_one_record_naming_its_field(self, command, data, status, field,
@@ -210,17 +276,80 @@ class TestInputBoundary:
     @settings(max_examples=150, deadline=None)
     @given(command_trees())
     def test_random_trees_exit_0_2_or_3_with_json_stderr(self, command_tree):
-        command, tree = command_tree
+        assert_json_stderr(*run_scenario(*command_tree))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(BOUNDED_FIELDS), st.data())
+    def test_value_past_a_declared_bound_exits_3_naming_its_key(self, bounded, data):
+        section, key, bounds, is_int = bounded
+        comparison, bound = data.draw(st.sampled_from(sorted(bounds.items())))
+        status, err = run_section(section, key, data.draw(past_bound(comparison, bound, is_int)))
+        assert status == 3
+        assert json.loads(err)["field"] == f"{section}.{key}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(BOUNDED_FIELDS), st.data())
+    def test_value_within_its_bounds_exits_0_or_fails_a_cross_field_rule(self, bounded, data):
+        section, key, bounds, is_int = bounded
+        status, err = run_section(section, key, data.draw(within_bounds(bounds, is_int)))
+        records = assert_json_stderr(status, err)
+        if status != 0:
+            assert status == 3 and records[-1]["field"] == section
+
+
+# values each flag accepts, and values that no flag accepts
+FUZZ_VALUES = {
+    "--scenario": ["s.json", "bad.json"],
+    "--out": ["out.csv"],
+    "--grid": ["1549:1551:0.01", "0:80:1"],
+    "--in": ["proj.csv", "scan.csv"],
+    "--seed": ["1", "0"],
+    "--workers": ["1", "2"],
+    "--bogus": ["1"],
+}
+ANY_VALUE = st.sampled_from(
+    ["absent.json", ".", "sub/x.csv", "-5:10:1", "5:1:1", "0:1:0", "nan:1:1", "0:1", "-1",
+     "18446744073709551616", "two"]
+) | st.text("0123456789.:-", max_size=8)
+
+
+# the flags each command reads besides --scenario and --out
+OWN_FLAGS = {"sweep": ["--grid"], "scan": ["--grid"], "fitdl": ["--grid", "--in"],
+             "polarimetry": ["--in"], "mc": ["--seed", "--workers"]}
+
+
+@st.composite
+def argv_lists(draw):
+    """A command (or a bogus one) and up to four flags, each with a value or none.
+
+    Most flags are ones the command reads and most values are typical of their
+    flag, so that many runs get past the parser.
+    """
+    command = draw(st.sampled_from([*_COMMANDS, "bogus"]))
+    own = st.sampled_from(["--scenario", "--out", *OWN_FLAGS.get(command, [])])
+    argv = [command]
+    for flag in draw(st.lists(own | own | st.sampled_from(list(FUZZ_VALUES)), max_size=4)):
+        typical = st.sampled_from(FUZZ_VALUES[flag])
+        value = draw(typical | typical | ANY_VALUE | st.none())
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argv_lists())
+    def test_random_argv_exits_0_2_or_3_with_json_stderr(self, argv):
+        cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
-            scn = Path(tmp) / "scenario.json"
-            scn.write_text(json.dumps(tree))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                status = main([command, "--scenario", str(scn), "--out", str(Path(tmp) / "out")])
-        assert status in (0, 2, 3)
-        records = [json.loads(line) for line in err.getvalue().splitlines()]
-        assert all(isinstance(r, dict) for r in records)
-        assert (status != 0) == ("error" in (records[-1] if records else {}))
+            os.chdir(tmp)    # relative --out values and the default outputs land here
+            try:
+                Path("s.json").write_text(json.dumps({"sim": {"n_pulses": 10**5, "seed": 1}}))
+                Path("bad.json").write_text(json.dumps({"channel": {"detector_efficiency": 0}}))
+                Path("proj.csv").write_text("i1,i2,i3,s0\n1.0,0.5,0.5,1.0\n")
+                run_main(["scan", "--out", "scan.csv"])
+                assert_json_stderr(*run_main(argv))
+            finally:
+                os.chdir(cwd)
 
 
 class TestStatesCommand:
@@ -623,8 +752,8 @@ class TestFlags:
             (["sweep", "--grid", "nan:1:1"], "finite"),
             (["sweep", "--grid", "0:inf:1"], "finite"),
             (["scan", "--grid", "1549:1551:nan"], "finite"),
-            (["mc", "--seed", "-1"], "64 bits"),
-            (["mc", "--seed", "18446744073709551616"], "64 bits"),
+            (["mc", "--seed", "-1"], "'seed' must be >= 0"),
+            (["mc", "--seed", "18446744073709551616"], "'seed' must be < 18446744073709551616"),
         ],
         ids=["sweep-nan-start", "sweep-inf-stop", "scan-nan-step", "mc-seed-negative",
              "mc-seed-2**64"],

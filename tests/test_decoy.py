@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ipmsim import decoy
+from ipmsim.bounds import BoundError
 from ipmsim.decoy import (
     ChannelParams,
     ProtocolParams,
@@ -93,6 +94,16 @@ class TestParams:
             ChannelParams(total_loss_db=-1.0)
         with pytest.raises(ValueError, match="rep_rate"):
             ChannelParams(rep_rate=0.0)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"detector_efficiency": 0}, "'detector_efficiency' must be > 0, got 0"),
+        ({"intrinsic_qber": 1.5}, "'intrinsic_qber' must be <= 1, got 1.5"),
+        ({"total_loss_db": float("nan")}, "'total_loss_db' must be >= 0, got nan"),
+    ])
+    def test_bound_error_names_the_field(self, kwargs, error):
+        with pytest.raises(BoundError) as info:
+            ChannelParams(**kwargs)
+        assert (info.value.field, str(info.value)) == (*kwargs, error)
 
 
 class TestTransmittance:

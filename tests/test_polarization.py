@@ -77,6 +77,13 @@ class TestJonesToMueller:
         with pytest.raises(ValueError, match="2x2"):
             jones_to_mueller(np.eye(3))
 
+    @pytest.mark.parametrize("scale", [1e3, 1e5, 1e6])
+    def test_any_scale_converts_like_the_kron_oracle(self, scale):
+        # the imaginary part of A (J kron J*) A^-1 is rounding that grows with
+        # the scale of J (about 1e-7 at 1e5 here), never a sign of a bad J
+        j = scale * np.array([[0.3 + 0.7j, 1.1 - 0.2j], [-0.4 + 0.9j, 0.6 + 0.5j]])
+        np.testing.assert_array_equal(jones_to_mueller(j), kron_jones_to_mueller(j))
+
     def test_multiplicative_over_random_pairs(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
