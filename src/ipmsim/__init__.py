@@ -26,7 +26,7 @@ from .modulator import (
     wavelength_scan,
 )
 from .montecarlo import PulseTally, SimConfig, estimate, simulate
-from .polarimetry import MeasurementSetting, extract_stokes
+from .polarimetry import extract_stokes
 from .polarization import (
     degree_of_polarization,
     jones_to_mueller,
@@ -42,7 +42,6 @@ __all__ = [
     "Bb84State",
     "ChannelParams",
     "DriveSettings",
-    "MeasurementSetting",
     "ModulatorConfig",
     "ProtocolParams",
     "PulseTally",

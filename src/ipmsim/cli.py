@@ -216,13 +216,8 @@ def _null_z(est: RateEstimate, analytic: float) -> float:
 def _cmd_mc(args, scn: Scenario) -> str:
     seed = args.seed if args.seed is not None else scn.sim.seed
     cfg = SimConfig(n_pulses=scn.sim.n_pulses, seed=seed, protocol=scn.protocol,
-                    channel=scn.channel, chunk_pulses=scn.sim.chunk_pulses)
-
-    def progress(done: int, total: int) -> None:
-        record = {"progress": {"pulses_done": done, "pulses_total": total}}
-        print(json.dumps(record), file=sys.stderr)
-
-    tally = simulate(cfg, progress=progress)
+                    channel=scn.channel)
+    tally = simulate(cfg)
     emp = estimate(tally, cfg)
 
     args.out.write_text(tally.to_json() + "\n")

@@ -8,16 +8,13 @@ basis, sifting on matched bases, and an error drawn at the click type's
 rate (``decoy.click_errors``).  The analytic engine reads the same law, so
 the two agree in expectation at any loss and dark rate.
 
-Pulses are iid, so a chunk's tally is drawn without realizing them: one
-multinomial splits the chunk over (class, state, click type) cells, and
-binomials thin the clicks to sifted counts and those to errors.  This is
-the same distribution as simulating every pulse, at a cost that does not
-grow with the chunk size.
-
-Pulses are processed in fixed-size chunks, in one process.  Chunk ``k``
-consumes its own counter-based random stream keyed by ``(seed, k)``
-(Philox), and the tally is the sum of per-chunk tallies, so the result is
-a pure function of (config, seed, chunk size).
+Pulses are iid, so a run's tally is drawn without realizing them: one
+multinomial splits all ``n_pulses`` over the (class, state, click type)
+cells, and binomials thin the clicks to sifted counts and those to errors.
+This is the same distribution as simulating every pulse, at a cost that
+does not grow with the pulse count.  The draws read one counter-based
+(Philox) stream keyed by the seed, so the tally is a pure function of
+(config, seed).
 
 A ``PulseTally`` lists its per-cell counters once, in ``COUNTERS``; its
 JSON form (``to_dict``) and its flat table (``table``) follow that list.
@@ -38,12 +35,14 @@ PULSE_CLASSES = ("signal", "decoy", "vacuum")
 STATES = ("H", "D", "V", "A")
 COUNTERS = ("sent", "detected", "sifted", "errors")
 
-MAX_CHUNKS = 1 << 20    # a chunk costs about 0.1 ms of Python and one progress line
-
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Pulse count, seed and chunking policy: the scenario's sim section."""
+    """Pulse count and seed: the scenario's sim section.
+
+    ``chunk_pulses`` is accepted and ignored, as ``mc --workers`` is: a run
+    is one draw whatever its value.
+    """
 
     n_pulses: int = field(default=1_000_000_000, metadata={"gt": 0})
     seed: int = field(default=12345, metadata={"ge": 0, "lt": 2**64})
@@ -52,11 +51,8 @@ class SimSpec:
     def __post_init__(self) -> None:
         check_bounds(self)
         if self.n_pulses >= 2**63:
-            # bounds every chunk size and every count of the int64 tally
+            # bounds every count of the int64 tally
             raise BoundError("n_pulses", f"must be below 2**63, got {self.n_pulses}")
-        if -(-self.n_pulses // self.chunk_pulses) > MAX_CHUNKS:
-            raise ValueError(f"n_pulses / chunk_pulses must not exceed 2**20 chunks, got "
-                             f"{self.n_pulses} / {self.chunk_pulses}")
 
 
 @dataclass(frozen=True)
@@ -87,17 +83,6 @@ class PulseTally:
     def zeros(cls) -> "PulseTally":
         shape = (len(PULSE_CLASSES), len(STATES))
         return cls(**{name: np.zeros(shape, dtype=np.int64) for name in COUNTERS})
-
-    def __add__(self, other: "PulseTally") -> "PulseTally":
-        # written out: a loop over COUNTERS makes every chunk merge slower
-        return PulseTally(
-            sent=self.sent + other.sent,
-            detected=self.detected + other.detected,
-            sifted=self.sifted + other.sifted,
-            errors=self.errors + other.errors,
-            dark_only=self.dark_only + other.dark_only,
-            double_click=self.double_click + other.double_click,
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PulseTally):
@@ -142,13 +127,6 @@ class PulseTally:
         )
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Counter-based substream for one chunk, keyed by (seed, chunk index)."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    )
-
-
 _CELLS = (len(PULSE_CLASSES), len(STATES), _NO_CLICK + 1)
 
 
@@ -161,13 +139,16 @@ def _cell_probs(cfg: SimConfig) -> np.ndarray:
     return np.repeat((class_p[:, None] * click_types)[:, None, :], len(STATES), axis=1)
 
 
-def _simulate_chunk(cfg: SimConfig, probs: np.ndarray, chunk_index: int, n: int) -> PulseTally:
-    """Draw the tally of the ``n`` pulses of chunk ``chunk_index`` at count level.
+def _stream(seed: int) -> np.random.Generator:
+    """The run's counter-based (Philox) random stream, keyed by the seed."""
+    # spawn key (0,) was chunk 0's: every run that fit in one chunk keeps its tally
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
 
-    ``probs`` is ``_cell_probs(cfg)``, which depends on the config only.
-    """
-    rng = _chunk_rng(cfg.seed, chunk_index)
-    counts = rng.multinomial(n, probs.ravel()).reshape(_CELLS)
+
+def simulate(cfg: SimConfig) -> PulseTally:
+    """Draw the tally of all ``cfg.n_pulses`` pulses at count level."""
+    rng = _stream(cfg.seed)
+    counts = rng.multinomial(cfg.n_pulses, _cell_probs(cfg).ravel()).reshape(_CELLS)
     clicks = counts[..., :_NO_CLICK]
     sifted = rng.binomial(clicks, 0.5)
     errors = rng.binomial(sifted, click_errors(cfg.protocol, cfg.channel))
@@ -179,24 +160,6 @@ def _simulate_chunk(cfg: SimConfig, probs: np.ndarray, chunk_index: int, n: int)
         dark_only=int(clicks[..., _ONE_DARK:].sum()),
         double_click=int(clicks[..., [_PHOTON_DOUBLE, _MULTI_DARK]].sum()),
     )
-
-
-def simulate(cfg: SimConfig, progress=None) -> PulseTally:
-    """Simulate the full pulse train and return the merged tally.
-
-    Every chunk holds ``chunk_pulses`` pulses except the last, which holds
-    the remainder.  ``progress``, if given, is called with
-    (pulses_done, pulses_total) after every chunk.
-    """
-    probs = _cell_probs(cfg)
-    total, size = cfg.n_pulses, cfg.chunk_pulses
-    result = PulseTally.zeros()
-    for k in range(-(-total // size)):  # ceil(total / size) chunks
-        n = min(size, total - k * size)
-        result = result + _simulate_chunk(cfg, probs, k, n)
-        if progress is not None:
-            progress(k * size + n, total)
-    return result
 
 
 @dataclass(frozen=True)

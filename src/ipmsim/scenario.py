@@ -13,9 +13,11 @@ a NaN, an infinity or an int past the float range a ``ParameterError``;
 both name ``section.key``.  A value outside the bound its field declares
 (``bounds``), or an ``n_pulses`` of 2**63 or more, is a ``ParameterError``
 naming ``section.key`` too.  A rule across fields (nu < mu, the allocation
-summing to 1, stop_db >= start_db, the 10^7-point grid cap, the 2^20-chunk
-cap) is a ``ParameterError`` naming the section.  ``resolved_dict`` returns
-the expanded sections (all defaults applied) for provenance sidecars.
+summing to 1, stop_db >= start_db, the 10^7-point grid cap) is a
+``ParameterError`` naming the section.  ``sim.chunk_pulses`` is checked
+(>= 1) and otherwise ignored: an MC run is one draw keyed by its seed.
+``resolved_dict`` returns the expanded sections (all defaults applied) for
+provenance sidecars.
 """
 
 from __future__ import annotations

@@ -21,26 +21,24 @@ from ipmsim.montecarlo import (
     PulseTally,
     SimConfig,
     _cell_probs,
-    _chunk_rng,
-    _simulate_chunk,
+    _stream,
     estimate,
     simulate,
 )
 
 
-def make_cfg(n_pulses=1_000_000, seed=123, chunk=1 << 18, **channel_kwargs) -> SimConfig:
+def make_cfg(n_pulses=1_000_000, seed=123, **channel_kwargs) -> SimConfig:
     return SimConfig(
         n_pulses=n_pulses,
         seed=seed,
         protocol=ProtocolParams(),
         channel=ChannelParams(**channel_kwargs),
-        chunk_pulses=chunk,
     )
 
 
 # Event-level reference: every pulse realized explicitly.  The package draws
-# each chunk's tally at count level; this per-pulse kernel samples the same
-# law and is kept here as the oracle it is checked against.
+# a run's tally at count level; this per-pulse kernel samples the same law
+# and is kept here as the oracle it is checked against.
 
 # Below this per-pulse any-dark probability the dark fires are sampled
 # sparsely (count of affected pulses first, then their positions); above it
@@ -70,10 +68,11 @@ def _draw_darks(rng: np.random.Generator, n: int, n_det: int, dark_p: float) -> 
     return n_dark
 
 
-def _event_chunk(cfg: SimConfig, chunk_index: int, n: int) -> PulseTally:
-    """Simulate ``n`` pulses of chunk ``chunk_index`` one by one and tally them."""
+def _event_tally(cfg: SimConfig) -> PulseTally:
+    """Simulate the run's pulses one by one, from the stream ``simulate`` reads."""
     p, ch = cfg.protocol, cfg.channel
-    rng = _chunk_rng(cfg.seed, chunk_index)
+    n = cfg.n_pulses
+    rng = _stream(cfg.seed)
     eta = transmittance(ch)
     dark_p = ch.dark_rate * ch.gate_window      # per detector, per pulse
     n_det = ch.num_detectors
@@ -167,12 +166,14 @@ ORACLE_CHANNELS = {
 
 
 class TestAgainstEventLevelOracle:
-    # 300 chunks of 8192 pulses per sampler.  Every counter's chunk mean is
-    # compared by a two-sample z (|z| <= 4.5, a 6.8e-6 two-sided normal tail
-    # per counter); counters that are constant on both sides must be equal;
-    # counters averaging >= 5 per chunk on both sides must also agree in
-    # variance, |log ratio| <= 0.6 (about 5 standard errors at 300 chunks)
-    CHUNKS = 300
+    # 300 runs of 8192 pulses per sampler, one seed per run; the two seed
+    # ranges are disjoint, so no stream is shared.  Every counter's run mean
+    # is compared by a two-sample z (|z| <= 4.5, a 6.8e-6 two-sided normal
+    # tail per counter); counters that are constant on both sides must be
+    # equal; counters averaging >= 5 per run on both sides must also agree
+    # in variance, |log ratio| <= 0.6 (about 5 standard errors at 300 runs)
+    REF_SEEDS = range(0, 300)
+    SAMPLER_SEEDS = range(300, 600)
     N = 8192
 
     @pytest.mark.parametrize("name", list(ORACLE_CHANNELS))
@@ -183,17 +184,16 @@ class TestAgainstEventLevelOracle:
             else ProtocolParams()
         )
         channel = ChannelParams(**ORACLE_CHANNELS[name])
-        ref_cfg = SimConfig(n_pulses=self.N, seed=1, protocol=protocol, channel=channel)
-        new_cfg = SimConfig(n_pulses=self.N, seed=2, protocol=protocol, channel=channel)
-        ref = np.array([_counters(_event_chunk(ref_cfg, k, self.N)) for k in range(self.CHUNKS)])
-        probs = _cell_probs(new_cfg)
-        new = np.array(
-            [_counters(_simulate_chunk(new_cfg, probs, k, self.N)) for k in range(self.CHUNKS)]
-        )
+
+        def cfg(seed: int) -> SimConfig:
+            return SimConfig(n_pulses=self.N, seed=seed, protocol=protocol, channel=channel)
+
+        ref = np.array([_counters(_event_tally(cfg(seed))) for seed in self.REF_SEEDS])
+        new = np.array([_counters(simulate(cfg(seed))) for seed in self.SAMPLER_SEEDS])
 
         ref_mean, new_mean = ref.mean(axis=0), new.mean(axis=0)
         ref_var, new_var = ref.var(axis=0, ddof=1), new.var(axis=0, ddof=1)
-        se = np.sqrt((ref_var + new_var) / self.CHUNKS)
+        se = np.sqrt((ref_var + new_var) / len(ref))
         constant = se == 0
         np.testing.assert_array_equal(ref_mean[constant], new_mean[constant])
         z = (new_mean[~constant] - ref_mean[~constant]) / se[~constant]
@@ -211,9 +211,9 @@ class TestOneClickLaw:
 
     @pytest.mark.parametrize("seed", [101, 202])
     def test_large_run_agrees_with_the_analytic_engine(self, seed):
-        # 1e12 pulses in one chunk resolve Q_mu to about 3e-5 relative, so a
-        # law mismatch of the size of the dark-count term (3.4e-4) shows
-        cfg = make_cfg(n_pulses=10**12, seed=seed, chunk=10**12, **DARK_25_DB)
+        # 1e12 pulses resolve Q_mu to about 3e-5 relative, so a law
+        # mismatch of the size of the dark-count term (3.4e-4) shows
+        cfg = make_cfg(n_pulses=10**12, seed=seed, **DARK_25_DB)
         emp = estimate(simulate(cfg), cfg)
         ge = gains_and_errors(cfg.protocol, cfg.channel)
         for name in ("q_mu", "q_nu", "e_mu", "e_nu", "y0"):
@@ -246,10 +246,10 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="n_pulses"):
             make_cfg(n_pulses=0)
         with pytest.raises(ValueError, match="chunk_pulses"):
-            make_cfg(chunk=0)
+            SimConfig(n_pulses=1, seed=1, chunk_pulses=0)
 
     def test_rejects_pulse_counts_an_int64_tally_cannot_hold(self):
-        # 2**65 pulses in 2**62-pulse chunks would wrap the sent total to 0
+        # 2**65 pulses would wrap the int64 sent total, whatever chunk_pulses says
         for chunk in (2**62, 2**65):
             with pytest.raises(ValueError, match=r"2\*\*63"):
                 SimConfig(n_pulses=2**65, seed=1, chunk_pulses=chunk)
@@ -261,16 +261,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="seed"):
             SimConfig(n_pulses=1, seed=2**64)
 
-    def test_rejects_more_than_2_20_chunks(self):
-        SimConfig(n_pulses=2**20, seed=1, chunk_pulses=1)
-        SimConfig(n_pulses=2**40, seed=1, chunk_pulses=2**20)
-        with pytest.raises(ValueError, match=r"2\*\*20 chunks"):
-            SimConfig(n_pulses=2**20 + 1, seed=1, chunk_pulses=1)
-        with pytest.raises(ValueError, match=r"2\*\*20 chunks"):
-            SimConfig(n_pulses=10**9, seed=1, chunk_pulses=1)
 
 
 class TestSimulate:
+    def test_largest_pulse_count_is_one_draw(self):
+        tally = simulate(SimConfig(n_pulses=2**63 - 1, seed=1))
+        assert tally.sent.sum() == 2**63 - 1
+
     def test_dead_channel_detects_nothing(self):
         cfg = make_cfg(n_pulses=200_000, total_loss_db=300.0, dark_rate=0.0)
         tally = simulate(cfg)
@@ -343,18 +340,6 @@ class TestSimulate:
 
 
 class TestDeterminism:
-    def test_tally_is_the_sum_of_its_chunk_tallies(self):
-        # merging is an integer sum, so the order chunks are added in is free
-        cfg = make_cfg(n_pulses=600_000, seed=99, chunk=1 << 17, total_loss_db=20.0)
-        probs = _cell_probs(cfg)
-        sizes = [1 << 17] * 4 + [600_000 - 4 * (1 << 17)]
-        total = PulseTally.zeros()
-        for k in reversed(range(len(sizes))):
-            total = total + _simulate_chunk(cfg, probs, k, sizes[k])
-        tally = simulate(cfg)
-        assert tally == total
-        assert tally.to_json() == total.to_json()
-
     def test_same_seed_same_tally(self):
         cfg = make_cfg(n_pulses=300_000, seed=5)
         assert simulate(cfg) == simulate(cfg)
@@ -364,19 +349,14 @@ class TestDeterminism:
         b = simulate(make_cfg(n_pulses=300_000, seed=6, total_loss_db=20.0))
         assert a != b
 
-    def test_chunking_policy_is_part_of_the_contract(self):
-        # a different chunk size draws different substreams; only the
-        # (seed, chunk size) pair pins the exact tally
-        a = simulate(make_cfg(n_pulses=300_000, seed=5, chunk=1 << 17, total_loss_db=20.0))
-        b = simulate(make_cfg(n_pulses=300_000, seed=5, chunk=1 << 16, total_loss_db=20.0))
-        assert a.sent.sum() == b.sent.sum()
-        assert a != b
-
-    def test_progress_callback_reports_chunks(self):
-        seen = []
-        cfg = make_cfg(n_pulses=300_000, chunk=100_000)
-        simulate(cfg, progress=lambda done, total: seen.append((done, total)))
-        assert seen == [(100_000, 300_000), (200_000, 300_000), (300_000, 300_000)]
+    def test_chunk_pulses_does_not_change_the_tally(self):
+        # the seed alone pins the tally; chunk_pulses is accepted and ignored
+        tallies = {
+            simulate(SimConfig(n_pulses=300_000, seed=5, chunk_pulses=chunk,
+                               channel=ChannelParams(total_loss_db=20.0))).to_json()
+            for chunk in (1, 1 << 16, 1 << 30)
+        }
+        assert len(tallies) == 1
 
 
 class TestTallySerialization:
@@ -402,13 +382,6 @@ class TestTallySerialization:
         expected = [(cls_name, state, *(data[cls_name][state][name] for name in COUNTERS))
                     for cls_name in PULSE_CLASSES for state in STATES]
         assert rows == expected
-
-    def test_merge_is_componentwise_sum(self):
-        a = simulate(make_cfg(n_pulses=100_000, seed=1))
-        b = simulate(make_cfg(n_pulses=100_000, seed=2))
-        merged = a + b
-        assert merged.sent.sum() == 200_000
-        np.testing.assert_array_equal(merged.detected, a.detected + b.detected)
 
 
 class TestEstimate:
