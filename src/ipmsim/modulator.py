@@ -99,6 +99,9 @@ BB84_TARGET_STOKES = {
 #: -45 deg, then a rotator(-pi/4) that aligns the output frame.
 OUTPUT_STAGE = rotator(-np.pi / 4) @ retarder(-np.pi / 4, np.pi / 2)
 
+#: Mueller matrix of ``OUTPUT_STAGE``, converted once.
+_OUTPUT_MUELLER = jones_to_mueller(OUTPUT_STAGE)
+
 #: Mueller matrix from the modulator output frame to the receiver frame.
 RECEIVER_FRAME = jones_to_mueller(retarder(np.pi / 8, np.pi))
 
@@ -144,9 +147,10 @@ def modulator_mueller(v1: float, v2: float, cfg: ModulatorConfig) -> np.ndarray:
 
     OUTPUT_STAGE . MZI(v1, v2) . rotator(pi/4 + delta); the splitter and
     combiner act as identity in this basis (the MZI matrix is diagonal
-    between them).
+    between them).  The fixed output stage enters as its Mueller matrix,
+    converted once at import.
     """
-    return jones_to_mueller(OUTPUT_STAGE @ mzi_jones(v1, v2, cfg) @ rotator(np.pi / 4 + cfg.delta))
+    return _OUTPUT_MUELLER @ jones_to_mueller(mzi_jones(v1, v2, cfg) @ rotator(np.pi / 4 + cfg.delta))
 
 
 def drive_angle(v1, v2, cfg: ModulatorConfig):
@@ -199,7 +203,13 @@ def wavelength_scan(cfg: ModulatorConfig, polarizer_angle: float, wavelengths) -
 
 @dataclass(frozen=True)
 class ScanFit:
-    """Result of a fringe fit: arm imbalance plus fit diagnostics."""
+    """Result of a fringe fit I(m) = 0.5 (1 + C cos(2 pi n_1 dL m + psi)).
+
+    ``delta_l`` is dL in meters, ``contrast`` is C >= 0, ``phase`` is psi,
+    the fringe phase at wavenumber m = 0, reduced to [0, 2 pi),
+    ``residual_rms`` is the rms of model minus data and ``periods_spanned``
+    is the number of fringe periods the scan covers.
+    """
 
     delta_l: float
     contrast: float
@@ -208,25 +218,36 @@ class ScanFit:
     periods_spanned: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
-    """Fit I(m) = 0.5 (1 + C cos(2 pi n_1 dL m + psi)) over wavenumber m.
+    """Fit I(m) = 0.5 (1 + C cos(2 pi n_1 dL m + psi)) over wavenumber m = 1/lambda.
 
-    A coarse frequency seed comes from the dominant discrete-frequency
-    component of the mean-removed scan (resampled uniformly in m), then a
-    damped Gauss-Newton refines (frequency, C, psi).  The plain cosine fit
-    is non-convex, so the frequency-domain seed is what keeps it out of
-    local minima.
+    The dominant rfft bin of the mean-removed scan (resampled uniformly in
+    m) seeds the frequency, which keeps the non-convex fit out of local
+    minima, and linear least squares at that frequency seeds C and psi.
+    Gauss-Newton then refines the fringe in the centred wavenumber
+    u = (m - m_c) / h in [-1, 1] (scan centre m_c, half-width h), as
+    w u + phi with phi the phase at the centre: the Jacobian is well
+    conditioned there, each step solves 3x3 normal equations and is halved
+    only while it raises the cost, and the fit runs to its rounding floor,
+    so a one-ulp change to the intensities moves no printed digit.
 
     Raises
     ------
     ValueError
-        If fewer than two full oscillation periods are spanned or if the
-        scan shows no oscillation.
+        If the arrays are malformed, a wavelength is not finite and
+        positive, an intensity is not finite, the grid is not monotone,
+        the scan shows no oscillation or under two periods, or the fitted
+        contrast or residual is not finite (intensities far from unit scale).
     """
     lam = np.asarray(wavelengths, dtype=float)
     y = np.asarray(intensities, dtype=float)
     if lam.ndim != 1 or lam.shape != y.shape or lam.size < 8:
         raise ValueError("scan must be two equal-length 1-d arrays of at least 8 points")
+    if not (np.isfinite(lam).all() and (lam > 0).all()):
+        raise ValueError("wavelengths must be finite and positive")
+    if not np.isfinite(y).all():
+        raise ValueError("intensities must be finite")
     dlam = np.diff(lam)
     if not (np.all(dlam > 0) or np.all(dlam < 0)):
         raise ValueError("wavelength grid must be monotone")
@@ -266,58 +287,57 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
         )
 
     # phase/contrast seed by linear least squares at the seeded frequency
-    def quadrature_seed(f):
-        cw = np.cos(2 * np.pi * f * m)
-        sw = np.sin(2 * np.pi * f * m)
-        design = np.column_stack([cw, sw])
-        coef, *_ = np.linalg.lstsq(design, 2.0 * centered, rcond=None)
-        a, b = coef
-        return float(np.hypot(a, b)), float(np.arctan2(-b, a))
+    arg = 2 * np.pi * freq * m
+    (a, b), *_ = np.linalg.lstsq(np.column_stack([np.cos(arg), np.sin(arg)]), 2.0 * centered, rcond=None)
 
-    contrast, psi = quadrature_seed(freq)
-    params = np.array([freq, contrast, psi])
+    # Gauss-Newton on (w, C, phi), fringe argument w u + phi with phi the centre phase
+    m_c, h = 0.5 * (m[0] + m[-1]), 0.5 * span
+    u = (m - m_c) / h
+    params = np.array([2 * np.pi * freq * h, np.hypot(a, b),
+                       np.mod(2 * np.pi * freq * m_c + np.arctan2(-b, a), 2 * np.pi)])
 
-    def residuals(p):
-        f, c, ps = p
-        return 0.5 * (1.0 + c * np.cos(2 * np.pi * f * m + ps)) - y
+    def residuals(p):  # the residual and the cosine the Jacobian reuses
+        cos = np.cos(p[0] * u + p[2])
+        return 0.5 * (1.0 + p[1] * cos) - y, cos
 
-    def jacobian(p):
-        f, c, ps = p
-        arg = 2 * np.pi * f * m + ps
-        return np.column_stack(
-            [-np.pi * c * m * np.sin(arg), 0.5 * np.cos(arg), -0.5 * c * np.sin(arg)]
-        )
-
-    # damped Gauss-Newton on (frequency, contrast, phase); r is the residual at params
-    r = residuals(params)
-    cost = float(np.sum(r**2))
+    jac = np.empty((m.size, 3))
+    r, cos = residuals(params)
+    cost = float(r @ r)
     for _ in range(60):
-        jac = jacobian(params)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        lam_damp = 1.0
-        improved = False
+        jac[:, 2] = -0.5 * params[1] * np.sin(params[0] * u + params[2])
+        jac[:, 0] = jac[:, 2] * u
+        jac[:, 1] = 0.5 * cos
+        step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
+        # each residual is rounded by about eps |w u + phi| <= eps (|w| + |phi|),
+        # which moves the cost by up to 2 eps (|w| + |phi|) sqrt(n cost); a rise
+        # within 1e-14 (about 45 eps) of that scale is rounding and keeps the step
+        rounding = 1e-14 * (1.0 + abs(params[0]) + abs(params[2])) * np.sqrt(m.size * cost)
         for _ in range(12):
-            trial = params + lam_damp * step
-            trial_r = residuals(trial)
-            trial_cost = float(np.sum(trial_r**2))
-            if trial_cost < cost:
-                params, r, cost = trial, trial_r, trial_cost
-                improved = True
+            trial = params + step
+            trial_r, trial_cos = residuals(trial)
+            trial_cost = float(trial_r @ trial_r)
+            if trial_cost <= cost + rounding:
                 break
-            lam_damp *= 0.5
-        if not improved or float(np.abs(lam_damp * step[0])) < 1e-14 * abs(params[0]):
+            step *= 0.5
+        else:
+            break  # no halving lowers the cost
+        params, r, cos, cost = trial, trial_r, trial_cos, trial_cost
+        # converged once a step moves the argument by ~1e-12 of w (u spans [-1, 1])
+        if np.abs(step).sum() <= 1e-12 * (1.0 + abs(params[0])):
             break
 
-    freq, contrast, psi = params
+    w, contrast, phi = params
+    residual_rms = float(np.sqrt(np.mean(r**2)))
+    if not (np.isfinite(params).all() and np.isfinite(residual_rms)):
+        raise ValueError(f"fit is not finite (contrast {contrast:.3g}, residual rms {residual_rms:.3g}); "
+                         "intensities must be normalized to unit input")
+    freq = w / (2 * np.pi * h)
+    psi = phi - w * (m_c / h)
     if contrast < 0:
         contrast, psi = -contrast, psi + np.pi
-    return ScanFit(
-        delta_l=float(freq / n_1),
-        contrast=float(contrast),
-        phase=float(np.mod(psi, 2 * np.pi)),
-        residual_rms=float(np.sqrt(np.mean(r**2))),
-        periods_spanned=float(freq * span),
-    )
+    return ScanFit(delta_l=float(freq / n_1), contrast=float(contrast),
+                   phase=float(np.mod(psi, 2 * np.pi)), residual_rms=residual_rms,
+                   periods_spanned=float(freq * span))
 
 
 def triangular_wave(phase) -> np.ndarray:

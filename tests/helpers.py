@@ -1,8 +1,9 @@
-"""Assertion helpers, test-only optics and the row-wise CSV writer oracle."""
+"""Assertion helpers, test-only optics, and the CSV writer and fringe fit oracles."""
 
 import numpy as np
 
 from ipmsim.decoy import RatePoint
+from ipmsim.modulator import ScanFit
 from ipmsim.polarimetry import IDEAL_RETARDANCE, setting
 from ipmsim.polarization import A_INVERSE, A_MATRIX, CONSTRUCTION_TOL
 
@@ -70,4 +71,113 @@ def _rate_row(pt: RatePoint) -> tuple:
         pt.qber,
         pt.rate_per_pulse,
         pt.rate_per_second,
+    )
+
+
+# The fringe fit as the package ran it before the centred-wavenumber
+# Gauss-Newton; the fit tests compare against it.
+
+
+def oracle_fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
+    """The fringe fit in uncentred wavenumber, with SVD Gauss-Newton steps.
+
+    Its frequency and phase columns are nearly collinear (the phase is
+    taken at m = 0, far from the data), so its last digits follow the
+    rounding of the data; the tests hold the centred fit to its delta_l
+    and to no more than its cost.
+    """
+    lam = np.asarray(wavelengths, dtype=float)
+    y = np.asarray(intensities, dtype=float)
+    if lam.ndim != 1 or lam.shape != y.shape or lam.size < 8:
+        raise ValueError("scan must be two equal-length 1-d arrays of at least 8 points")
+    dlam = np.diff(lam)
+    if not (np.all(dlam > 0) or np.all(dlam < 0)):
+        raise ValueError("wavelength grid must be monotone")
+
+    m = 1.0 / lam
+    order = np.argsort(m)
+    m, y = m[order], y[order]
+    span = m[-1] - m[0]
+
+    centered = y - y.mean()
+    if float(np.sqrt(np.mean(centered**2))) < 1e-6:
+        raise ValueError("scan is constant: no oscillation to fit")
+
+    # frequency seed: resample uniformly in m, take the dominant rfft bin
+    n_fft = 1 << max(10, int(np.ceil(np.log2(4 * m.size))))
+    m_uniform = np.linspace(m[0], m[-1], n_fft)
+    spectrum = np.abs(np.fft.rfft(np.interp(m_uniform, m, centered)))
+    spectrum[0] = 0.0
+    peak = int(np.argmax(spectrum))
+    if peak == 0 or spectrum[peak] < 1e-9:
+        raise ValueError("scan shows no oscillation")
+    # parabolic interpolation around the peak bin
+    if 1 <= peak < spectrum.size - 1:
+        s_l, s_c, s_r = spectrum[peak - 1 : peak + 2]
+        denom = s_l - 2 * s_c + s_r
+        shift = 0.5 * (s_l - s_r) / denom if abs(denom) > 0 else 0.0
+    else:
+        shift = 0.0
+    # bin k of the resampled grid (spacing span/(n_fft-1)) sits at
+    # k (n_fft-1) / (n_fft span) cycles per unit m
+    freq = (peak + shift) * (n_fft - 1) / (n_fft * span)
+
+    periods = freq * span
+    if periods < 2.0:
+        raise ValueError(
+            f"only {periods:.2f} oscillation periods spanned; need at least 2 to identify the frequency"
+        )
+
+    # phase/contrast seed by linear least squares at the seeded frequency
+    def quadrature_seed(f):
+        cw = np.cos(2 * np.pi * f * m)
+        sw = np.sin(2 * np.pi * f * m)
+        design = np.column_stack([cw, sw])
+        coef, *_ = np.linalg.lstsq(design, 2.0 * centered, rcond=None)
+        a, b = coef
+        return float(np.hypot(a, b)), float(np.arctan2(-b, a))
+
+    contrast, psi = quadrature_seed(freq)
+    params = np.array([freq, contrast, psi])
+
+    def residuals(p):
+        f, c, ps = p
+        return 0.5 * (1.0 + c * np.cos(2 * np.pi * f * m + ps)) - y
+
+    def jacobian(p):
+        f, c, ps = p
+        arg = 2 * np.pi * f * m + ps
+        return np.column_stack(
+            [-np.pi * c * m * np.sin(arg), 0.5 * np.cos(arg), -0.5 * c * np.sin(arg)]
+        )
+
+    # damped Gauss-Newton on (frequency, contrast, phase); r is the residual at params
+    r = residuals(params)
+    cost = float(np.sum(r**2))
+    for _ in range(60):
+        jac = jacobian(params)
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        lam_damp = 1.0
+        improved = False
+        for _ in range(12):
+            trial = params + lam_damp * step
+            trial_r = residuals(trial)
+            trial_cost = float(np.sum(trial_r**2))
+            if trial_cost < cost:
+                params, r, cost = trial, trial_r, trial_cost
+                improved = True
+                break
+            lam_damp *= 0.5
+        if not improved or float(np.abs(lam_damp * step[0])) < 1e-14 * abs(params[0]):
+            break
+
+    freq, contrast, psi = params
+    if contrast < 0:
+        contrast, psi = -contrast, psi + np.pi
+    return ScanFit(
+        delta_l=float(freq / n_1),
+        contrast=float(contrast),
+        phase=float(np.mod(psi, 2 * np.pi)),
+        residual_rms=float(np.sqrt(np.mean(r**2))),
+        periods_spanned=float(freq * span),
     )

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -479,6 +480,42 @@ class TestScanAndFit:
         assert main(["fitdl", "--scenario", str(scn), "--out", str(out)]) == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert "period" in record["error"]
+
+    @pytest.mark.parametrize(
+        "column, edit, error",
+        [
+            (1, lambda c: np.where(np.arange(c.size) == 7, np.nan, c), "intensities must be finite"),
+            (1, lambda c: np.where(np.arange(c.size) == 7, np.inf, c), "intensities must be finite"),
+            (0, lambda c: np.where(np.arange(c.size) == 0, 0.0, c),
+             "wavelengths must be finite and positive"),
+            (0, lambda c: -c, "wavelengths must be finite and positive"),
+            (1, lambda c: c * 1e300, r"fit is not finite \(contrast .*, residual rms inf\); "
+                                     "intensities must be normalized to unit input"),
+        ],
+        ids=["nan-intensity", "inf-intensity", "zero-wavelength", "negative-wavelengths",
+             "intensities-times-1e300"],
+    )
+    def test_bad_scan_is_named_numerical_exit(self, tmp_path, capsys, column, edit, error):
+        scan = tmp_path / "scan.csv"
+        assert main(["scan", "--out", str(scan)]) == 0
+        data = _read_csv(scan, 2)
+        data[:, column] = edit(data[:, column])
+        _write_csv(scan, ("wavelength_nm", "intensity"), data.T)
+        capsys.readouterr()
+        assert main(["fitdl", "--in", str(scan), "--out", str(tmp_path / "fit.csv")]) == 3
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert len(records) == 1 and records[0]["field"] is None
+        assert re.fullmatch(error, records[0]["error"])
+
+    def test_reversed_scan_gives_identical_bytes(self, tmp_path):
+        scan, reversed_scan = tmp_path / "scan.csv", tmp_path / "reversed.csv"
+        assert main(["scan", "--out", str(scan)]) == 0
+        header, *rows = scan.read_text().splitlines()
+        reversed_scan.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        for name in ("scan", "reversed"):
+            assert main(["fitdl", "--in", str(tmp_path / f"{name}.csv"),
+                         "--out", str(tmp_path / f"{name}-fit.csv")]) == 0
+        assert (tmp_path / "scan-fit.csv").read_bytes() == (tmp_path / "reversed-fit.csv").read_bytes()
 
     def test_grid_override_in_nanometers(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from ipmsim.modulator import (
     BB84_TARGET_STOKES,
@@ -22,7 +27,7 @@ from ipmsim.modulator import (
 )
 from ipmsim.polarization import apply_mueller
 
-from helpers import is_unitary
+from helpers import is_unitary, oracle_fit_delta_l
 
 H_IN = np.array([1.0, 1.0, 0.0, 0.0])
 
@@ -297,6 +302,136 @@ class TestFitDeltaL:
         lam[10], lam[11] = lam[11], lam[10]
         with pytest.raises(ValueError, match="monotone"):
             fit_delta_l(lam, np.ones_like(lam) * 0.5, 1.468)
+
+    @pytest.mark.parametrize(
+        "where, index, value, error",
+        [
+            ("intensity", 7, np.nan, "intensities must be finite"),
+            ("intensity", 7, np.inf, "intensities must be finite"),
+            ("intensity", 7, -np.inf, "intensities must be finite"),
+            ("wavelength", 7, np.nan, "wavelengths must be finite and positive"),
+            ("wavelength", 7, np.inf, "wavelengths must be finite and positive"),
+            ("wavelength", 0, 0.0, "wavelengths must be finite and positive"),
+            # a whole negative grid is monotone, so only the sign check can name it
+            ("wavelength", slice(None), -LAM, "wavelengths must be finite and positive"),
+        ],
+    )
+    def test_non_finite_or_non_physical_input_named(self, where, index, value, error):
+        lam = self.LAM.copy()
+        scan = wavelength_scan(cfg_with(), 0.0, self.LAM)
+        (scan if where == "intensity" else lam)[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                fit_delta_l(lam, scan, 1.468)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_fit_rejected(self, scale):
+        scan = wavelength_scan(cfg_with(), 0.0, self.LAM) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fit is not finite .*residual rms inf"):
+                fit_delta_l(self.LAM, scan, 1.468)
+
+
+N_1 = 1.468
+
+
+@st.composite
+def fringe_scans(draw):
+    """(wavelengths, intensities) of a noisy fringe scan: 2.5-20 periods, 0-5 % noise."""
+    n = draw(st.integers(64, 2000))
+    centre_nm = draw(st.floats(1500.0, 1600.0))
+    span_nm = draw(st.floats(1.0, 5.0))
+    lam = np.linspace(centre_nm - span_nm / 2, centre_nm + span_nm / 2, n) * 1e-9
+    if draw(st.booleans()):
+        lam = lam[::-1]
+    m = 1.0 / lam
+    delta_l = draw(st.floats(2.5, 20.0)) / (N_1 * (m.max() - m.min()))
+    contrast = draw(st.floats(0.3, 1.0))
+    psi = draw(st.floats(0.0, 2 * np.pi))
+    noise = draw(st.floats(0.0, 0.05))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = 0.5 * (1.0 + contrast * np.cos(2 * np.pi * N_1 * delta_l * m + psi))
+    return lam, y + rng.uniform(-noise, noise, n)
+
+
+def centred(fit, lam):
+    """A ScanFit in the centred wavenumber: u in [-1, 1] and params (w, C, phi at the centre).
+
+    With the centre phase reduced to [0, 2 pi), the fringe argument
+    w u + phi is rounded by about eps |w| at each point, instead of the
+    eps 2 pi n_1 dL m of the phase at m = 0.
+    """
+    m = 1.0 / lam
+    m_c, h = 0.5 * (m.max() + m.min()), 0.5 * (m.max() - m.min())
+    f = N_1 * fit.delta_l
+    return (m - m_c) / h, np.array(
+        [2 * np.pi * f * h, fit.contrast, np.mod(fit.phase + 2 * np.pi * f * m_c, 2 * np.pi)])
+
+
+def fringe_residuals(params, u, y):
+    """The one residual function both fits are judged by."""
+    return 0.5 * (1.0 + params[1] * np.cos(params[0] * u + params[2])) - y
+
+
+def fringe_cost(fit, lam, y) -> float:
+    u, params = centred(fit, lam)
+    return float(np.sum(fringe_residuals(params, u, y) ** 2))
+
+
+def cost_rounding(fit, lam, y) -> float:
+    """How far rounding alone can move the cost of a ScanFit.
+
+    Each residual is computed to about eps |w u + phi| <= eps (|w| + 2 pi)
+    of the fringe amplitude, and psi, stored at m = 0, is known to about
+    eps 2 pi n_1 dL m; either bound outgrows 1e-12 of the cost once the
+    noise is below about 1e-4.
+    """
+    eps = np.finfo(float).eps
+    u, params = centred(fit, lam)
+    w, contrast, _ = params
+    per_residual = 4 * eps * (abs(w) + 2 * np.pi) * contrast
+    phase = 8 * eps * 2 * np.pi * N_1 * fit.delta_l * (1.0 / lam).max()
+    residuals = fringe_residuals(params, u, y)
+    return 2 * per_residual * float(np.abs(residuals).sum()) + lam.size * (contrast * phase) ** 2
+
+
+def circular_distance(a, b):
+    return abs((a - b + np.pi) % (2 * np.pi) - np.pi)
+
+
+class TestFitAgainstOracle:
+    """The centred fit against the uncentred SVD fit it replaced, and against scipy."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fringe_scans())
+    def test_agrees_with_oracle_at_no_higher_cost(self, scan):
+        lam, y = scan
+        fit, oracle = fit_delta_l(lam, y, N_1), oracle_fit_delta_l(lam, y, N_1)
+        assert abs(fit.delta_l - oracle.delta_l) <= 1e-7 * oracle.delta_l
+        assert fringe_cost(fit, lam, y) <= (fringe_cost(oracle, lam, y) * (1 + 1e-12)
+                                            + cost_rounding(fit, lam, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(fringe_scans())
+    def test_one_ulp_change_moves_no_digit(self, scan):
+        lam, y = scan
+        fit = fit_delta_l(lam, y, N_1)
+        moved = fit_delta_l(lam, np.nextafter(y, np.inf), N_1)
+        assert abs(moved.delta_l - fit.delta_l) < 1e-12 * fit.delta_l
+        assert circular_distance(moved.phase, fit.phase) < 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(fringe_scans())
+    def test_scipy_cannot_lower_the_cost(self, scan):
+        lam, y = scan
+        fit = fit_delta_l(lam, y, N_1)
+        u, start = centred(fit, lam)
+        polished = least_squares(fringe_residuals, start, args=(u, y), method="lm",
+                                 xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        cost = fringe_cost(fit, lam, y)
+        assert 2 * polished.cost >= cost * (1 - 1e-12) - cost_rounding(fit, lam, y)
 
 
 class TestPoincareTrace:
