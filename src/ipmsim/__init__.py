@@ -19,7 +19,6 @@ from .modulator import (
     ModulatorConfig,
     bb84_drive,
     fit_delta_l,
-    mzi_jones,
     output_stokes,
     phi0,
     poincare_trace,
@@ -58,7 +57,6 @@ __all__ = [
     "gains_and_errors",
     "jones_to_mueller",
     "load_scenario",
-    "mzi_jones",
     "output_stokes",
     "phi0",
     "poincare_trace",

@@ -7,9 +7,10 @@ stage.  The splitter and the arms are the variable elements; the output
 stage, ``OUTPUT_STAGE``, is a quarter-wave retarder at -45 deg, which
 brings the modulation from the circular-diagonal plane onto the linear
 plane of the Poincare sphere, followed by a rotator(-pi/4) output frame
-alignment, and is built once, at import.  The element pipeline
-``modulator_mueller`` agrees with the closed-form modulator-frame output
-``output_stokes`` to machine precision:
+alignment.  The element pipeline ``modulator_mueller`` composes the MZI
+retarder and the splitter rotation, closed-form Mueller elements, with
+the output stage's Mueller matrix, converted once at import; it agrees
+with the modulator-frame closed form ``output_stokes`` to machine precision:
 
     S = (1, cos(T) cos(2d), sin(T) cos(2d), sin(2d)),
     T = (v1 - v2) pi / v_pi_pm + phi0.
@@ -24,6 +25,7 @@ targets are stated in the receiver frame.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,26 +133,24 @@ def operating_phi0(cfg: ModulatorConfig) -> float:
     return base + cfg.temp_coeff * cfg.temp_delta
 
 
-def mzi_jones(v1: float, v2: float, cfg: ModulatorConfig) -> np.ndarray:
-    """Diagonal MZI Jones matrix diag(e^{j(v1 pi/V_pi + phi0)}, e^{j v2 pi/V_pi})."""
-    p0 = operating_phi0(cfg)
-    return np.array(
-        [
-            [np.exp(1j * (v1 * np.pi / cfg.v_pi_pm + p0)), 0.0],
-            [0.0, np.exp(1j * v2 * np.pi / cfg.v_pi_pm)],
-        ]
-    )
-
-
 def modulator_mueller(v1: float, v2: float, cfg: ModulatorConfig) -> np.ndarray:
-    """Mueller matrix of the full element pipeline.
+    """Mueller matrix of the full element pipeline, composed from closed-form elements.
 
     OUTPUT_STAGE . MZI(v1, v2) . rotator(pi/4 + delta); the splitter and
     combiner act as identity in this basis (the MZI matrix is diagonal
-    between them).  The fixed output stage enters as its Mueller matrix,
-    converted once at import.
+    between them).  Up to a global phase the MZI is a retarder at 0 of
+    retardance T = (v1 - v2) pi / v_pi_pm + phi0, and the rotator a Mueller
+    rotation by a = pi/2 + 2 delta; their product is one real 4x4 literal.
+    The output stage enters as its Mueller matrix, converted once at import.
+    Raises ValueError ("non-physical drive") if T or a is not finite.
     """
-    return _OUTPUT_MUELLER @ jones_to_mueller(mzi_jones(v1, v2, cfg) @ rotator(np.pi / 4 + cfg.delta))
+    t = (v1 - v2) * math.pi / cfg.v_pi_pm + operating_phi0(cfg)
+    a = math.pi / 2 + 2.0 * cfg.delta
+    if not (math.isfinite(t) and math.isfinite(a)):
+        raise ValueError(f"non-physical drive: angles T = {t} and a = {a} must be finite")
+    ct, st, ca, sa = math.cos(t), math.sin(t), math.cos(a), math.sin(a)
+    return _OUTPUT_MUELLER @ np.array([[1.0, 0.0, 0.0, 0.0], [0.0, ca, sa, 0.0],
+                                       [0.0, -ct * sa, ct * ca, st], [0.0, st * sa, -st * ca, ct]])
 
 
 def drive_angle(v1, v2, cfg: ModulatorConfig):
@@ -237,8 +237,8 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
     ValueError
         If the arrays are malformed, a wavelength is not finite and
         positive, an intensity is not finite, the grid is not monotone,
-        the scan shows no oscillation or under two periods, or the fitted
-        contrast or residual is not finite (intensities far from unit scale).
+        the scan shows no oscillation or under two periods, or the fit is not
+        finite or its contrast exceeds 1.1 (intensities not unit-normalized).
     """
     lam = np.asarray(wavelengths, dtype=float)
     y = np.asarray(intensities, dtype=float)
@@ -335,6 +335,8 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
     psi = phi - w * (m_c / h)
     if contrast < 0:
         contrast, psi = -contrast, psi + np.pi
+    if contrast > 1.1:  # C <= 1 at unit input; the offset is fixed at 1/2, so a scaled scan misfits dL
+        raise ValueError(f"fitted contrast {contrast:.3g} exceeds 1.1; intensities must be normalized to unit input")
     return ScanFit(delta_l=float(freq / n_1), contrast=float(contrast),
                    phase=float(np.mod(psi, 2 * np.pi)), residual_rms=residual_rms,
                    periods_spanned=float(freq * span))

@@ -1,11 +1,11 @@
-"""Assertion helpers, test-only optics, and the CSV writer and fringe fit oracles."""
+"""Assertion helpers, test-only optics, and the CSV writer, fringe fit and Mueller pipeline oracles."""
 
 import numpy as np
 
 from ipmsim.decoy import RatePoint
-from ipmsim.modulator import ScanFit
+from ipmsim.modulator import OUTPUT_STAGE, ModulatorConfig, ScanFit, operating_phi0
 from ipmsim.polarimetry import IDEAL_RETARDANCE, setting
-from ipmsim.polarization import A_INVERSE, A_MATRIX, CONSTRUCTION_TOL
+from ipmsim.polarization import A_INVERSE, A_MATRIX, CONSTRUCTION_TOL, jones_to_mueller, rotator
 
 
 def is_unitary(j, tol=CONSTRUCTION_TOL):
@@ -181,3 +181,26 @@ def oracle_fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
         residual_rms=float(np.sqrt(np.mean(r**2))),
         periods_spanned=float(freq * span),
     )
+
+
+# The modulator pipeline as the package ran it before it composed closed-form
+# Mueller elements: the Jones route, converted by ``jones_to_mueller``.
+
+
+def mzi_jones(v1: float, v2: float, cfg: ModulatorConfig) -> np.ndarray:
+    """Diagonal MZI Jones matrix diag(e^{j(v1 pi/V_pi + phi0)}, e^{j v2 pi/V_pi})."""
+    p0 = operating_phi0(cfg)
+    return np.array(
+        [
+            [np.exp(1j * (v1 * np.pi / cfg.v_pi_pm + p0)), 0.0],
+            [0.0, np.exp(1j * v2 * np.pi / cfg.v_pi_pm)],
+        ]
+    )
+
+
+_OUTPUT_MUELLER = jones_to_mueller(OUTPUT_STAGE)
+
+
+def oracle_modulator_mueller(v1: float, v2: float, cfg: ModulatorConfig) -> np.ndarray:
+    """OUTPUT_STAGE . MZI(v1, v2) . rotator(pi/4 + delta), each Jones product converted to Mueller."""
+    return _OUTPUT_MUELLER @ jones_to_mueller(mzi_jones(v1, v2, cfg) @ rotator(np.pi / 4 + cfg.delta))

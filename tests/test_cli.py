@@ -491,9 +491,13 @@ class TestScanAndFit:
             (0, lambda c: -c, "wavelengths must be finite and positive"),
             (1, lambda c: c * 1e300, r"fit is not finite \(contrast .*, residual rms inf\); "
                                      "intensities must be normalized to unit input"),
+            (1, lambda c: c * 3, r"fitted contrast 2\.93 exceeds 1\.1; "
+                                 "intensities must be normalized to unit input"),
+            (1, lambda c: c * 1e100, r"fitted contrast 9\.68e\+99 exceeds 1\.1; "
+                                     "intensities must be normalized to unit input"),
         ],
         ids=["nan-intensity", "inf-intensity", "zero-wavelength", "negative-wavelengths",
-             "intensities-times-1e300"],
+             "intensities-times-1e300", "intensities-times-3", "intensities-times-1e100"],
     )
     def test_bad_scan_is_named_numerical_exit(self, tmp_path, capsys, column, edit, error):
         scan = tmp_path / "scan.csv"

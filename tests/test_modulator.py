@@ -8,6 +8,7 @@ from scipy.optimize import least_squares
 
 from ipmsim.modulator import (
     BB84_TARGET_STOKES,
+    OUTPUT_STAGE,
     RECEIVER_FRAME,
     Bb84State,
     ModulatorConfig,
@@ -17,7 +18,6 @@ from ipmsim.modulator import (
     fit_delta_l,
     im_transmission,
     modulator_mueller,
-    mzi_jones,
     operating_phi0,
     output_stokes,
     phi0,
@@ -25,9 +25,9 @@ from ipmsim.modulator import (
     triangular_wave,
     wavelength_scan,
 )
-from ipmsim.polarization import apply_mueller
+from ipmsim.polarization import apply_mueller, jones_to_mueller, rotator
 
-from helpers import is_unitary, oracle_fit_delta_l
+from helpers import is_unitary, mzi_jones, oracle_fit_delta_l, oracle_modulator_mueller
 
 H_IN = np.array([1.0, 1.0, 0.0, 0.0])
 
@@ -192,6 +192,86 @@ class TestOutputStokes:
             )
 
 
+def retarder_mueller(t):
+    """Mueller matrix of a retarder at 0 with retardance t, the MZI up to a global phase."""
+    c, s = np.cos(t), np.sin(t)
+    return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, s], [0, 0, -s, c]])
+
+
+def rotation_mueller(theta):
+    """Mueller matrix of rotator(theta): a rotation of (S1, S2) by 2 theta."""
+    c, s = np.cos(2 * theta), np.sin(2 * theta)
+    return np.array([[1, 0, 0, 0], [0, c, s, 0], [0, -s, c, 0], [0, 0, 0, 1]])
+
+
+@st.composite
+def modulator_drives(draw):
+    """(v1, v2, cfg): drives in [-12, 12] V, |delta| <= pi/4, an operating or geometric (drifted) phi0."""
+    v1, v2 = draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0))
+    geometric = draw(st.booleans())
+    cfg = cfg_with(
+        delta=draw(st.floats(-np.pi / 4, np.pi / 4)),
+        v_pi_pm=draw(st.floats(2.0, 6.0)),
+        phi0_operating=None if geometric else draw(st.floats(-2 * np.pi, 2 * np.pi)),
+        temp_coeff=draw(st.floats(-1.0, 1.0)) if geometric else 0.0,
+        temp_delta=draw(st.floats(-10.0, 10.0)) if geometric else 0.0,
+    )
+    return v1, v2, cfg
+
+
+class TestModulatorMueller:
+    """The closed-form element pipeline against the Jones route it replaced, and its physics."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(modulator_drives())
+    def test_agrees_with_jones_oracle_and_closed_form(self, drive):
+        v1, v2, cfg = drive
+        m = modulator_mueller(v1, v2, cfg)
+        # the oracle rounds its arm phase v1 pi/V_pi + phi0 to about eps of its size,
+        # which the geometric phi0 (about 3.6e4 rad) lifts past 1e-12
+        arm_phase = abs(v1 * np.pi / cfg.v_pi_pm + operating_phi0(cfg))
+        oracle_tol = 1e-12 + 4 * np.finfo(float).eps * arm_phase
+        np.testing.assert_allclose(m, oracle_modulator_mueller(v1, v2, cfg), rtol=0, atol=oracle_tol)
+        np.testing.assert_allclose(apply_mueller(m, H_IN), output_stokes(v1, v2, cfg), rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(modulator_drives())
+    def test_is_lossless(self, drive):
+        m = modulator_mueller(*drive)
+        e0 = np.eye(4)[0]
+        np.testing.assert_allclose(m[0], e0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m[:, 0], e0, rtol=0, atol=1e-12)
+        block = m[1:, 1:]
+        np.testing.assert_allclose(block.T @ block, np.eye(3), rtol=0, atol=1e-12)
+        assert np.linalg.det(block) == pytest.approx(1.0, abs=1e-12)
+
+    def test_element_literals_are_the_jones_elements(self):
+        rng = np.random.default_rng(9)
+        for theta, t in rng.uniform(-10, 10, size=(50, 2)):
+            np.testing.assert_allclose(rotation_mueller(theta), jones_to_mueller(rotator(theta)),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(retarder_mueller(t), jones_to_mueller(np.diag([1.0, np.exp(-1j * t)])),
+                                       rtol=0, atol=1e-12)
+
+    def test_is_output_stage_after_the_two_elements(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            cfg = cfg_with(delta=rng.uniform(-np.pi / 4, np.pi / 4), phi0_operating=rng.uniform(0, 2 * np.pi))
+            v1, v2 = rng.uniform(-12, 12, size=2)
+            composed = (jones_to_mueller(OUTPUT_STAGE) @ retarder_mueller(drive_angle(v1, v2, cfg))
+                        @ rotation_mueller(np.pi / 4 + cfg.delta))
+            np.testing.assert_allclose(modulator_mueller(v1, v2, cfg), composed, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["v1", "v2", "delta"])
+    def test_non_finite_drive_is_non_physical(self, where, value):
+        args = {"v1": 0.5, "v2": -0.5, "delta": 0.0} | {where: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-physical drive"):
+                modulator_mueller(args["v1"], args["v2"], cfg_with(delta=args["delta"]))
+
+
 class TestBb84Drive:
     def test_table_voltages_at_four_volts(self):
         cfg = cfg_with()
@@ -324,6 +404,16 @@ class TestFitDeltaL:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{error}$"):
                 fit_delta_l(lam, scan, 1.468)
+
+    @pytest.mark.parametrize("scale, contrast", [(1.5, "1.48"), (3.0, "2.93"), (1e100, "9.68e[+]99")])
+    def test_unnormalized_scan_rejected(self, scale, contrast):
+        # the model's offset is fixed at 1/2, so a scaled scan would fit a wrong delta_l
+        scan = wavelength_scan(cfg_with(), 0.0, self.LAM) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^fitted contrast {contrast} exceeds 1.1; "
+                                                 "intensities must be normalized to unit input$"):
+                fit_delta_l(self.LAM, scan, 1.468)
 
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_overflowing_fit_rejected(self, scale):
