@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 import warnings
@@ -112,33 +111,43 @@ def _cmd_scan(args, scn: Scenario) -> str:
 
 
 def _read_csv(path: Path, expected_columns: int) -> np.ndarray:
-    """The data rows below the header as a (rows, expected_columns) float array."""
+    """The data rows below the header as a (rows, expected_columns) float array.
+
+    The first non-blank line is the header.  Cells follow Python ``float()``
+    syntax, and errors name lines counted from the top of the file.
+    """
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"input file {path} is not UTF-8: {exc}") from exc
-    lines = text.strip().splitlines()[1:]
-    if not lines:
+    lines = text.rstrip().splitlines()
+    header = next((k for k, line in enumerate(lines) if line.strip()), len(lines))
+    rows = lines[header + 1 :]
+    if not rows:
         raise ScenarioError(f"input file {path} has no data rows")
-    # one pass: count each line's separators, then stream every cell through float()
+    # numpy's C reader parses with the same PyOS_string_to_double as float(),
+    # but skips empty lines and rejects spellings such as 1_000
     try:
-        if {line.count(",") for line in lines} == {expected_columns - 1}:
-            cells = itertools.chain.from_iterable(line.split(",") for line in lines)
-            values = np.fromiter(map(float, cells), float, len(lines) * expected_columns)
-            return values.reshape(len(lines), expected_columns)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if values.shape == (len(rows), expected_columns):
+            return values
     except ValueError:
         pass
-    # the one-pass parse failed: name the first offending line
-    for lineno, parts in enumerate((line.split(",") for line in lines), start=2):
+    # the C reader rejected or reshaped the table: walk it, naming the first offending line
+    parsed = []
+    for lineno, line in enumerate(rows, start=header + 2):
+        parts = line.split(",")
         if len(parts) != expected_columns:
             raise ScenarioError(
                 f"{path}:{lineno}: expected {expected_columns} columns, got {len(parts)}"
             )
         try:
-            [float(x) for x in parts]
+            parsed.append([float(x) for x in parts])
         except ValueError as exc:
             raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
-    raise AssertionError(f"{path}: no offending line found")
+    return np.array(parsed)
 
 
 def _cmd_fitdl(args, scn: Scenario) -> str:

@@ -44,11 +44,12 @@ class ModulatorConfig:
     phi0 = pi/4, which minimizes drive voltages); set it to None to derive
     phi0 from the geometry (n_1, delta_l, wavelength) instead.
     Temperature drift enters as ``temp_coeff * temp_delta`` added to the
-    operating phase.
+    operating phase.  ``v_pi_pm`` is capped at 1e307 so that the drive
+    swing (v1 - v2) pi stays finite.
     """
 
     v_pi_im: float = field(default=4.0, metadata={"gt": 0})   # IM half-wave voltage [V]
-    v_pi_pm: float = field(default=4.0, metadata={"gt": 0})   # PM half-wave voltage [V]
+    v_pi_pm: float = field(default=4.0, metadata={"gt": 0, "le": 1e307})   # PM half-wave voltage [V]
     mod_depth: float = field(default=1.0, metadata={"ge": 0, "le": 1})   # IM modulation depth b
     phi_1: float = 0.0            # IM zero-voltage phase [rad]
     delta: float = 0.0            # splitter rotation offset [rad]

@@ -76,15 +76,20 @@ def extract_stokes(i1, i2, i3, s0) -> np.ndarray:
     """Recover (S0, S1, S2, S3) from the three standard projections.
 
     Uses the ideal relations S_j = 2 I_j - S0 and broadcasts over arrays
-    of projections, giving shape (..., 4).  Warns once (without failing)
-    when a recovered DOP exceeds 1 by more than 5%, naming the largest,
-    which signals mutually inconsistent inputs.
+    of projections, giving shape (..., 4).  Raises ValueError when an
+    input or a recovered component is not finite (2 I_j may overflow).
+    Warns once (without failing) when a recovered DOP exceeds 1 by more
+    than 5%, naming the largest, which signals mutually inconsistent inputs.
     """
     i1, i2, i3, s0 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (i1, i2, i3, s0)))
+    # a non-finite input always gives a non-finite component (S0 is one)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.stack([s0, 2 * i1 - s0, 2 * i2 - s0, 2 * i3 - s0], axis=-1)
+    if not np.isfinite(s).all():
+        raise ValueError("projections must be finite")
     bad = s0[s0 <= 0]
     if bad.size:
         raise ValueError(f"total intensity S0 must be positive, got {bad[0]}")
-    s = np.stack([s0, 2 * i1 - s0, 2 * i2 - s0, 2 * i3 - s0], axis=-1)
     dop = np.asarray(degree_of_polarization(s))
     over = dop[dop > 1.0 + DOP_WARN_MARGIN]
     if over.size:

@@ -1,4 +1,6 @@
-"""Assertion helpers, test-only optics, and the CSV writer, fringe fit and Mueller pipeline oracles."""
+"""Assertion helpers, test-only optics, and the CSV writer and reader, fringe fit and Mueller pipeline oracles."""
+
+import itertools
 
 import numpy as np
 
@@ -6,6 +8,7 @@ from ipmsim.decoy import RatePoint
 from ipmsim.modulator import OUTPUT_STAGE, ModulatorConfig, ScanFit, operating_phi0
 from ipmsim.polarimetry import IDEAL_RETARDANCE, setting
 from ipmsim.polarization import A_INVERSE, A_MATRIX, CONSTRUCTION_TOL, jones_to_mueller, rotator
+from ipmsim.scenario import ScenarioError
 
 
 def is_unitary(j, tol=CONSTRUCTION_TOL):
@@ -72,6 +75,41 @@ def _rate_row(pt: RatePoint) -> tuple:
         pt.rate_per_pulse,
         pt.rate_per_second,
     )
+
+
+# The CSV reader the CLI used before numpy's C reader parsed its tables; the
+# tests hold the reader to its values and messages.  It numbers lines from
+# the header, not from the top of the file.
+
+
+def oracle_read_csv(path, expected_columns: int) -> np.ndarray:
+    """The data rows below the header as a (rows, expected_columns) float array."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"input file {path} is not UTF-8: {exc}") from exc
+    lines = text.strip().splitlines()[1:]
+    if not lines:
+        raise ScenarioError(f"input file {path} has no data rows")
+    # one pass: count each line's separators, then stream every cell through float()
+    try:
+        if {line.count(",") for line in lines} == {expected_columns - 1}:
+            cells = itertools.chain.from_iterable(line.split(",") for line in lines)
+            values = np.fromiter(map(float, cells), float, len(lines) * expected_columns)
+            return values.reshape(len(lines), expected_columns)
+    except ValueError:
+        pass
+    # the one-pass parse failed: name the first offending line
+    for lineno, parts in enumerate((line.split(",") for line in lines), start=2):
+        if len(parts) != expected_columns:
+            raise ScenarioError(
+                f"{path}:{lineno}: expected {expected_columns} columns, got {len(parts)}"
+            )
+        try:
+            [float(x) for x in parts]
+        except ValueError as exc:
+            raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
+    raise AssertionError(f"{path}: no offending line found")
 
 
 # The fringe fit as the package ran it before the centred-wavenumber

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ipmsim
@@ -40,7 +40,7 @@ from ipmsim.scenario import (
     scenario_from_dict,
 )
 
-from helpers import _rate_row
+from helpers import _rate_row, oracle_read_csv
 from helpers import _write_csv as rowwise_write_csv
 
 
@@ -529,6 +529,50 @@ class TestScanAndFit:
         assert float(rows[0][0]) == pytest.approx(1549.0)
 
 
+# cells of --in tables: floats as repr and %.9g, ints, and spellings float()
+# accepts but numpy's C reader does not, each padded with ASCII or Unicode space
+_NUMBER_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda x: "%.9g" % x),
+    st.integers(-(10**20), 10**20).map(str),
+)
+_SPELLED_CELLS = st.sampled_from([
+    "1_000", "-2_5.0_1e1_0", "\u0661\u0662\u0663", "\uff11.\uff15", "\u0663e\u0662",
+    "nan", "-NaN", "+nAn", "inf", "-Infinity", "+iNfInItY", "INF", "-0", "-0.0", "1e500", ".5", "5.",
+])
+_PADS = st.sampled_from(["", " ", "\t", "  ", "\xa0", "\u3000", " \u2003"])
+_TEXT_CELLS = st.sampled_from(
+    ["", "x", "1__0", "_1", "1_", "0x10", "1 2", "--1", "infinit", "1e", "1#2", '"1"', "1\x00"]
+)
+
+
+def _padded(cells):
+    return st.tuples(_PADS, cells, _PADS).map("".join)
+
+
+@st.composite
+def csv_tables(draw):
+    """(file text, expected columns, blank lines above the header) of a random --in table."""
+    columns = draw(st.sampled_from([2, 4]))
+    cell = st.one_of(_NUMBER_CELLS, _padded(_NUMBER_CELLS), _padded(_SPELLED_CELLS))
+    cells = st.lists(cell, min_size=columns, max_size=columns)
+    rows = draw(st.lists(cells.map(",".join), max_size=6))
+    bad_row = st.one_of(
+        st.sampled_from(["", " ", "\t\u3000"]),
+        cells.map(lambda c: ",".join(c) + ","),
+        cells.map(lambda c: ",".join(c[1:])),
+        st.tuples(cells, _padded(_TEXT_CELLS), st.integers(0, columns - 1)).map(
+            lambda t: ",".join(t[0][: t[2]] + [t[1]] + t[0][t[2] + 1 :])
+        ),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(bad_row))
+    leading = draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    trailing = draw(st.sampled_from(["", newline, newline * 2, " ", newline + " \t" + newline]))
+    return newline.join([*leading, "a,b", *rows]) + trailing, columns, len(leading)
+
+
 class TestCsvInput:
     @pytest.mark.parametrize(
         "body, error",
@@ -547,12 +591,72 @@ class TestCsvInput:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == error.format(path=infile)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("\n\nwavelength_nm,intensity\n1,2\n1,x\n",
+             "{path}:5: could not convert string to float: 'x'"),
+            # a blank interior line is an error; whitespace-only lines above the header are not
+            (" \n\t\nwavelength_nm,intensity\n1,2\n\n3,4\n", "{path}:5: expected 2 columns, got 1"),
+        ],
+    )
+    def test_lines_count_from_the_top_of_the_file(self, tmp_path, capsys, text, error):
+        infile = tmp_path / "scan.csv"
+        infile.write_text(text)
+        assert main(["fitdl", "--in", str(infile), "--out", str(tmp_path / "fit.csv")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == error.format(path=infile)
+
     def test_values_parse_as_python_floats(self, tmp_path):
         infile = tmp_path / "in.csv"
         infile.write_text("a,b\n1_000, 2.5 \nnan,inf\n-Infinity,1e-3\n")
         np.testing.assert_array_equal(
             _read_csv(infile, 2), [[1000.0, 2.5], [np.nan, np.inf], [-np.inf, 1e-3]]
         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_tables())
+    @example(("a,b\n1,2#3\n", 2, 0))
+    def test_random_tables_match_the_oracle(self, tmp_path_factory, table):
+        text, columns, leading_lines = table
+        infile = tmp_path_factory.getbasetemp() / "table.csv"
+        infile.write_bytes(text.encode())
+        try:
+            expected = oracle_read_csv(infile, columns)
+        except ScenarioError as exc:
+            # the oracle numbers lines from the first non-blank one
+            expected = re.sub(
+                rf"^{re.escape(str(infile))}:(\d+):",
+                lambda m: f"{infile}:{int(m[1]) + leading_lines}:",
+                str(exc),
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = _read_csv(infile, columns)
+            except ScenarioError as exc:
+                got = str(exc)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray), got
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_well_formed_table_never_reaches_the_python_walk(self, tmp_path, monkeypatch):
+        load, parsed = np.loadtxt, []
+
+        def loadtxt(*args, **kwargs):
+            parsed.append(load(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        data = np.random.default_rng(15).uniform(0.0, 2.5, size=(20000, 4))
+        infile = tmp_path / "proj.csv"
+        np.savetxt(infile, data, fmt="%.17g", delimiter=",", header="i1,i2,i3,s0", comments="")
+        # the walk builds a new array; the C reader's own array means it was not taken
+        assert _read_csv(infile, 4) is parsed[0]
+        assert parsed[0].tobytes() == data.tobytes()
 
 
 class TestPolarimetryCommand:
@@ -565,6 +669,19 @@ class TestPolarimetryCommand:
         assert header == ["S0", "S1", "S2", "S3", "DOP"]
         np.testing.assert_allclose([float(x) for x in rows[0]], [1, 1, 0, 0, 1], atol=1e-12)
         np.testing.assert_allclose([float(x) for x in rows[1]], [1, 0, 1, 0, 1], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "row", ["nan,0.5,0.5,1", "0.5,0.5,0.5,nan", "0.5,-inf,0.5,1", "1e308,1e308,1e308,1e308"]
+    )
+    def test_non_finite_projections_exit_3(self, tmp_path, capsys, row):
+        infile = tmp_path / "proj.csv"
+        infile.write_text(f"i1,i2,i3,s0\n0.5,0.5,0.5,1\n{row}\n")
+        out = tmp_path / "stokes.csv"
+        assert main(["polarimetry", "--in", str(infile), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "projections must be finite", "field": None}
+        assert not out.exists()
 
     def test_missing_input_is_scenario_error(self, tmp_path, capsys):
         assert main(["polarimetry", "--out", str(tmp_path / "x.csv")]) == 2

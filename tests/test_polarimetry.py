@@ -157,6 +157,24 @@ class TestExtractStokes:
         with pytest.raises(ValueError, match="S0 must be positive, got -1.0"):
             extract_stokes([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [1.0, -1.0])
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (np.nan, 0.5, 0.5, 1.0),
+            (0.5, 0.5, 0.5, np.nan),
+            (0.5, -np.inf, 0.5, 1.0),
+            (np.inf, 0.5, 0.5, np.inf),
+            # finite projections whose 2 I_j - S0 overflows
+            (1e308, 1e308, 1e308, 1e308),
+        ],
+    )
+    def test_rejects_non_finite_projections_without_warning(self, row):
+        good = (0.5, 0.5, 0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^projections must be finite$"):
+                extract_stokes(*np.array([good, row]).T)
+
     def test_batch_equals_per_row_calls(self):
         rng = np.random.default_rng(27)
         rows = rng.uniform(0.0, 1.0, size=(500, 4))
