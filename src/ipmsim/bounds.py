@@ -17,7 +17,7 @@ _COMPARISONS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
 
 
 class BoundError(ValueError):
-    """A value outside its field's bound; ``field`` names the field."""
+    """A value outside its field's bound, or a rule it breaks; ``field`` names the field."""
 
     def __init__(self, field: str, requirement: str):
         super().__init__(f"'{field}' {requirement}")

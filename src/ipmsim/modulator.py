@@ -30,9 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check_bounds
+from .bounds import BoundError, check_bounds
 from .polarimetry import DEFAULT_QWP_RETARDANCE
 from .polarization import jones_to_mueller, retarder, rotator
+
+
+#: Half-span of the default wavelength scan around the operating wavelength [nm].
+SCAN_HALF_SPAN_NM = 1.2
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,10 @@ class ModulatorConfig:
     phi0 from the geometry (n_1, delta_l, wavelength) instead.
     Temperature drift enters as ``temp_coeff * temp_delta`` added to the
     operating phase.  ``v_pi_pm`` is capped at 1e307 so that the drive
-    swing (v1 - v2) pi stays finite.
+    swing (v1 - v2) pi stays finite.  Two rules across fields raise a
+    ``BoundError`` naming a field: the default scan, ``wavelength`` +-
+    ``SCAN_HALF_SPAN_NM``, must start above 0 nm, and the operating phase
+    (drift included) must be finite.
     """
 
     v_pi_im: float = field(default=4.0, metadata={"gt": 0})   # IM half-wave voltage [V]
@@ -63,6 +70,14 @@ class ModulatorConfig:
 
     def __post_init__(self) -> None:
         check_bounds(self)
+        if not self.wavelength * 1e9 - SCAN_HALF_SPAN_NM > 0:
+            raise BoundError("wavelength", f"must exceed the default scan's half-span of "
+                                           f"{SCAN_HALF_SPAN_NM} nm, got {self.wavelength}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = operating_phi0(self)
+        if not math.isfinite(phase):
+            raise BoundError("phi0_operating", "must give a finite operating phase phi0 + temp_coeff temp_delta "
+                                               f"(a null phi0 is 2 pi n_1 delta_l / wavelength), got {phase}")
 
 
 @dataclass(frozen=True)
@@ -223,15 +238,19 @@ class ScanFit:
 def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
     """Fit I(m) = 0.5 (1 + C cos(2 pi n_1 dL m + psi)) over wavenumber m = 1/lambda.
 
-    The dominant rfft bin of the mean-removed scan (resampled uniformly in
-    m) seeds the frequency, which keeps the non-convex fit out of local
-    minima, and linear least squares at that frequency seeds C and psi.
-    Gauss-Newton then refines the fringe in the centred wavenumber
-    u = (m - m_c) / h in [-1, 1] (scan centre m_c, half-width h), as
-    w u + phi with phi the phase at the centre: the Jacobian is well
-    conditioned there, each step solves 3x3 normal equations and is halved
-    only while it raises the cost, and the fit runs to its rounding floor,
-    so a one-ulp change to the intensities moves no printed digit.
+    The fit runs in the centred wavenumber u = (m - m_c) / h in [-1, 1]
+    (scan centre m_c, half-width h), as the fringe argument w u + phi with
+    phi the phase at the centre.  The dominant rfft bin of the mean-removed
+    scan, resampled uniformly in m (bin spacing 1/span), seeds w, which
+    keeps the non-convex fit out of local minima.  The resample takes the
+    next power of two at or above the scan length, and at least 1024
+    points, so that a coarse scan with few points per fringe is still
+    oversampled.  The 2x2 normal equations of the mean-removed scan on
+    cos(w u) and sin(w u) seed C and phi.
+    Gauss-Newton then refines (w, C, phi): the Jacobian is well conditioned
+    in u, each step solves 3x3 normal equations and is halved only while
+    it raises the cost, and the fit runs to its rounding floor, so a
+    one-ulp change to the intensities moves no printed digit.
 
     Raises
     ------
@@ -254,18 +273,18 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
         raise ValueError("wavelength grid must be monotone")
 
     m = 1.0 / lam
-    order = np.argsort(m)
-    m, y = m[order], y[order]
+    if dlam[0] > 0:  # ascending wavelengths: reverse into ascending m, as contiguous copies
+        m, y = m[::-1].copy(), y[::-1].copy()
+    n = m.size
     span = m[-1] - m[0]
 
     centered = y - y.mean()
-    if float(np.sqrt(np.mean(centered**2))) < 1e-6:
+    if float(np.sqrt(centered @ centered / n)) < 1e-6:
         raise ValueError("scan is constant: no oscillation to fit")
 
     # frequency seed: resample uniformly in m, take the dominant rfft bin
-    n_fft = 1 << max(10, int(np.ceil(np.log2(4 * m.size))))
-    m_uniform = np.linspace(m[0], m[-1], n_fft)
-    spectrum = np.abs(np.fft.rfft(np.interp(m_uniform, m, centered)))
+    n_fft = max(1024, 1 << (n - 1).bit_length())
+    spectrum = np.abs(np.fft.rfft(np.interp(np.linspace(m[0], m[-1], n_fft), m, centered)))
     spectrum[0] = 0.0
     peak = int(np.argmax(spectrum))
     if peak == 0 or spectrum[peak] < 1e-9:
@@ -287,48 +306,61 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
             f"only {periods:.2f} oscillation periods spanned; need at least 2 to identify the frequency"
         )
 
-    # phase/contrast seed by linear least squares at the seeded frequency
-    arg = 2 * np.pi * freq * m
-    (a, b), *_ = np.linalg.lstsq(np.column_stack([np.cos(arg), np.sin(arg)]), 2.0 * centered, rcond=None)
-
-    # Gauss-Newton on (w, C, phi), fringe argument w u + phi with phi the centre phase
+    # contrast and phase seed: 2 centered = a cos(w u) + b sin(w u), with
+    # a = C cos(phi) and b = -C sin(phi), by 2x2 normal equations
     m_c, h = 0.5 * (m[0] + m[-1]), 0.5 * span
     u = (m - m_c) / h
-    params = np.array([2 * np.pi * freq * h, np.hypot(a, b),
-                       np.mod(2 * np.pi * freq * m_c + np.arctan2(-b, a), 2 * np.pi)])
+    w = 2 * np.pi * freq * h
+    arg = w * u
+    cos, sin = np.cos(arg), np.sin(arg)
+    cc, cs, ss = cos @ cos, cos @ sin, sin @ sin
+    cy, sy = 2.0 * (cos @ centered), 2.0 * (sin @ centered)
+    det = cc * ss - cs * cs
+    a, b = (ss * cy - cs * sy) / det, (cc * sy - cs * cy) / det
+    params = np.array([w, np.hypot(a, b), np.arctan2(-b, a)])
 
-    def residuals(p):  # the residual and the cosine the Jacobian reuses
-        cos = np.cos(p[0] * u + p[2])
-        return 0.5 * (1.0 + p[1] * cos) - y, cos
+    def evaluate(p, arg, cos, r):  # fills the fringe argument, its cosine and the residual
+        np.multiply(u, p[0], out=arg)
+        arg += p[2]
+        np.cos(arg, out=cos)
+        np.multiply(cos, p[1], out=r)
+        r += 1.0
+        r *= 0.5
+        r -= y
+        return float(r @ r)
 
-    jac = np.empty((m.size, 3))
-    r, cos = residuals(params)
-    cost = float(r @ r)
+    # Gauss-Newton on (w, C, phi) with a row-major Jacobian and two sets of
+    # (argument, cosine, residual) buffers, the current fit's (the seed's
+    # arg and cos arrays, refilled) and the trial's
+    jac = np.empty((3, n))
+    trial_arg, trial_cos, r, trial_r = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    cost = evaluate(params, arg, cos, r)
     for _ in range(60):
-        jac[:, 2] = -0.5 * params[1] * np.sin(params[0] * u + params[2])
-        jac[:, 0] = jac[:, 2] * u
-        jac[:, 1] = 0.5 * cos
-        step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
+        np.sin(arg, out=jac[2])
+        jac[2] *= -0.5 * params[1]
+        np.multiply(jac[2], u, out=jac[0])
+        np.multiply(cos, 0.5, out=jac[1])
+        step = np.linalg.solve(jac @ jac.T, -(jac @ r))
         # each residual is rounded by about eps |w u + phi| <= eps (|w| + |phi|),
         # which moves the cost by up to 2 eps (|w| + |phi|) sqrt(n cost); a rise
         # within 1e-14 (about 45 eps) of that scale is rounding and keeps the step
-        rounding = 1e-14 * (1.0 + abs(params[0]) + abs(params[2])) * np.sqrt(m.size * cost)
+        rounding = 1e-14 * (1.0 + abs(params[0]) + abs(params[2])) * np.sqrt(n * cost)
         for _ in range(12):
             trial = params + step
-            trial_r, trial_cos = residuals(trial)
-            trial_cost = float(trial_r @ trial_r)
+            trial_cost = evaluate(trial, trial_arg, trial_cos, trial_r)
             if trial_cost <= cost + rounding:
                 break
             step *= 0.5
         else:
             break  # no halving lowers the cost
-        params, r, cos, cost = trial, trial_r, trial_cos, trial_cost
+        params, cost = trial, trial_cost
+        arg, trial_arg, cos, trial_cos, r, trial_r = trial_arg, arg, trial_cos, cos, trial_r, r
         # converged once a step moves the argument by ~1e-12 of w (u spans [-1, 1])
         if np.abs(step).sum() <= 1e-12 * (1.0 + abs(params[0])):
             break
 
     w, contrast, phi = params
-    residual_rms = float(np.sqrt(np.mean(r**2)))
+    residual_rms = float(np.sqrt(cost / n))
     if not (np.isfinite(params).all() and np.isfinite(residual_rms)):
         raise ValueError(f"fit is not finite (contrast {contrast:.3g}, residual rms {residual_rms:.3g}); "
                          "intensities must be normalized to unit input")

@@ -129,11 +129,18 @@ def degree_of_polarization(s):
     """DOP = sqrt(S1^2 + S2^2 + S3^2) / S0 over the last axis; requires S0 > 0.
 
     One Stokes vector gives a float, a (..., 4) stack an array of DOPs.
+    S1..S3 are scaled by 2^-e, with e the binary exponent of the vector's
+    largest |S_j|, before squaring, and the norm by 2^e after the square
+    root.  The scaling is exact, so a vector whose squares neither overflow
+    nor underflow keeps the bits of the unscaled formula, and one past
+    1e154 gets a finite norm unless the norm itself passes the float range.
     """
     s = np.asarray(s, dtype=float)
     s0 = s[..., 0]
     bad = s0[s0 <= 0.0]
     if bad.size:
         raise ValueError(f"degree of polarization undefined for S0 = {bad[0]}")
-    dop = np.sqrt(s[..., 1] ** 2 + s[..., 2] ** 2 + s[..., 3] ** 2) / s0
+    _, e = np.frexp(np.abs(s[..., 1:]).max(axis=-1))
+    v = np.ldexp(s[..., 1:], -e[..., None])
+    dop = np.ldexp(np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2), e) / s0
     return float(dop) if dop.ndim == 0 else dop

@@ -141,6 +141,14 @@ PROBES = [
     # a single-field range check names its key
     ("keyrate", {"sim": {"n_pulses": -5}}, 3, "sim.n_pulses"),
     ("sweep", {"sweep": {"start_db": -5}}, 3, "sweep.start_db"),
+    # a geometric operating phase past the float range wrote nan trace rows
+    ("trace", {"modulator": {"phi0_operating": None, "delta_l": 1e305}}, 3, "modulator.phi0_operating"),
+    ("states", {"modulator": {"phi0_operating": None, "delta_l": 1e305}}, 3, "modulator.phi0_operating"),
+    ("trace", {"modulator": {"temp_coeff": 1e200, "temp_delta": 1e200}}, 3, "modulator.phi0_operating"),
+    # the default +-1.2 nm scan crossed 0 nm
+    ("scan", {"modulator": {"wavelength": 1e-9}}, 3, "modulator.wavelength"),
+    ("trace", {"modulator": {"phi0_operating": None, "delta_l": 1e305, "wavelength": 1e-9}}, 3,
+     "modulator.wavelength"),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -293,8 +301,8 @@ class TestInputBoundary:
         section, key, bounds, is_int = bounded
         status, err = run_section(section, key, data.draw(within_bounds(bounds, is_int)))
         records = assert_json_stderr(status, err)
-        if status != 0:
-            assert status == 3 and records[-1]["field"] == section
+        if status != 0:   # a rule across fields names its section, or the modulator field it checks
+            assert status == 3 and records[-1]["field"] in (section, f"{section}.{key}")
 
 
 # values each flag accepts, and values that no flag accepts
@@ -511,6 +519,16 @@ class TestScanAndFit:
         assert len(records) == 1 and records[0]["field"] is None
         assert re.fullmatch(error, records[0]["error"])
 
+    def test_fitdl_runs_without_lstsq_or_argsort(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fitdl called lstsq or argsort")
+
+        scan = tmp_path / "scan.csv"
+        assert main(["scan", "--out", str(scan)]) == 0
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        monkeypatch.setattr(np, "argsort", forbidden)
+        assert main(["fitdl", "--in", str(scan), "--out", str(tmp_path / "fit.csv")]) == 0
+
     def test_reversed_scan_gives_identical_bytes(self, tmp_path):
         scan, reversed_scan = tmp_path / "scan.csv", tmp_path / "reversed.csv"
         assert main(["scan", "--out", str(scan)]) == 0
@@ -682,6 +700,17 @@ class TestPolarimetryCommand:
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {"error": "projections must be finite", "field": None}
         assert not out.exists()
+
+    def test_large_finite_projections_give_a_finite_dop(self, tmp_path, capsys):
+        # S1^2 + S2^2 + S3^2 overflowed here, and the DOP column read inf
+        infile = tmp_path / "proj.csv"
+        infile.write_text("i1,i2,i3,s0\n0.5,0.5,0.5,1\n1e200,1e200,1e200,1e200\n")
+        out = tmp_path / "stokes.csv"
+        assert main(["polarimetry", "--in", str(infile), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2] == "1e+200,1e+200,1e+200,1e+200,1.73205081"
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert records == [{"warning": "recovered DOP 1.7321 exceeds 1: projections are inconsistent",
+                            "category": InconsistentProjectionsWarning.__name__}]
 
     def test_missing_input_is_scenario_error(self, tmp_path, capsys):
         assert main(["polarimetry", "--out", str(tmp_path / "x.csv")]) == 2

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
+from ipmsim.bounds import BoundError
 from ipmsim.modulator import (
     BB84_TARGET_STOKES,
     OUTPUT_STAGE,
     RECEIVER_FRAME,
+    SCAN_HALF_SPAN_NM,
     Bb84State,
     ModulatorConfig,
     bb84_drive,
@@ -97,6 +99,27 @@ class TestPhi0:
     def test_temperature_drift_shifts_operating_phase(self):
         cfg = cfg_with(temp_coeff=0.3, temp_delta=2.0)
         assert operating_phi0(cfg) == pytest.approx(np.pi / 4 + 0.6)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"phi0_operating": None, "delta_l": 1e305}, "phi0_operating"),
+            ({"temp_coeff": 1e200, "temp_delta": 1e200}, "phi0_operating"),
+            ({"phi0_operating": 1e308, "temp_coeff": 1e308, "temp_delta": 1.0}, "phi0_operating"),
+            ({"wavelength": 1e-9}, "wavelength"),
+            ({"wavelength": 1.2e-9}, "wavelength"),
+        ],
+    )
+    def test_non_finite_phase_or_scan_past_zero_names_a_field(self, kwargs, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundError) as info:
+                cfg_with(**kwargs)
+        assert info.value.field == field
+
+    def test_default_scan_may_start_just_above_zero(self):
+        cfg = cfg_with(wavelength=float(np.nextafter(1.2e-9, 1.0)), phi0_operating=None)
+        assert cfg.wavelength * 1e9 - SCAN_HALF_SPAN_NM > 0
 
 
 class TestMziJones:
@@ -415,6 +438,27 @@ class TestFitDeltaL:
                                                  "intensities must be normalized to unit input$"):
                 fit_delta_l(self.LAM, scan, 1.468)
 
+    def test_fits_without_lstsq_or_argsort(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fit called lstsq or argsort")
+
+        cfg = cfg_with()
+        scan = wavelength_scan(cfg, 0.0, self.LAM) + np.random.default_rng(11).uniform(-0.02, 0.02, self.LAM.size)
+        expected = fit_delta_l(self.LAM, scan, cfg.n_1)
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        monkeypatch.setattr(np, "argsort", forbidden)
+        assert fit_delta_l(self.LAM, scan, cfg.n_1) == expected
+        assert fit_delta_l(self.LAM[::-1], scan[::-1], cfg.n_1) == expected
+
+    @pytest.mark.parametrize("n, n_fft", [(8, 1024), (1024, 1024), (1025, 2048), (1201, 2048), (2048, 2048)])
+    def test_resamples_at_the_next_power_of_two(self, n, n_fft, monkeypatch):
+        sizes, rfft = [], np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs: sizes.append(len(a)) or rfft(a, *args, **kwargs))
+        lam = np.linspace(1548.8e-9, 1551.2e-9, n)
+        cfg = cfg_with(delta_l=2e-3)   # about 2.9 periods over the span
+        fit_delta_l(lam, wavelength_scan(cfg, 0.0, lam), cfg.n_1)
+        assert sizes == [n_fft]
+
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_overflowing_fit_rejected(self, scale):
         scan = wavelength_scan(cfg_with(), 0.0, self.LAM) * scale
@@ -429,15 +473,23 @@ N_1 = 1.468
 
 @st.composite
 def fringe_scans(draw):
-    """(wavelengths, intensities) of a noisy fringe scan: 2.5-20 periods, 0-5 % noise."""
-    n = draw(st.integers(64, 2000))
+    """(wavelengths, intensities) of a noisy fringe scan, 0-5 % noise.
+
+    Coarse scans of 8-64 points span 2.5 to max(2.5, n/8) periods.  Longer
+    scans, up to 2000 points, span 2.5-20 periods or up to n/8 periods
+    (8 points a fringe), so scans past 1024 points, resampled at the next
+    power of two rather than the 1024-point floor, meet many fringes.
+    """
+    n = draw(st.integers(8, 64) | st.integers(64, 2000))
+    most = max(2.5, n / 8) if n < 64 else max(20.0, n / 8)
     centre_nm = draw(st.floats(1500.0, 1600.0))
     span_nm = draw(st.floats(1.0, 5.0))
     lam = np.linspace(centre_nm - span_nm / 2, centre_nm + span_nm / 2, n) * 1e-9
     if draw(st.booleans()):
         lam = lam[::-1]
     m = 1.0 / lam
-    delta_l = draw(st.floats(2.5, 20.0)) / (N_1 * (m.max() - m.min()))
+    periods = draw(st.floats(2.5, min(20.0, most)) | st.floats(2.5, most))
+    delta_l = periods / (N_1 * (m.max() - m.min()))
     contrast = draw(st.floats(0.3, 1.0))
     psi = draw(st.floats(0.0, 2 * np.pi))
     noise = draw(st.floats(0.0, 0.05))

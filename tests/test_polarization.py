@@ -289,3 +289,26 @@ class TestDegreeOfPolarization:
             degree_of_polarization([0.0, 0, 0, 0])
         with pytest.raises(ValueError, match="S0"):
             degree_of_polarization([-1.0, 0, 0, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(min_value=5e-324, allow_infinity=False),
+                              *[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                    min_size=1, max_size=8))
+    def test_rows_the_plain_formula_computes_keep_its_bits(self, rows):
+        rows = np.array(rows)
+        plain = []
+        for row in rows[:, :, None]:   # each row as arrays of one, so ** 2 squares as on a stack
+            try:
+                with np.errstate(all="raise"):
+                    plain.append((np.sqrt(row[1] ** 2 + row[2] ** 2 + row[3] ** 2) / row[0])[0])
+            except FloatingPointError:   # a square over- or underflows, or the quotient does
+                plain.append(None)
+        kept = [k for k, dop in enumerate(plain) if dop is not None]
+        dop = degree_of_polarization(rows)
+        np.testing.assert_array_equal(dop[kept], [plain[k] for k in kept], strict=True)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+    def test_large_finite_vectors_do_not_overflow(self, scale):
+        with np.errstate(all="raise"):
+            assert degree_of_polarization([scale, scale, scale, scale]) == pytest.approx(np.sqrt(3), rel=1e-15)
+            assert degree_of_polarization([scale, 0.6 * scale, 0.0, -0.8 * scale]) == pytest.approx(1.0, rel=1e-15)
