@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .decoy import gains_and_errors, secure_rate, sweep_loss
-from .modulator import SCAN_HALF_SPAN_NM, bb84_table, fit_delta_l, poincare_trace, wavelength_scan
+from .modulator import bb84_table, fit_delta_l, poincare_trace, wavelength_scan
 from .montecarlo import RateEstimate, SimConfig, SimSpec, estimate, simulate
 from .polarimetry import extract_stokes, measure_stokes
 from .polarization import degree_of_polarization
@@ -73,8 +73,9 @@ def _scan_wavelengths(scn: Scenario, grid: SweepSpec | None):
     """Wavelength grid in meters; --grid (in nm) overrides the default span."""
     if grid is not None:
         return grid.grid() * 1e-9
-    # default: 1201 points, +-1.2 nm around the operating wavelength
-    start_nm = scn.modulator.wavelength * 1e9 - SCAN_HALF_SPAN_NM
+    # default: 1201 points, +-1.2 nm around the operating wavelength, which
+    # ModulatorConfig bounds above 1.2 nm so that the scan stays above 0 nm
+    start_nm = scn.modulator.wavelength * 1e9 - 1.2
     return (start_nm + np.arange(1201) * 0.002) * 1e-9
 
 

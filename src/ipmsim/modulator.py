@@ -35,10 +35,6 @@ from .polarimetry import DEFAULT_QWP_RETARDANCE
 from .polarization import jones_to_mueller, retarder, rotator
 
 
-#: Half-span of the default wavelength scan around the operating wavelength [nm].
-SCAN_HALF_SPAN_NM = 1.2
-
-
 @dataclass(frozen=True)
 class ModulatorConfig:
     """Physical parameters of the intensity-and-polarization modulator.
@@ -49,10 +45,10 @@ class ModulatorConfig:
     phi0 from the geometry (n_1, delta_l, wavelength) instead.
     Temperature drift enters as ``temp_coeff * temp_delta`` added to the
     operating phase.  ``v_pi_pm`` is capped at 1e307 so that the drive
-    swing (v1 - v2) pi stays finite.  Two rules across fields raise a
-    ``BoundError`` naming a field: the default scan, ``wavelength`` +-
-    ``SCAN_HALF_SPAN_NM``, must start above 0 nm, and the operating phase
-    (drift included) must be finite.
+    swing (v1 - v2) pi stays finite, and ``wavelength`` must exceed 1.2 nm
+    so that the CLI's default +-1.2 nm scan stays above 0 nm.  A rule
+    across fields raises a ``BoundError`` naming ``phi0_operating``: the
+    operating phase, drift included, must be finite.
     """
 
     v_pi_im: float = field(default=4.0, metadata={"gt": 0})   # IM half-wave voltage [V]
@@ -62,7 +58,7 @@ class ModulatorConfig:
     delta: float = 0.0            # splitter rotation offset [rad]
     delta_l: float = field(default=6.0e-3, metadata={"ge": 0})   # MZI arm length imbalance [m]
     n_1: float = field(default=1.468, metadata={"gt": 1})        # effective fiber index
-    wavelength: float = field(default=1550e-9, metadata={"gt": 0})   # operating wavelength [m]
+    wavelength: float = field(default=1550e-9, metadata={"gt": 1.2e-9})   # operating wavelength [m]
     qwp_retardance: float = DEFAULT_QWP_RETARDANCE  # receiver QWP actual retardance
     phi0_operating: float | None = np.pi / 4
     temp_coeff: float = 0.0       # d(phi0)/dT [rad/K]
@@ -70,9 +66,6 @@ class ModulatorConfig:
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        if not self.wavelength * 1e9 - SCAN_HALF_SPAN_NM > 0:
-            raise BoundError("wavelength", f"must exceed the default scan's half-span of "
-                                           f"{SCAN_HALF_SPAN_NM} nm, got {self.wavelength}")
         with np.errstate(over="ignore", invalid="ignore"):
             phase = operating_phi0(self)
         if not math.isfinite(phase):
@@ -319,27 +312,18 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
     a, b = (ss * cy - cs * sy) / det, (cc * sy - cs * cy) / det
     params = np.array([w, np.hypot(a, b), np.arctan2(-b, a)])
 
-    def evaluate(p, arg, cos, r):  # fills the fringe argument, its cosine and the residual
-        np.multiply(u, p[0], out=arg)
-        arg += p[2]
-        np.cos(arg, out=cos)
-        np.multiply(cos, p[1], out=r)
-        r += 1.0
-        r *= 0.5
-        r -= y
-        return float(r @ r)
+    def residuals(p):  # the residual and the cosine the Jacobian reuses
+        cos = np.cos(p[0] * u + p[2])
+        return 0.5 * (1.0 + p[1] * cos) - y, cos
 
-    # Gauss-Newton on (w, C, phi) with a row-major Jacobian and two sets of
-    # (argument, cosine, residual) buffers, the current fit's (the seed's
-    # arg and cos arrays, refilled) and the trial's
+    # Gauss-Newton on (w, C, phi), with a row-major (3, n) Jacobian
     jac = np.empty((3, n))
-    trial_arg, trial_cos, r, trial_r = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    cost = evaluate(params, arg, cos, r)
+    r, cos = residuals(params)
+    cost = float(r @ r)
     for _ in range(60):
-        np.sin(arg, out=jac[2])
-        jac[2] *= -0.5 * params[1]
-        np.multiply(jac[2], u, out=jac[0])
-        np.multiply(cos, 0.5, out=jac[1])
+        jac[2] = -0.5 * params[1] * np.sin(params[0] * u + params[2])
+        jac[0] = jac[2] * u
+        jac[1] = 0.5 * cos
         step = np.linalg.solve(jac @ jac.T, -(jac @ r))
         # each residual is rounded by about eps |w u + phi| <= eps (|w| + |phi|),
         # which moves the cost by up to 2 eps (|w| + |phi|) sqrt(n cost); a rise
@@ -347,14 +331,14 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
         rounding = 1e-14 * (1.0 + abs(params[0]) + abs(params[2])) * np.sqrt(n * cost)
         for _ in range(12):
             trial = params + step
-            trial_cost = evaluate(trial, trial_arg, trial_cos, trial_r)
+            trial_r, trial_cos = residuals(trial)
+            trial_cost = float(trial_r @ trial_r)
             if trial_cost <= cost + rounding:
                 break
             step *= 0.5
         else:
             break  # no halving lowers the cost
-        params, cost = trial, trial_cost
-        arg, trial_arg, cos, trial_cos, r, trial_r = trial_arg, arg, trial_cos, cos, trial_r, r
+        params, r, cos, cost = trial, trial_r, trial_cos, trial_cost
         # converged once a step moves the argument by ~1e-12 of w (u spans [-1, 1])
         if np.abs(step).sum() <= 1e-12 * (1.0 + abs(params[0])):
             break

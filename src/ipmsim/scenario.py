@@ -14,8 +14,8 @@ both name ``section.key``.  A value outside the bound its field declares
 (``bounds``), or an ``n_pulses`` of 2**63 or more, is a ``ParameterError``
 naming ``section.key`` too.  A rule across fields (nu < mu, the allocation
 summing to 1, stop_db >= start_db, the 10^7-point grid cap) is a
-``ParameterError`` naming the section; the two modulator rules (the
-default scan above 0 nm, a finite operating phase) name their key.
+``ParameterError`` naming the section, except a finite operating phase,
+which names ``modulator.phi0_operating``.
 ``sim.chunk_pulses`` is checked (>= 1) and otherwise ignored: an MC run
 is one draw keyed by its seed.
 ``resolved_dict`` returns the expanded sections (all defaults applied) for

@@ -11,7 +11,6 @@ from ipmsim.modulator import (
     BB84_TARGET_STOKES,
     OUTPUT_STAGE,
     RECEIVER_FRAME,
-    SCAN_HALF_SPAN_NM,
     Bb84State,
     ModulatorConfig,
     bb84_drive,
@@ -116,10 +115,6 @@ class TestPhi0:
             with pytest.raises(BoundError) as info:
                 cfg_with(**kwargs)
         assert info.value.field == field
-
-    def test_default_scan_may_start_just_above_zero(self):
-        cfg = cfg_with(wavelength=float(np.nextafter(1.2e-9, 1.0)), phi0_operating=None)
-        assert cfg.wavelength * 1e9 - SCAN_HALF_SPAN_NM > 0
 
 
 class TestMziJones:
