@@ -1,10 +1,11 @@
 """Scenario-driven command line front end.
 
-Every command reads one scenario file (all sections optional), writes its
-results to files, prints a one-line summary to stdout, and exits 0.  On
-failure an error record is printed to stderr as a single JSON line and the
-exit status is 2 for a usage error, a malformed scenario or a file that
-cannot be read or written, or 3 for a numerical/parameter failure (the record names the offending field).  Each
+Every command but ``polarimetry`` reads one scenario file (all sections
+optional).  Each command writes its results to files, prints a one-line
+summary to stdout, and exits 0.  On failure an error record is printed to
+stderr as a single JSON line and the exit status is 2 for a usage error,
+a malformed scenario or a file that cannot be read or written, or 3 for a
+numerical/parameter failure (the record names the offending field).  Each
 distinct warning is printed to stderr as one JSON line too.
 
 Output conventions: CSV with a mandatory header row, comma separator,
@@ -307,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
+    for name, (_, help_text, sections) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--scenario", type=Path, default=None, help="scenario JSON file")
+        if sections:
+            cmd.add_argument("--scenario", type=Path, default=None, help="scenario JSON file")
         cmd.add_argument(
             "--out", type=Path, default=Path(f"{name}.csv" if name != "mc" else "mc.json"),
             help="output file path",
@@ -339,7 +341,7 @@ def main(argv=None) -> int:
             json.dumps({"warning": str(message), "category": category.__name__}), file=sys.stderr)
         try:
             args = build_parser().parse_args(argv)
-            scn = load_scenario(args.scenario)
+            scn = load_scenario(getattr(args, "scenario", None))
             summary = _COMMANDS[args.command][0](args, scn)
         except (argparse.ArgumentError, OSError) as exc:
             print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)

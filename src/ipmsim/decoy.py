@@ -291,10 +291,6 @@ class SweepResult:
     threshold_db: float
     threshold_is_grid_edge: bool = False
 
-    @property
-    def points(self) -> list[RatePoint]:
-        return _rate_points(self.columns, self.flag_codes)
-
 
 def _threshold(p: ProtocolParams, ch: ChannelParams, l1, l2, r1, r2) -> float:
     """Loss in [l1, l2] where the unclamped rate, r1 > 0 at l1 and r2 <= 0 at l2, reaches 0.

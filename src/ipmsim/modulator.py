@@ -1,9 +1,10 @@
-"""Intensity modulator and balanced-MZI polarization modulator models.
+"""Balanced-MZI polarization modulator model.
 
-The modulator chain is an intensity modulator followed by a polarization
-modulator: a 45 deg splitter (with a small offset ``delta``), two phase
-modulator arms driven by voltages v1/v2, a combiner, and a fixed output
-stage.  The splitter and the arms are the variable elements; the output
+The polarization modulator is a 45 deg splitter (with a small offset
+``delta``), two phase modulator arms driven by voltages v1/v2, a
+combiner, and a fixed output stage.  The source's intensity modulator is
+not modelled: the decoy intensities are ``protocol.mu`` and ``nu``.
+The splitter and the arms are the variable elements; the output
 stage, ``OUTPUT_STAGE``, is a quarter-wave retarder at -45 deg, which
 brings the modulation from the circular-diagonal plane onto the linear
 plane of the Poincare sphere, followed by a rotator(-pi/4) output frame
@@ -37,7 +38,7 @@ from .polarization import jones_to_mueller, retarder, rotator
 
 @dataclass(frozen=True)
 class ModulatorConfig:
-    """Physical parameters of the intensity-and-polarization modulator.
+    """Physical parameters of the polarization modulator and its receiver waveplate.
 
     ``phi0_operating`` pins the zero-voltage MZI phase at the tuned
     operating point (the laser wavelength is adjusted in practice until
@@ -51,10 +52,7 @@ class ModulatorConfig:
     operating phase, drift included, must be finite.
     """
 
-    v_pi_im: float = field(default=4.0, metadata={"gt": 0})   # IM half-wave voltage [V]
     v_pi_pm: float = field(default=4.0, metadata={"gt": 0, "le": 1e307})   # PM half-wave voltage [V]
-    mod_depth: float = field(default=1.0, metadata={"ge": 0, "le": 1})   # IM modulation depth b
-    phi_1: float = 0.0            # IM zero-voltage phase [rad]
     delta: float = 0.0            # splitter rotation offset [rad]
     delta_l: float = field(default=6.0e-3, metadata={"ge": 0})   # MZI arm length imbalance [m]
     n_1: float = field(default=1.468, metadata={"gt": 1})        # effective fiber index
@@ -75,7 +73,10 @@ class ModulatorConfig:
 
 @dataclass(frozen=True)
 class DriveSettings:
-    """Drive voltages: v0 on the intensity modulator, v1/v2 on the MZI arms."""
+    """MZI arm voltages v1/v2, and v0 = 0 for the unmodelled intensity modulator.
+
+    ``v0`` stays because readers of the ``states`` CSV take S0..S3 by column position.
+    """
 
     v0: float
     v1: float
@@ -98,14 +99,6 @@ BB84_DRIVE_FRACTIONS = {
     Bb84State.A: (3 / 8, -3 / 8),
 }
 
-#: Receiver-frame Stokes targets for the four BB84 states.
-BB84_TARGET_STOKES = {
-    Bb84State.H: np.array([1.0, 1.0, 0.0, 0.0]),
-    Bb84State.D: np.array([1.0, 0.0, 1.0, 0.0]),
-    Bb84State.V: np.array([1.0, -1.0, 0.0, 0.0]),
-    Bb84State.A: np.array([1.0, 0.0, -1.0, 0.0]),
-}
-
 #: Jones matrix of the fixed output stage: a quarter-wave retarder at
 #: -45 deg, then a rotator(-pi/4) that aligns the output frame.
 OUTPUT_STAGE = rotator(-np.pi / 4) @ retarder(-np.pi / 4, np.pi / 2)
@@ -115,11 +108,6 @@ _OUTPUT_MUELLER = jones_to_mueller(OUTPUT_STAGE)
 
 #: Mueller matrix from the modulator output frame to the receiver frame.
 RECEIVER_FRAME = jones_to_mueller(retarder(np.pi / 8, np.pi))
-
-
-def im_transmission(v0: float, cfg: ModulatorConfig):
-    """Intensity modulator transfer 0.5 * (1 + b cos(v0 pi / V_pi + phi_1))."""
-    return 0.5 * (1.0 + cfg.mod_depth * np.cos(v0 * np.pi / cfg.v_pi_im + cfg.phi_1))
 
 
 def phi0(wavelength: float, cfg: ModulatorConfig):
@@ -204,10 +192,15 @@ def wavelength_scan(cfg: ModulatorConfig, polarizer_angle: float, wavelengths) -
     Models the polarizer + quarter-wave analyzer scan used to measure the
     arm imbalance; intensities are normalized to unit input.  The phase
     follows the geometric phi0(lambda) (the scan exists to measure it), so
-    ``phi0_operating`` is deliberately ignored here.
+    ``phi0_operating`` is deliberately ignored here.  Raises ValueError
+    when the phase is not finite (a large ``delta_l`` overflows it).
     """
     lam = np.asarray(wavelengths, dtype=float)
-    return 0.5 * (1.0 + np.cos(2.0 * polarizer_angle) * np.cos(phi0(lam, cfg)))
+    with np.errstate(over="ignore"):
+        phase = phi0(lam, cfg)
+    if not np.isfinite(phase).all():
+        raise ValueError("scan phase 2 pi n_1 delta_l / wavelength passes the float range")
+    return 0.5 * (1.0 + np.cos(2.0 * polarizer_angle) * np.cos(phase))
 
 
 @dataclass(frozen=True)

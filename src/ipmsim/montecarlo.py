@@ -63,7 +63,7 @@ class SimConfig(SimSpec):
     channel: ChannelParams = field(default_factory=ChannelParams)
 
 
-@dataclass
+@dataclass(eq=False)
 class PulseTally:
     """Counts per (pulse class x BB84 state), plus click bookkeeping.
 
@@ -83,12 +83,6 @@ class PulseTally:
     def zeros(cls) -> "PulseTally":
         shape = (len(PULSE_CLASSES), len(STATES))
         return cls(**{name: np.zeros(shape, dtype=np.int64) for name in COUNTERS})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PulseTally):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in (*COUNTERS, "dark_only", "double_click"))
 
     def to_dict(self) -> dict:
         """Nested class -> state -> counters mapping plus click totals."""

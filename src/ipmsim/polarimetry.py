@@ -23,7 +23,6 @@ settings have alpha = beta.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,39 +36,13 @@ DEFAULT_QWP_RETARDANCE = 0.93 * np.pi / 2
 #: Recovered DOP above 1 + this margin triggers an inconsistency warning.
 DOP_WARN_MARGIN = 0.05
 
-_IDEAL_ANGLES = {
-    "S1+": (0.0, 0.0),
-    "S2+": (np.pi / 4, np.pi / 4),
-    "S3+": (np.pi / 4, 0.0),
-}
+#: Polarizer and waveplate angles of the S1+, S2+ and S3+ settings.
+_POLARIZER_ANGLES = np.array([0.0, np.pi / 4, np.pi / 4])
+_QWP_ANGLES = np.array([0.0, np.pi / 4, 0.0])
 
 
 class InconsistentProjectionsWarning(UserWarning):
     """Recovered Stokes vector has DOP well above 1: inputs disagree."""
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One polarimeter setting: polarizer angle, waveplate angle, retardance."""
-
-    polarizer_angle: float
-    qwp_angle: float
-    retardance: float = IDEAL_RETARDANCE
-    label: str = ""
-
-
-def setting(label: str, retardance: float = IDEAL_RETARDANCE) -> MeasurementSetting:
-    """Single standard setting by label ("S1+", "S2+" or "S3+")."""
-    alpha, beta = _IDEAL_ANGLES[label]
-    return MeasurementSetting(alpha, beta, retardance, label)
-
-
-def projected_intensity(s, meas: MeasurementSetting) -> float:
-    """Intensity behind the waveplate + polarizer for Stokes input ``s``."""
-    analyzer = jones_to_mueller(
-        polarizer(meas.polarizer_angle) @ retarder(meas.qwp_angle, meas.retardance)
-    )
-    return float(analyzer[0] @ np.asarray(s, dtype=float))
 
 
 def extract_stokes(i1, i2, i3, s0) -> np.ndarray:
@@ -110,7 +83,6 @@ def measure_stokes(s, retardance: float = IDEAL_RETARDANCE) -> np.ndarray:
     analyzers are built and converted as one (3, 2, 2) stack.
     """
     s = np.asarray(s, dtype=float)
-    alpha, beta = np.array([_IDEAL_ANGLES[label] for label in ("S1+", "S2+", "S3+")]).T
-    analyzers = jones_to_mueller(polarizer(alpha) @ retarder(beta, retardance))
+    analyzers = jones_to_mueller(polarizer(_POLARIZER_ANGLES) @ retarder(_QWP_ANGLES, retardance))
     i1, i2, i3 = (float(row @ s) for row in analyzers[:, 0])
     return extract_stokes(i1, i2, i3, s[0])

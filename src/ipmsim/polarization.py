@@ -133,7 +133,9 @@ def degree_of_polarization(s):
     largest |S_j|, before squaring, and the norm by 2^e after the square
     root.  The scaling is exact, so a vector whose squares neither overflow
     nor underflow keeps the bits of the unscaled formula, and one past
-    1e154 gets a finite norm unless the norm itself passes the float range.
+    1e154 gets a finite norm.  Where the norm itself passes the float
+    range, S0 is scaled by 2^-e instead, so the DOP stays finite when it
+    is within range.
     """
     s = np.asarray(s, dtype=float)
     s0 = s[..., 0]
@@ -142,5 +144,10 @@ def degree_of_polarization(s):
         raise ValueError(f"degree of polarization undefined for S0 = {bad[0]}")
     _, e = np.frexp(np.abs(s[..., 1:]).max(axis=-1))
     v = np.ldexp(s[..., 1:], -e[..., None])
-    dop = np.ldexp(np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2), e) / s0
+    scaled = np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
+    with np.errstate(over="ignore"):   # an infinite norm is redone below
+        norm = np.ldexp(scaled, e)
+    dop = np.asarray(norm / s0)
+    big = np.isinf(norm)
+    dop[big] = scaled[big] / np.ldexp(s0[big], -e[big])
     return float(dop) if dop.ndim == 0 else dop

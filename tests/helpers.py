@@ -1,13 +1,22 @@
-"""Assertion helpers, test-only optics, and the CSV writer and reader, fringe fit and Mueller pipeline oracles."""
+"""Assertion helpers, test-only optics and targets, and the CSV writer and reader, fringe fit and Mueller pipeline oracles."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
-from ipmsim.decoy import RatePoint
-from ipmsim.modulator import OUTPUT_STAGE, ModulatorConfig, ScanFit, operating_phi0
-from ipmsim.polarimetry import IDEAL_RETARDANCE, setting
-from ipmsim.polarization import A_INVERSE, A_MATRIX, CONSTRUCTION_TOL, jones_to_mueller, rotator
+from ipmsim.decoy import RatePoint, SweepResult, _rate_points
+from ipmsim.modulator import OUTPUT_STAGE, Bb84State, ModulatorConfig, ScanFit, operating_phi0
+from ipmsim.polarimetry import IDEAL_RETARDANCE
+from ipmsim.polarization import (
+    A_INVERSE,
+    A_MATRIX,
+    CONSTRUCTION_TOL,
+    jones_to_mueller,
+    polarizer,
+    retarder,
+    rotator,
+)
 from ipmsim.scenario import ScenarioError
 
 
@@ -36,9 +45,38 @@ def stokes_from_jones(e: np.ndarray) -> np.ndarray:
     )
 
 
+#: Receiver-frame Stokes targets for the four BB84 states.
+BB84_TARGET_STOKES = {
+    Bb84State.H: np.array([1.0, 1.0, 0.0, 0.0]),
+    Bb84State.D: np.array([1.0, 0.0, 1.0, 0.0]),
+    Bb84State.V: np.array([1.0, -1.0, 0.0, 0.0]),
+    Bb84State.A: np.array([1.0, 0.0, -1.0, 0.0]),
+}
+
+
+class Setting(NamedTuple):
+    """One polarimeter setting: polarizer angle, waveplate angle, retardance."""
+
+    polarizer_angle: float
+    qwp_angle: float
+    retardance: float = IDEAL_RETARDANCE
+    label: str = ""
+
+
+# (polarizer, waveplate) angles of the standard settings, as the
+# polarimetry module documents them
+STANDARD_ANGLES = {"S1+": (0.0, 0.0), "S2+": (np.pi / 4, np.pi / 4), "S3+": (np.pi / 4, 0.0)}
+
+
 def standard_settings(retardance: float = IDEAL_RETARDANCE):
     """The three S1+/S2+/S3+ settings at the given waveplate retardance."""
-    return tuple(setting(label, retardance) for label in ("S1+", "S2+", "S3+"))
+    return tuple(Setting(*angles, retardance, label) for label, angles in STANDARD_ANGLES.items())
+
+
+def projected_intensity(s, meas: Setting) -> float:
+    """Intensity behind the waveplate + polarizer for Stokes input ``s``."""
+    analyzer = jones_to_mueller(polarizer(meas.polarizer_angle) @ retarder(meas.qwp_angle, meas.retardance))
+    return float(analyzer[0] @ np.asarray(s, dtype=float))
 
 
 # The row-wise CSV writer the CLI used before it wrote columns; the tests
@@ -60,6 +98,11 @@ def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
+
+
+def sweep_points(result: SweepResult) -> list[RatePoint]:
+    """A sweep's rows as the RatePoints ``secure_rate`` gives at each loss."""
+    return _rate_points(result.columns, result.flag_codes)
 
 
 def _rate_row(pt: RatePoint) -> tuple:

@@ -20,7 +20,6 @@ from ipmsim.decoy import (
     sweep_loss,
 )
 from ipmsim.modulator import (
-    BB84_TARGET_STOKES,
     Bb84State,
     ModulatorConfig,
     bb84_drive,
@@ -34,6 +33,8 @@ from ipmsim.modulator import (
 from ipmsim.montecarlo import SimConfig, estimate, simulate
 from ipmsim.polarimetry import measure_stokes
 from ipmsim.polarization import apply_mueller
+
+from helpers import BB84_TARGET_STOKES
 
 H_IN = np.array([1.0, 1.0, 0.0, 0.0])
 Y0_TAIL = math.erfc(3.0 / math.sqrt(2.0)) / 2.0  # one tail of a two-sided 3 sigma test
@@ -270,7 +271,6 @@ def test_criterion_7_monte_carlo_agreement():
 
         cfg0 = SimConfig(n_pulses=10_000_000, seed=0, protocol=protocol, channel=channel)
         rerun = simulate(cfg0)
-        assert first_tally == rerun
         assert first_tally.to_json() == rerun.to_json()
 
         elapsed = time.perf_counter() - start

@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 import ipmsim
 from ipmsim import decoy
-from ipmsim.cli import _COMMANDS, RATE_COLUMNS, _null_z, _read_csv, _write_csv, main
+from ipmsim.cli import _COMMANDS, RATE_COLUMNS, _null_z, _read_csv, _write_csv, build_parser, main
 from ipmsim.decoy import ChannelParams, ProtocolParams, sweep_loss
 from ipmsim.modulator import (
-    BB84_TARGET_STOKES,
     RECEIVER_FRAME,
     Bb84State,
     bb84_drive,
@@ -40,7 +39,7 @@ from ipmsim.scenario import (
     scenario_from_dict,
 )
 
-from helpers import _rate_row, oracle_read_csv
+from helpers import BB84_TARGET_STOKES, _rate_row, oracle_read_csv, sweep_points
 from helpers import _write_csv as rowwise_write_csv
 
 
@@ -149,6 +148,13 @@ PROBES = [
     ("scan", {"modulator": {"wavelength": 1e-9}}, 3, "modulator.wavelength"),
     ("trace", {"modulator": {"phi0_operating": None, "delta_l": 1e305, "wavelength": 1e-9}}, 3,
      "modulator.wavelength"),
+    # a geometric scan phase past the float range wrote nan scan rows with exit 0
+    ("scan", {"modulator": {"delta_l": 1e303}}, 3, None),
+    ("fitdl", {"modulator": {"delta_l": 1e303}}, 3, None),
+    # the intensity-modulator fields left with the model no command ran
+    ("states", {"modulator": {"v_pi_im": 4.0}}, 2, "modulator.v_pi_im"),
+    ("states", {"modulator": {"mod_depth": 1.0}}, 2, "modulator.mod_depth"),
+    ("states", {"modulator": {"phi_1": 0.0}}, 2, "modulator.phi_1"),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -321,7 +327,8 @@ ANY_VALUE = st.sampled_from(
 ) | st.text("0123456789.:-", max_size=8)
 
 
-# the flags each command reads besides --scenario and --out
+# the flags each command reads besides --out, and besides --scenario on the
+# commands whose _COMMANDS entry lists scenario sections
 OWN_FLAGS = {"sweep": ["--grid"], "scan": ["--grid"], "fitdl": ["--grid", "--in"],
              "polarimetry": ["--in"], "mc": ["--seed", "--workers"]}
 
@@ -422,7 +429,7 @@ class TestStatesCommand:
         main(["states", "--out", str(out)])
         sidecar = json.loads((tmp_path / "states.csv.params.json").read_text())
         assert sidecar["command"] == "states"
-        assert sidecar["parameters"]["modulator"]["v_pi_im"] == 4.0
+        assert sidecar["parameters"]["modulator"]["v_pi_pm"] == 4.0
 
 
 SIDECAR_SECTIONS = {
@@ -719,6 +726,17 @@ class TestPolarimetryCommand:
         assert records == [{"warning": "recovered DOP 1.7321 exceeds 1: projections are inconsistent",
                             "category": InconsistentProjectionsWarning.__name__}]
 
+    def test_norm_past_the_float_range_gives_a_finite_dop(self, tmp_path, capsys):
+        # S1..S3 = 1.68e308, so the norm overflows; the DOP column read inf
+        infile = tmp_path / "proj.csv"
+        infile.write_text("i1,i2,i3,s0\n0.5,0.5,0.5,1\n8.9e307,8.9e307,8.9e307,1e307\n")
+        out = tmp_path / "stokes.csv"
+        assert main(["polarimetry", "--in", str(infile), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2] == "1e+307,1.68e+308,1.68e+308,1.68e+308,29.0984536"
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert records == [{"warning": "recovered DOP 29.0985 exceeds 1: projections are inconsistent",
+                            "category": InconsistentProjectionsWarning.__name__}]
+
     def test_missing_input_is_scenario_error(self, tmp_path, capsys):
         assert main(["polarimetry", "--out", str(tmp_path / "x.csv")]) == 2
         record = json.loads(capsys.readouterr().err.strip())
@@ -885,6 +903,7 @@ class TestFlags:
             ["keyrate", "--grid", "0:1:0.1"],
             ["mc", "--grid", "0:1:0.1"],
             ["polarimetry", "--seed", "1"],
+            ["polarimetry", "--scenario", "s.json"],
         ],
     )
     def test_flag_on_a_command_that_ignores_it_exits_2(self, argv, tmp_path, capsys):
@@ -894,6 +913,13 @@ class TestFlags:
         record = json.loads(err)
         assert "unrecognized arguments" in record["error"]
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_each_command_accepts_only_the_flags_it_reads(self, command):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {flag for a in subparsers.choices[command]._actions for flag in a.option_strings}
+        scenario = ["--scenario"] if _COMMANDS[command][2] else []
+        assert flags == {"-h", "--help", "--out", *scenario, *OWN_FLAGS.get(command, [])}
 
     @pytest.mark.parametrize(
         "argv",
@@ -1037,7 +1063,7 @@ class TestColumnarWriter:
             argv += ["--grid", f"{grid.start_db}:{grid.stop_db}:{grid.step_db}"]
         assert main(argv) == 0
         scn = load_scenario(scn_path)
-        points = sweep_loss(scn.protocol, scn.channel, (grid or scn.sweep).grid()).points
+        points = sweep_points(sweep_loss(scn.protocol, scn.channel, (grid or scn.sweep).grid()))
         assert out.read_bytes() == rowwise_bytes(RATE_COLUMNS, [_rate_row(pt) for pt in points])
 
     def test_sweep_command_builds_no_rate_point(self, tmp_path, monkeypatch):
@@ -1047,4 +1073,4 @@ class TestColumnarWriter:
         monkeypatch.setattr(decoy, "RatePoint", no_points)
         assert main(["sweep", "--out", str(tmp_path / "s.csv")]) == 0
         with pytest.raises(AssertionError, match="built a RatePoint"):
-            sweep_loss(ProtocolParams(), ChannelParams(), [40.0]).points
+            sweep_points(sweep_loss(ProtocolParams(), ChannelParams(), [40.0]))

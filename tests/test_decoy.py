@@ -21,7 +21,7 @@ from ipmsim.decoy import (
     transmittance,
 )
 
-from helpers import _fmt, _rate_row
+from helpers import _fmt, _rate_row, sweep_points
 
 # Independent oracle: photon-number-resolved gains by truncated Poisson
 # summation, with the detector law written out from first principles.  An
@@ -332,8 +332,8 @@ class TestSweepLoss:
         p = ProtocolParams()
         ch = ChannelParams(total_loss_db=0.0, detector_efficiency=1.0, dark_rate=0.0)
         result = sweep_loss(p, ch, [0.0])
-        assert len(result.points) == 1
-        assert result.points[0].rate_per_pulse > 0
+        assert len(sweep_points(result)) == 1
+        assert sweep_points(result)[0].rate_per_pulse > 0
         assert result.threshold_is_grid_edge
 
     def test_rejects_bad_grid(self):
@@ -355,16 +355,16 @@ class TestSweepLoss:
 
     def test_rate_monotone_in_loss_and_dark_rate(self):
         p, ch = ProtocolParams(), ChannelParams()
-        rates = [pt.rate_per_second for pt in sweep_loss(p, ch, np.arange(0, 66, 1.0)).points]
+        rates = [pt.rate_per_second for pt in sweep_points(sweep_loss(p, ch, np.arange(0, 66, 1.0)))]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         noisier = ChannelParams(dark_rate=500.0)
-        quiet = sweep_loss(p, ch, [45.0]).points[0].rate_per_second
-        loud = sweep_loss(p, noisier, [45.0]).points[0].rate_per_second
+        quiet = sweep_points(sweep_loss(p, ch, [45.0]))[0].rate_per_second
+        loud = sweep_points(sweep_loss(p, noisier, [45.0]))[0].rate_per_second
         assert loud <= quiet
 
     def test_qber_non_decreasing_in_loss(self):
         p, ch = ProtocolParams(), ChannelParams()
-        qbers = [pt.qber for pt in sweep_loss(p, ch, np.arange(0, 71, 1.0)).points]
+        qbers = [pt.qber for pt in sweep_points(sweep_loss(p, ch, np.arange(0, 71, 1.0)))]
         assert all(b >= a - 1e-15 for a, b in zip(qbers, qbers[1:]))
 
     @pytest.mark.parametrize("step", [0.5, 0.01])
@@ -576,13 +576,13 @@ def assert_sweep_matches_oracle(p, ch, grid):
     channels = [replace(ch, total_loss_db=float(loss)) for loss in grid]
     oracle = [scalar_rate_point(p, at_loss) for at_loss in channels]
     refs = [ref for ref, _ in oracle]
-    got = np.array([[getattr(pt, name) for name in FIELDS] for pt in result.points])
+    got = np.array([[getattr(pt, name) for name in FIELDS] for pt in sweep_points(result)])
     want = np.array([[getattr(ref, name) for name in FIELDS] for ref in refs])
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
-    assert [pt.flags for pt in result.points] == [ref.flags for ref in refs]
-    assert [csv_row(pt) for pt in result.points] == [csv_row(ref) for ref in refs]
+    assert [pt.flags for pt in sweep_points(result)] == [ref.flags for ref in refs]
+    assert [csv_row(pt) for pt in sweep_points(result)] == [csv_row(ref) for ref in refs]
     # a point is a one-element sweep: every row is secure_rate at its loss, bit for bit
-    assert result.points == [secure_rate(p, at_loss) for at_loss in channels]
+    assert sweep_points(result) == [secure_rate(p, at_loss) for at_loss in channels]
 
     raws = [raw for _, raw in oracle]
     positive = [i for i, r in enumerate(raws) if r > 0.0]
@@ -630,12 +630,12 @@ class TestArrayEngineAgainstScalarOracle:
         p, ch = ProtocolParams(), ChannelParams(dark_rate=0.0)
         grid = [0.0, 40.0, 1000.0, 3300.0, 4000.0]
         assert_sweep_matches_oracle(p, ch, grid)
-        assert sweep_loss(p, ch, grid).points[-1].flags == ("no_single_photon_gain",)
+        assert sweep_points(sweep_loss(p, ch, grid))[-1].flags == ("no_single_photon_gain",)
 
     def test_flags_cover_the_clamped_regimes(self):
         rng = np.random.default_rng(2005)
         seen = set()
         for _ in range(20):
             p, ch = random_design(rng)
-            seen.update(pt.flags for pt in sweep_loss(p, ch, self.GRID).points)
+            seen.update(pt.flags for pt in sweep_points(sweep_loss(p, ch, self.GRID)))
         assert {(), ("rate_clamped",), ("e1_at_or_above_half", "rate_clamped")} <= seen

@@ -8,7 +8,6 @@ from scipy.optimize import least_squares
 
 from ipmsim.bounds import BoundError
 from ipmsim.modulator import (
-    BB84_TARGET_STOKES,
     OUTPUT_STAGE,
     RECEIVER_FRAME,
     Bb84State,
@@ -17,7 +16,6 @@ from ipmsim.modulator import (
     bb84_table,
     drive_angle,
     fit_delta_l,
-    im_transmission,
     modulator_mueller,
     operating_phi0,
     output_stokes,
@@ -28,7 +26,7 @@ from ipmsim.modulator import (
 )
 from ipmsim.polarization import apply_mueller, jones_to_mueller, rotator
 
-from helpers import is_unitary, mzi_jones, oracle_fit_delta_l, oracle_modulator_mueller
+from helpers import BB84_TARGET_STOKES, is_unitary, mzi_jones, oracle_fit_delta_l, oracle_modulator_mueller
 
 H_IN = np.array([1.0, 1.0, 0.0, 0.0])
 
@@ -51,24 +49,6 @@ def monotone_phase_segments(v_diff, stokes) -> bool:
 
 def cfg_with(**kwargs) -> ModulatorConfig:
     return ModulatorConfig(**kwargs)
-
-
-class TestIntensityModulator:
-    def test_full_transmission_at_zero_volts(self):
-        assert im_transmission(0.0, cfg_with()) == pytest.approx(1.0)
-
-    def test_extinction_at_half_wave_voltage(self):
-        assert im_transmission(4.0, cfg_with()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_quadrature_point(self):
-        assert im_transmission(2.0, cfg_with()) == pytest.approx(0.5)
-
-    def test_range_respects_modulation_depth(self):
-        cfg = cfg_with(mod_depth=0.8, phi_1=0.4)
-        rng = np.random.default_rng(0)
-        for v in rng.uniform(-20, 20, size=200):
-            t = im_transmission(v, cfg)
-            assert 0.1 - 1e-12 <= t <= 0.9 + 1e-12
 
 
 class TestPhi0:

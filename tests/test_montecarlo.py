@@ -342,12 +342,12 @@ class TestSimulate:
 class TestDeterminism:
     def test_same_seed_same_tally(self):
         cfg = make_cfg(n_pulses=300_000, seed=5)
-        assert simulate(cfg) == simulate(cfg)
+        assert simulate(cfg).to_dict() == simulate(cfg).to_dict()
 
     def test_different_seed_different_tally(self):
         a = simulate(make_cfg(n_pulses=300_000, seed=5, total_loss_db=20.0))
         b = simulate(make_cfg(n_pulses=300_000, seed=6, total_loss_db=20.0))
-        assert a != b
+        assert a.to_dict() != b.to_dict()
 
     def test_chunk_pulses_does_not_change_the_tally(self):
         # the seed alone pins the tally; chunk_pulses is accepted and ignored
@@ -363,7 +363,7 @@ class TestTallySerialization:
     def test_round_trip(self):
         tally = simulate(make_cfg(n_pulses=200_000, total_loss_db=15.0))
         data = json.loads(tally.to_json())
-        assert PulseTally.from_dict(data) == tally
+        assert PulseTally.from_dict(data).to_dict() == tally.to_dict()
 
     def test_nested_layout(self):
         tally = simulate(make_cfg(n_pulses=100_000))

@@ -7,13 +7,10 @@ from ipmsim.polarimetry import (
     DEFAULT_QWP_RETARDANCE,
     IDEAL_RETARDANCE,
     InconsistentProjectionsWarning,
-    MeasurementSetting,
     extract_stokes,
     measure_stokes,
-    projected_intensity,
-    setting,
 )
-from helpers import standard_settings
+from helpers import Setting, projected_intensity, standard_settings
 
 RIGHT_CIRCULAR = np.array([1.0, 0.0, 0.0, 1.0])
 UNPOLARIZED = np.array([1.0, 0.0, 0.0, 0.0])
@@ -47,10 +44,10 @@ def random_physical_stokes(rng, dop_max=1.0):
 
 class TestProjectedIntensity:
     def test_s1_setting_passes_horizontal(self):
-        assert projected_intensity([1, 1, 0, 0], setting("S1+")) == pytest.approx(1.0)
+        assert projected_intensity([1, 1, 0, 0], standard_settings()[0]) == pytest.approx(1.0)
 
     def test_s3_setting_passes_right_circular(self):
-        assert projected_intensity(RIGHT_CIRCULAR, setting("S3+")) == pytest.approx(1.0)
+        assert projected_intensity(RIGHT_CIRCULAR, standard_settings()[2]) == pytest.approx(1.0)
 
     def test_unpolarized_gives_half_everywhere(self):
         for meas in standard_settings():
@@ -60,7 +57,7 @@ class TestProjectedIntensity:
         rng = np.random.default_rng(21)
         for _ in range(300):
             s = random_physical_stokes(rng)
-            meas = MeasurementSetting(
+            meas = Setting(
                 rng.uniform(0, np.pi), rng.uniform(0, np.pi), rng.uniform(0, np.pi)
             )
             i = projected_intensity(s, meas)
@@ -73,13 +70,13 @@ class TestProjectedIntensity:
             pol_angle = rng.uniform(0, np.pi)
             s0 = rng.uniform(0.5, 2.0)
             linear = s0 * np.array([1, np.cos(2 * angle), np.sin(2 * angle), 0])
-            meas = MeasurementSetting(pol_angle, pol_angle, retardance=0.0)
+            meas = Setting(pol_angle, pol_angle, retardance=0.0)
             expected = s0 * np.cos(pol_angle - angle) ** 2
             assert projected_intensity(linear, meas) == pytest.approx(expected, abs=1e-12)
 
     def test_affine_in_each_stokes_component(self):
         rng = np.random.default_rng(23)
-        meas = MeasurementSetting(0.3, 1.1, 1.4)
+        meas = Setting(0.3, 1.1, 1.4)
         base = np.array([1.0, 0.1, -0.2, 0.3])
         for idx in (1, 2, 3):
             bumped, doubled = base.copy(), base.copy()
@@ -96,7 +93,7 @@ class TestProjectedIntensity:
             s = random_physical_stokes(rng)
             alpha, beta = rng.uniform(0, np.pi, size=2)
             delta = rng.uniform(0, np.pi)
-            meas = MeasurementSetting(alpha, beta, delta)
+            meas = Setting(alpha, beta, delta)
             assert projected_intensity(s, meas) == pytest.approx(
                 closed_form_intensity(s, meas), abs=1e-12
             )

@@ -312,3 +312,9 @@ class TestDegreeOfPolarization:
         with np.errstate(all="raise"):
             assert degree_of_polarization([scale, scale, scale, scale]) == pytest.approx(np.sqrt(3), rel=1e-15)
             assert degree_of_polarization([scale, 0.6 * scale, 0.0, -0.8 * scale]) == pytest.approx(1.0, rel=1e-15)
+
+    def test_norm_past_the_float_range_gives_a_finite_dop(self):
+        # sqrt(3) 1.68e308 passes the float range; S0 is scaled instead
+        with np.errstate(all="raise"):
+            dop = degree_of_polarization([[1e307, 1.68e308, 1.68e308, 1.68e308], [2.0, 1.0, 1.0, 0.0]])
+        np.testing.assert_allclose(dop, [np.sqrt(3) * 16.8, np.sqrt(0.5)], rtol=1e-15)
