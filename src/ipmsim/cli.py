@@ -316,16 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--out", type=Path, default=Path(f"{name}.csv" if name != "mc" else "mc.json"),
             help="output file path",
         )
+        inputs = cmd.add_mutually_exclusive_group()   # fitdl reads --in or synthesizes a scan on --grid
         if name in ("sweep", "scan", "fitdl"):
-            cmd.add_argument(
+            inputs.add_argument(
                 "--grid",
                 type=_parse_grid,
                 default=None,
                 help="override grid as start:stop:step (dB for sweep, nm for scan/fitdl)",
             )
         if name in ("fitdl", "polarimetry"):
-            cmd.add_argument("--in", dest="infile", type=Path, default=None,
-                             help="input CSV (fitdl synthesizes a scan when omitted)")
+            inputs.add_argument("--in", dest="infile", type=Path, default=None,
+                                help="input CSV (fitdl synthesizes a scan when omitted)")
         if name == "mc":
             cmd.add_argument("--seed", type=_parse_seed, default=None, help="override the scenario seed")
             cmd.add_argument("--workers", type=_positive_int, default=1,

@@ -205,12 +205,13 @@ def wavelength_scan(cfg: ModulatorConfig, polarizer_angle: float, wavelengths) -
 
 @dataclass(frozen=True)
 class ScanFit:
-    """Result of a fringe fit I(m) = 0.5 (1 + C cos(2 pi n_1 dL m + psi)).
+    """Result of a fringe fit I(m) = c0 (1 + C cos(2 pi n_1 dL m + psi)).
 
-    ``delta_l`` is dL in meters, ``contrast`` is C >= 0, ``phase`` is psi,
-    the fringe phase at wavenumber m = 0, reduced to [0, 2 pi),
-    ``residual_rms`` is the rms of model minus data and ``periods_spanned``
-    is the number of fringe periods the scan covers.
+    ``delta_l`` is dL in meters, ``contrast`` the visibility C >= 0 (the
+    C of 0.5 (1 + C cos) on a unit-normalized scan), ``phase`` psi, the
+    fringe phase at wavenumber m = 0, reduced to [0, 2 pi),
+    ``residual_rms`` the rms of model minus data in the scan's units, and
+    ``periods_spanned`` the number of fringe periods the scan covers.
     """
 
     delta_l: float
@@ -220,31 +221,32 @@ class ScanFit:
     periods_spanned: float
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
-    """Fit I(m) = 0.5 (1 + C cos(2 pi n_1 dL m + psi)) over wavenumber m = 1/lambda.
+    """Fit I(m) = c0 (1 + C cos(2 pi n_1 dL m + psi)) over wavenumber m = 1/lambda.
 
-    The fit runs in the centred wavenumber u = (m - m_c) / h in [-1, 1]
-    (scan centre m_c, half-width h), as the fringe argument w u + phi with
-    phi the phase at the centre.  The dominant rfft bin of the mean-removed
-    scan, resampled uniformly in m (bin spacing 1/span), seeds w, which
-    keeps the non-convex fit out of local minima.  The resample takes the
-    next power of two at or above the scan length, and at least 1024
-    points, so that a coarse scan with few points per fringe is still
-    oversampled.  The 2x2 normal equations of the mean-removed scan on
-    cos(w u) and sin(w u) seed C and phi.
-    Gauss-Newton then refines (w, C, phi): the Jacobian is well conditioned
-    in u, each step solves 3x3 normal equations and is halved only while
-    it raises the cost, and the fit runs to its rounding floor, so a
-    one-ulp change to the intensities moves no printed digit.
+    The scan is divided by 2^e, e the binary exponent of its largest |I|
+    (exact), and fitted as c0 + c1 cos(w u) + c2 sin(w u) in the centred
+    wavenumber u = (m - m_c) / h in [-1, 1] (scan centre m_c, half-width
+    h), so neither its scale nor its offset biases dL.  The dominant rfft
+    bin of the mean-removed scan, resampled uniformly in m at the next
+    power of two at or above its length (at least 1024 points, so that a
+    coarse scan is still oversampled), seeds w, which keeps the non-convex
+    fit out of local minima.  Variable projection (Golub and Pereyra 1973)
+    then refines w alone: at each trial w, (c0, c1, c2) solve the 3x3
+    normal equations on [1, cos, sin], and the step is Kaufman's
+    -(d . r) / |P d|^2, with d = u (c2 cos - c1 sin), r the residual and
+    P the projection off [1, cos, sin].  A step is halved only while it
+    raises the cost, and the fit runs to its rounding floor, so a one-ulp
+    change to the intensities moves no printed digit.
 
     Raises
     ------
     ValueError
         If the arrays are malformed, a wavelength is not finite and
         positive, an intensity is not finite, the grid is not monotone,
-        the scan shows no oscillation or under two periods, or the fit is not
-        finite or its contrast exceeds 1.1 (intensities not unit-normalized).
+        the scan shows no oscillation or under two periods, the fit is not
+        finite, or its offset c0 is not positive.
     """
     lam = np.asarray(wavelengths, dtype=float)
     y = np.asarray(intensities, dtype=float)
@@ -258,6 +260,8 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
     if not (np.all(dlam > 0) or np.all(dlam < 0)):
         raise ValueError("wavelength grid must be monotone")
 
+    _, e = np.frexp(np.abs(y).max())
+    y = np.ldexp(y, -e)   # |y| < 1, exactly; residual_rms is scaled back at the end
     m = 1.0 / lam
     if dlam[0] > 0:  # ascending wavelengths: reverse into ascending m, as contiguous copies
         m, y = m[::-1].copy(), y[::-1].copy()
@@ -292,62 +296,54 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
             f"only {periods:.2f} oscillation periods spanned; need at least 2 to identify the frequency"
         )
 
-    # contrast and phase seed: 2 centered = a cos(w u) + b sin(w u), with
-    # a = C cos(phi) and b = -C sin(phi), by 2x2 normal equations
     m_c, h = 0.5 * (m[0] + m[-1]), 0.5 * span
     u = (m - m_c) / h
+
+    def project(w):  # the best (c0, c1, c2) at w, its residual, cost, inverse normal matrix and basis
+        arg = w * u
+        cos, sin = np.cos(arg), np.sin(arg)
+        sc, ss, cs = cos.sum(), sin.sum(), cos @ sin
+        gram_inv = np.linalg.inv([[n, sc, ss], [sc, cos @ cos, cs], [ss, cs, sin @ sin]])
+        c = gram_inv @ [y.sum(), cos @ y, sin @ y]
+        r = c[1] * cos
+        r += c[2] * sin
+        r += c[0] - y
+        return c, r, float(r @ r), gram_inv, cos, sin
+
     w = 2 * np.pi * freq * h
-    arg = w * u
-    cos, sin = np.cos(arg), np.sin(arg)
-    cc, cs, ss = cos @ cos, cos @ sin, sin @ sin
-    cy, sy = 2.0 * (cos @ centered), 2.0 * (sin @ centered)
-    det = cc * ss - cs * cs
-    a, b = (ss * cy - cs * sy) / det, (cc * sy - cs * cy) / det
-    params = np.array([w, np.hypot(a, b), np.arctan2(-b, a)])
-
-    def residuals(p):  # the residual and the cosine the Jacobian reuses
-        cos = np.cos(p[0] * u + p[2])
-        return 0.5 * (1.0 + p[1] * cos) - y, cos
-
-    # Gauss-Newton on (w, C, phi), with a row-major (3, n) Jacobian
-    jac = np.empty((3, n))
-    r, cos = residuals(params)
-    cost = float(r @ r)
+    c, r, cost, gram_inv, cos, sin = project(w)
     for _ in range(60):
-        jac[2] = -0.5 * params[1] * np.sin(params[0] * u + params[2])
-        jac[0] = jac[2] * u
-        jac[1] = 0.5 * cos
-        step = np.linalg.solve(jac @ jac.T, -(jac @ r))
-        # each residual is rounded by about eps |w u + phi| <= eps (|w| + |phi|),
-        # which moves the cost by up to 2 eps (|w| + |phi|) sqrt(n cost); a rise
-        # within 1e-14 (about 45 eps) of that scale is rounding and keeps the step
-        rounding = 1e-14 * (1.0 + abs(params[0]) + abs(params[2])) * np.sqrt(n * cost)
+        d = c[2] * cos
+        d -= c[1] * sin
+        d *= u
+        d_basis = np.array([d.sum(), cos @ d, sin @ d])
+        step = -float(d @ r) / float(d @ d - d_basis @ gram_inv @ d_basis)
+        # each residual is rounded by about eps |w| of the fringe amplitude (below 1
+        # on the scaled scan), which moves the cost by up to 2 eps |w| sqrt(n cost);
+        # a rise within 1e-14 (about 45 eps) of that scale is rounding and keeps the step
+        rounding = 1e-14 * (1.0 + abs(w)) * np.sqrt(n * cost)
         for _ in range(12):
-            trial = params + step
-            trial_r, trial_cos = residuals(trial)
-            trial_cost = float(trial_r @ trial_r)
-            if trial_cost <= cost + rounding:
+            trial = project(w + step)
+            if trial[2] <= cost + rounding:
                 break
             step *= 0.5
         else:
             break  # no halving lowers the cost
-        params, r, cos, cost = trial, trial_r, trial_cos, trial_cost
+        w += step
+        c, r, cost, gram_inv, cos, sin = trial
         # converged once a step moves the argument by ~1e-12 of w (u spans [-1, 1])
-        if np.abs(step).sum() <= 1e-12 * (1.0 + abs(params[0])):
+        if abs(step) <= 1e-12 * (1.0 + abs(w)):
             break
 
-    w, contrast, phi = params
-    residual_rms = float(np.sqrt(cost / n))
-    if not (np.isfinite(params).all() and np.isfinite(residual_rms)):
-        raise ValueError(f"fit is not finite (contrast {contrast:.3g}, residual rms {residual_rms:.3g}); "
-                         "intensities must be normalized to unit input")
+    contrast = float(np.hypot(c[1], c[2]) / c[0])
+    residual_rms = float(np.ldexp(np.sqrt(cost / n), e))
+    if not (np.isfinite(contrast) and np.isfinite(residual_rms)):
+        raise ValueError(f"fit is not finite (contrast {contrast:.3g}, residual rms {residual_rms:.3g})")
+    if not c[0] > 0:
+        raise ValueError(f"fitted fringe offset {np.ldexp(c[0], e):.3g} must be positive")
     freq = w / (2 * np.pi * h)
-    psi = phi - w * (m_c / h)
-    if contrast < 0:
-        contrast, psi = -contrast, psi + np.pi
-    if contrast > 1.1:  # C <= 1 at unit input; the offset is fixed at 1/2, so a scaled scan misfits dL
-        raise ValueError(f"fitted contrast {contrast:.3g} exceeds 1.1; intensities must be normalized to unit input")
-    return ScanFit(delta_l=float(freq / n_1), contrast=float(contrast),
+    psi = np.arctan2(-c[2], c[1]) - w * (m_c / h)
+    return ScanFit(delta_l=float(freq / n_1), contrast=contrast,
                    phase=float(np.mod(psi, 2 * np.pi)), residual_rms=residual_rms,
                    periods_spanned=float(freq * span))
 

@@ -134,8 +134,9 @@ def degree_of_polarization(s):
     root.  The scaling is exact, so a vector whose squares neither overflow
     nor underflow keeps the bits of the unscaled formula, and one past
     1e154 gets a finite norm.  Where the norm itself passes the float
-    range, S0 is scaled by 2^-e instead, so the DOP stays finite when it
-    is within range.
+    range, the scaled norm is divided by S0's mantissa and the exponents
+    are subtracted, so the DOP stays finite when it is within range, and an
+    infinite DOP warns of an overflow.
     """
     s = np.asarray(s, dtype=float)
     s0 = s[..., 0]
@@ -149,5 +150,6 @@ def degree_of_polarization(s):
         norm = np.ldexp(scaled, e)
     dop = np.asarray(norm / s0)
     big = np.isinf(norm)
-    dop[big] = scaled[big] / np.ldexp(s0[big], -e[big])
+    f0, e0 = np.frexp(s0[big])
+    dop[big] = np.ldexp(scaled[big] / f0, e[big] - e0)   # overflows only where the DOP does
     return float(dop) if dop.ndim == 0 else dop

@@ -4,6 +4,7 @@ import itertools
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from ipmsim.decoy import RatePoint, SweepResult, _rate_points
 from ipmsim.modulator import OUTPUT_STAGE, Bb84State, ModulatorConfig, ScanFit, operating_phi0
@@ -155,112 +156,47 @@ def oracle_read_csv(path, expected_columns: int) -> np.ndarray:
     raise AssertionError(f"{path}: no offending line found")
 
 
-# The fringe fit as the package ran it before the centred-wavenumber
-# Gauss-Newton; the fit tests compare against it.
+# The fringe fit as scipy makes it, seeded without the package's code; the
+# fit tests compare against it.
 
 
-def oracle_fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
-    """The fringe fit in uncentred wavenumber, with SVD Gauss-Newton steps.
+def scipy_fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
+    """The four-parameter fringe fit c0 + c1 cos(w u) + c2 sin(w u) by scipy's least_squares.
 
-    Its frequency and phase columns are nearly collinear (the phase is
-    taken at m = 0, far from the data), so its last digits follow the
-    rounding of the data; the tests hold the centred fit to its delta_l
-    and to no more than its cost.
+    u = (m - m_c) / h is the centred wavenumber, as in the package.  The seed
+    is the peak of a 16-fold zero-padded periodogram of the scan resampled
+    at 4096 points in u, with its linear coefficients at that w; from there
+    Levenberg-Marquardt, with the analytic Jacobian, refines all four.
     """
-    lam = np.asarray(wavelengths, dtype=float)
+    m = 1.0 / np.asarray(wavelengths, dtype=float)
     y = np.asarray(intensities, dtype=float)
-    if lam.ndim != 1 or lam.shape != y.shape or lam.size < 8:
-        raise ValueError("scan must be two equal-length 1-d arrays of at least 8 points")
-    dlam = np.diff(lam)
-    if not (np.all(dlam > 0) or np.all(dlam < 0)):
-        raise ValueError("wavelength grid must be monotone")
-
-    m = 1.0 / lam
-    order = np.argsort(m)
-    m, y = m[order], y[order]
-    span = m[-1] - m[0]
-
-    centered = y - y.mean()
-    if float(np.sqrt(np.mean(centered**2))) < 1e-6:
-        raise ValueError("scan is constant: no oscillation to fit")
-
-    # frequency seed: resample uniformly in m, take the dominant rfft bin
-    n_fft = 1 << max(10, int(np.ceil(np.log2(4 * m.size))))
-    m_uniform = np.linspace(m[0], m[-1], n_fft)
-    spectrum = np.abs(np.fft.rfft(np.interp(m_uniform, m, centered)))
+    m_c, h = 0.5 * (m.max() + m.min()), 0.5 * (m.max() - m.min())
+    u = (m - m_c) / h
+    order = np.argsort(u)
+    grid = np.linspace(-1.0, 1.0, 4096)
+    spectrum = np.abs(np.fft.rfft(np.interp(grid, u[order], y[order] - y.mean()), 16 * grid.size))
     spectrum[0] = 0.0
-    peak = int(np.argmax(spectrum))
-    if peak == 0 or spectrum[peak] < 1e-9:
-        raise ValueError("scan shows no oscillation")
-    # parabolic interpolation around the peak bin
-    if 1 <= peak < spectrum.size - 1:
-        s_l, s_c, s_r = spectrum[peak - 1 : peak + 2]
-        denom = s_l - 2 * s_c + s_r
-        shift = 0.5 * (s_l - s_r) / denom if abs(denom) > 0 else 0.0
-    else:
-        shift = 0.0
-    # bin k of the resampled grid (spacing span/(n_fft-1)) sits at
-    # k (n_fft-1) / (n_fft span) cycles per unit m
-    freq = (peak + shift) * (n_fft - 1) / (n_fft * span)
+    # bin k of the padded transform is k / (16 * 4096) cycles per grid step of 2 / 4095
+    w = 2 * np.pi * int(np.argmax(spectrum)) * (grid.size - 1) / (2 * 16 * grid.size)
 
-    periods = freq * span
-    if periods < 2.0:
-        raise ValueError(
-            f"only {periods:.2f} oscillation periods spanned; need at least 2 to identify the frequency"
-        )
-
-    # phase/contrast seed by linear least squares at the seeded frequency
-    def quadrature_seed(f):
-        cw = np.cos(2 * np.pi * f * m)
-        sw = np.sin(2 * np.pi * f * m)
-        design = np.column_stack([cw, sw])
-        coef, *_ = np.linalg.lstsq(design, 2.0 * centered, rcond=None)
-        a, b = coef
-        return float(np.hypot(a, b)), float(np.arctan2(-b, a))
-
-    contrast, psi = quadrature_seed(freq)
-    params = np.array([freq, contrast, psi])
-
-    def residuals(p):
-        f, c, ps = p
-        return 0.5 * (1.0 + c * np.cos(2 * np.pi * f * m + ps)) - y
+    def basis(w):
+        return np.column_stack([np.ones_like(u), np.cos(w * u), np.sin(w * u)])
 
     def jacobian(p):
-        f, c, ps = p
-        arg = 2 * np.pi * f * m + ps
-        return np.column_stack(
-            [-np.pi * c * m * np.sin(arg), 0.5 * np.cos(arg), -0.5 * c * np.sin(arg)]
-        )
+        cos, sin = np.cos(p[0] * u), np.sin(p[0] * u)
+        return np.column_stack([u * (p[3] * cos - p[2] * sin), np.ones_like(u), cos, sin])
 
-    # damped Gauss-Newton on (frequency, contrast, phase); r is the residual at params
-    r = residuals(params)
-    cost = float(np.sum(r**2))
-    for _ in range(60):
-        jac = jacobian(params)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        lam_damp = 1.0
-        improved = False
-        for _ in range(12):
-            trial = params + lam_damp * step
-            trial_r = residuals(trial)
-            trial_cost = float(np.sum(trial_r**2))
-            if trial_cost < cost:
-                params, r, cost = trial, trial_r, trial_cost
-                improved = True
-                break
-            lam_damp *= 0.5
-        if not improved or float(np.abs(lam_damp * step[0])) < 1e-14 * abs(params[0]):
-            break
-
-    freq, contrast, psi = params
-    if contrast < 0:
-        contrast, psi = -contrast, psi + np.pi
+    start = [w, *np.linalg.lstsq(basis(w), y, rcond=None)[0]]
+    fit = least_squares(lambda p: basis(p[0]) @ p[1:] - y, start, jac=jacobian, method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    w, c0, c1, c2 = fit.x
+    freq = w / (2 * np.pi * h)
     return ScanFit(
         delta_l=float(freq / n_1),
-        contrast=float(contrast),
-        phase=float(np.mod(psi, 2 * np.pi)),
-        residual_rms=float(np.sqrt(np.mean(r**2))),
-        periods_spanned=float(freq * span),
+        contrast=float(np.hypot(c1, c2) / c0),
+        phase=float(np.mod(np.arctan2(-c2, c1) - w * m_c / h, 2 * np.pi)),
+        residual_rms=float(np.sqrt(2 * fit.cost / m.size)),
+        periods_spanned=float(2 * freq * h),
     )
 
 

@@ -511,15 +511,10 @@ class TestScanAndFit:
             (0, lambda c: np.where(np.arange(c.size) == 0, 0.0, c),
              "wavelengths must be finite and positive"),
             (0, lambda c: -c, "wavelengths must be finite and positive"),
-            (1, lambda c: c * 1e300, r"fit is not finite \(contrast .*, residual rms inf\); "
-                                     "intensities must be normalized to unit input"),
-            (1, lambda c: c * 3, r"fitted contrast 2\.93 exceeds 1\.1; "
-                                 "intensities must be normalized to unit input"),
-            (1, lambda c: c * 1e100, r"fitted contrast 9\.68e\+99 exceeds 1\.1; "
-                                     "intensities must be normalized to unit input"),
+            (1, lambda c: -c, r"fitted fringe offset -0\.5 must be positive"),
         ],
         ids=["nan-intensity", "inf-intensity", "zero-wavelength", "negative-wavelengths",
-             "intensities-times-1e300", "intensities-times-3", "intensities-times-1e100"],
+             "negated-intensities"],
     )
     def test_bad_scan_is_named_numerical_exit(self, tmp_path, capsys, column, edit, error):
         scan = tmp_path / "scan.csv"
@@ -532,6 +527,35 @@ class TestScanAndFit:
         records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert len(records) == 1 and records[0]["field"] is None
         assert re.fullmatch(error, records[0]["error"])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda c: c * 1.05, lambda c: c * 0.9, lambda c: c + 0.03, lambda c: c * 3, lambda c: c * 1e-7,
+         lambda c: c * 1e100, lambda c: c * 1e300],
+        ids=["times-1.05", "times-0.9", "plus-0.03", "times-3", "times-1e-7", "times-1e100", "times-1e300"],
+    )
+    def test_scaled_or_offset_scan_fits_delta_l(self, tmp_path, capsys, edit):
+        scan = tmp_path / "scan.csv"
+        assert main(["scan", "--out", str(scan)]) == 0
+        data = _read_csv(scan, 2)
+        _write_csv(scan, ("wavelength_nm", "intensity"), [data[:, 0], edit(data[:, 1])])
+        capsys.readouterr()
+        out = tmp_path / "fit.csv"
+        assert main(["fitdl", "--in", str(scan), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert abs(float(rows[0][0]) / 6.0e-3 - 1) < 1e-9
+
+    def test_in_with_grid_is_a_usage_error(self, tmp_path, capsys):
+        scan = tmp_path / "scan.csv"
+        assert main(["scan", "--out", str(scan)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "fit.csv"
+        assert main(["fitdl", "--in", str(scan), "--grid", "1549:1551:0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "not allowed with" in json.loads(err)["error"]
+        assert not out.exists()
 
     def test_fitdl_runs_without_lstsq_or_argsort(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):

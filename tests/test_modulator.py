@@ -26,7 +26,7 @@ from ipmsim.modulator import (
 )
 from ipmsim.polarization import apply_mueller, jones_to_mueller, rotator
 
-from helpers import BB84_TARGET_STOKES, is_unitary, mzi_jones, oracle_fit_delta_l, oracle_modulator_mueller
+from helpers import BB84_TARGET_STOKES, is_unitary, mzi_jones, oracle_modulator_mueller, scipy_fit_delta_l
 
 H_IN = np.array([1.0, 1.0, 0.0, 0.0])
 
@@ -403,15 +403,19 @@ class TestFitDeltaL:
             with pytest.raises(ValueError, match=f"^{error}$"):
                 fit_delta_l(lam, scan, 1.468)
 
-    @pytest.mark.parametrize("scale, contrast", [(1.5, "1.48"), (3.0, "2.93"), (1e100, "9.68e[+]99")])
-    def test_unnormalized_scan_rejected(self, scale, contrast):
-        # the model's offset is fixed at 1/2, so a scaled scan would fit a wrong delta_l
-        scan = wavelength_scan(cfg_with(), 0.0, self.LAM) * scale
+    @pytest.mark.parametrize("scale", [1.5, 3.0, 1e100, 1e160, 1e300, 1e-7])
+    def test_scaled_scan_fits_the_same_fringe(self, scale):
+        # the offset is fitted, so a scan in any units gives the same dL and visibility
+        cfg = cfg_with()
+        scan = wavelength_scan(cfg, 0.0, self.LAM) + np.random.default_rng(8).uniform(-0.02, 0.02, self.LAM.size)
+        unit = fit_delta_l(self.LAM, scan, cfg.n_1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^fitted contrast {contrast} exceeds 1.1; "
-                                                 "intensities must be normalized to unit input$"):
-                fit_delta_l(self.LAM, scan, 1.468)
+            fit = fit_delta_l(self.LAM, scan * scale, cfg.n_1)
+        assert fit.delta_l == pytest.approx(unit.delta_l, rel=1e-12)
+        assert fit.contrast == pytest.approx(unit.contrast, rel=1e-12)
+        assert circular_distance(fit.phase, unit.phase) < 1e-9
+        assert fit.residual_rms == pytest.approx(scale * unit.residual_rms, rel=1e-12)
 
     def test_fits_without_lstsq_or_argsort(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -434,12 +438,11 @@ class TestFitDeltaL:
         fit_delta_l(lam, wavelength_scan(cfg, 0.0, lam), cfg.n_1)
         assert sizes == [n_fft]
 
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
-    def test_overflowing_fit_rejected(self, scale):
-        scan = wavelength_scan(cfg_with(), 0.0, self.LAM) * scale
+    def test_nonpositive_offset_rejected(self):
+        scan = -wavelength_scan(cfg_with(), 0.0, self.LAM)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="fit is not finite .*residual rms inf"):
+            with pytest.raises(ValueError, match="^fitted fringe offset -0.5 must be positive$"):
                 fit_delta_l(self.LAM, scan, 1.468)
 
 
@@ -473,27 +476,32 @@ def fringe_scans(draw):
     return lam, y + rng.uniform(-noise, noise, n)
 
 
-def centred(fit, lam):
-    """A ScanFit in the centred wavenumber: u in [-1, 1] and params (w, C, phi at the centre).
+def centred(fit, lam, y):
+    """A ScanFit in the centred wavenumber: u in [-1, 1] and params (w, c0, c1, c2).
 
-    With the centre phase reduced to [0, 2 pi), the fringe argument
-    w u + phi is rounded by about eps |w| at each point, instead of the
-    eps 2 pi n_1 dL m of the phase at m = 0.
+    The model is c0 + c1 cos(w u) + c2 sin(w u).  With the centre phase
+    reduced to [0, 2 pi), the fringe argument is rounded by about eps |w|
+    at each point, instead of the eps 2 pi n_1 dL m of the phase at m = 0.
+    The offset c0 is the least-squares one for the fit's dL, visibility
+    and phase; at the fit's optimum it is the fit's own.
     """
     m = 1.0 / lam
     m_c, h = 0.5 * (m.max() + m.min()), 0.5 * (m.max() - m.min())
-    f = N_1 * fit.delta_l
-    return (m - m_c) / h, np.array(
-        [2 * np.pi * f * h, fit.contrast, np.mod(fit.phase + 2 * np.pi * f * m_c, 2 * np.pi)])
+    u = (m - m_c) / h
+    w = 2 * np.pi * N_1 * fit.delta_l * h
+    phi = np.mod(fit.phase + w * m_c / h, 2 * np.pi)
+    shape = 1.0 + fit.contrast * np.cos(w * u + phi)
+    c0 = (shape @ y) / (shape @ shape)
+    return u, np.array([w, c0, c0 * fit.contrast * np.cos(phi), -c0 * fit.contrast * np.sin(phi)])
 
 
 def fringe_residuals(params, u, y):
     """The one residual function both fits are judged by."""
-    return 0.5 * (1.0 + params[1] * np.cos(params[0] * u + params[2])) - y
+    return params[1] + params[2] * np.cos(params[0] * u) + params[3] * np.sin(params[0] * u) - y
 
 
 def fringe_cost(fit, lam, y) -> float:
-    u, params = centred(fit, lam)
+    u, params = centred(fit, lam, y)
     return float(np.sum(fringe_residuals(params, u, y) ** 2))
 
 
@@ -506,12 +514,12 @@ def cost_rounding(fit, lam, y) -> float:
     noise is below about 1e-4.
     """
     eps = np.finfo(float).eps
-    u, params = centred(fit, lam)
-    w, contrast, _ = params
-    per_residual = 4 * eps * (abs(w) + 2 * np.pi) * contrast
+    u, params = centred(fit, lam, y)
+    amplitude = np.hypot(params[2], params[3])
+    per_residual = 4 * eps * (abs(params[0]) + 2 * np.pi) * amplitude
     phase = 8 * eps * 2 * np.pi * N_1 * fit.delta_l * (1.0 / lam).max()
     residuals = fringe_residuals(params, u, y)
-    return 2 * per_residual * float(np.abs(residuals).sum()) + lam.size * (contrast * phase) ** 2
+    return 2 * per_residual * float(np.abs(residuals).sum()) + lam.size * (amplitude * phase) ** 2
 
 
 def circular_distance(a, b):
@@ -519,13 +527,13 @@ def circular_distance(a, b):
 
 
 class TestFitAgainstOracle:
-    """The centred fit against the uncentred SVD fit it replaced, and against scipy."""
+    """The variable-projection fit against scipy's four-parameter least squares."""
 
     @settings(max_examples=100, deadline=None)
     @given(fringe_scans())
     def test_agrees_with_oracle_at_no_higher_cost(self, scan):
         lam, y = scan
-        fit, oracle = fit_delta_l(lam, y, N_1), oracle_fit_delta_l(lam, y, N_1)
+        fit, oracle = fit_delta_l(lam, y, N_1), scipy_fit_delta_l(lam, y, N_1)
         assert abs(fit.delta_l - oracle.delta_l) <= 1e-7 * oracle.delta_l
         assert fringe_cost(fit, lam, y) <= (fringe_cost(oracle, lam, y) * (1 + 1e-12)
                                             + cost_rounding(fit, lam, y))
@@ -544,11 +552,25 @@ class TestFitAgainstOracle:
     def test_scipy_cannot_lower_the_cost(self, scan):
         lam, y = scan
         fit = fit_delta_l(lam, y, N_1)
-        u, start = centred(fit, lam)
+        u, start = centred(fit, lam, y)
         polished = least_squares(fringe_residuals, start, args=(u, y), method="lm",
                                  xtol=1e-15, ftol=1e-15, gtol=1e-15)
         cost = fringe_cost(fit, lam, y)
         assert 2 * polished.cost >= cost * (1 - 1e-12) - cost_rounding(fit, lam, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fringe_scans(), st.integers(-1000, 1000), st.floats(0.0, 0.5))
+    def test_scale_and_background_leave_delta_l(self, scan, k, background):
+        # 2^k y + b has offset 2^k c0 + b under the same fringe; below unit
+        # scale a background would round the fringe away, so it needs k >= 0
+        lam, y = scan
+        if k < 0:
+            background = 0.0
+        fit = fit_delta_l(lam, y, N_1)
+        moved = fit_delta_l(lam, np.ldexp(y, k) + background, N_1)
+        assert abs(moved.delta_l - fit.delta_l) <= 1e-12 * fit.delta_l
+        offset = centred(fit, lam, y)[1][1]
+        assert moved.contrast == pytest.approx(fit.contrast / (1 + background / np.ldexp(offset, k)), rel=1e-12)
 
 
 class TestPoincareTrace:

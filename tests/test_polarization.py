@@ -318,3 +318,9 @@ class TestDegreeOfPolarization:
         with np.errstate(all="raise"):
             dop = degree_of_polarization([[1e307, 1.68e308, 1.68e308, 1.68e308], [2.0, 1.0, 1.0, 0.0]])
         np.testing.assert_allclose(dop, [np.sqrt(3) * 16.8, np.sqrt(0.5)], rtol=1e-15)
+
+    def test_dop_past_the_float_range_warns_of_an_overflow(self):
+        # sqrt(2) 1.7e308 / 1e-300 passes the float range; the one warning names an overflow
+        with pytest.warns(RuntimeWarning) as record:
+            assert degree_of_polarization((1e-300, 1.7e308, 1.7e308, 0)) == np.inf
+        assert [str(w.message) for w in record] == ["overflow encountered in ldexp"]
