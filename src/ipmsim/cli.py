@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--out", type=Path, default=Path(f"{name}.csv" if name != "mc" else "mc.json"),
             help="output file path",
         )
-        inputs = cmd.add_mutually_exclusive_group()   # fitdl reads --in or synthesizes a scan on --grid
+        inputs = cmd.add_mutually_exclusive_group() if name == "fitdl" else cmd   # --in or --grid
         if name in ("sweep", "scan", "fitdl"):
             inputs.add_argument(
                 "--grid",

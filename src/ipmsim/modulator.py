@@ -221,7 +221,7 @@ class ScanFit:
     periods_spanned: float
 
 
-@np.errstate(all="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
     """Fit I(m) = c0 (1 + C cos(2 pi n_1 dL m + psi)) over wavenumber m = 1/lambda.
 
@@ -335,12 +335,12 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
         if abs(step) <= 1e-12 * (1.0 + abs(w)):
             break
 
+    if c[0] <= 0:  # before the visibility divides by it (a nan offset fails the finite check)
+        raise ValueError(f"fitted fringe offset {np.ldexp(c[0], e):.3g} must be positive")
     contrast = float(np.hypot(c[1], c[2]) / c[0])
     residual_rms = float(np.ldexp(np.sqrt(cost / n), e))
     if not (np.isfinite(contrast) and np.isfinite(residual_rms)):
         raise ValueError(f"fit is not finite (contrast {contrast:.3g}, residual rms {residual_rms:.3g})")
-    if not c[0] > 0:
-        raise ValueError(f"fitted fringe offset {np.ldexp(c[0], e):.3g} must be positive")
     freq = w / (2 * np.pi * h)
     psi = np.arctan2(-c[2], c[1]) - w * (m_c / h)
     return ScanFit(delta_l=float(freq / n_1), contrast=contrast,

@@ -1006,7 +1006,7 @@ class TestFlags:
         assert reason in record["error"] and record["field"] is None
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], *([name, "--help"] for name in _COMMANDS)])
     def test_help_and_version_exit_0(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)

@@ -445,6 +445,15 @@ class TestFitDeltaL:
             with pytest.raises(ValueError, match="^fitted fringe offset -0.5 must be positive$"):
                 fit_delta_l(self.LAM, scan, 1.468)
 
+    def test_zero_offset_is_named_before_the_visibility_divides(self, monkeypatch):
+        # a zeroed first row of the inverse normal matrix makes every fitted c0 exactly 0
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) * [[0.0], [1.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^fitted fringe offset 0 must be positive$"):
+                fit_delta_l(self.LAM, wavelength_scan(cfg_with(), 0.0, self.LAM), 1.468)
+
 
 N_1 = 1.468
 
