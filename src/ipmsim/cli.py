@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .decoy import gains_and_errors, secure_rate, sweep_loss
 from .modulator import bb84_table, fit_delta_l, poincare_trace, wavelength_scan
-from .montecarlo import RateEstimate, SimConfig, SimSpec, estimate, simulate
+from .montecarlo import STATES, RateEstimate, SimConfig, SimSpec, estimate, simulate
 from .polarimetry import extract_stokes, measure_stokes
 from .polarization import degree_of_polarization
 from .scenario import Scenario, ScenarioError, SweepSpec, _check_value, load_scenario, resolved_dict
@@ -67,7 +67,7 @@ def _write_sidecar(out: Path, command: str, scn: Scenario, extra: dict | None = 
     if extra:
         record.update(extra)
     sidecar = out.with_name(out.name + ".params.json")
-    sidecar.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    sidecar.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _scan_wavelengths(scn: Scenario, grid: SweepSpec | None):
@@ -81,17 +81,17 @@ def _scan_wavelengths(scn: Scenario, grid: SweepSpec | None):
 
 
 def _cmd_states(args, scn: Scenario) -> str:
+    v, stokes = bb84_table(scn.modulator)
     # S1..S3 are the ideal outputs; S*_meas is what the polarimeter recovers
     # through the configured (possibly imperfect) waveplate retardance
-    rows = []
-    for state, drive, stokes in bb84_table(scn.modulator):
-        measured = measure_stokes(stokes, retardance=scn.modulator.qwp_retardance)
-        rows.append((state.value, drive.v0, drive.v1, drive.v2, *stokes, *measured[1:]))
+    measured = np.array([measure_stokes(s, retardance=scn.modulator.qwp_retardance) for s in stokes])
     _write_csv(
         args.out,
         ("state", "v0", "v1", "v2", "S0", "S1", "S2", "S3",
          "S1_meas", "S2_meas", "S3_meas"),
-        list(zip(*rows)),
+        # v0, the unmodelled intensity modulator's drive, stays 0 because
+        # ipmbench reads S0..S3 by column position
+        (np.array(STATES), np.zeros(4), *v.T, *stokes.T, *measured[:, 1:].T),
     )
     _write_sidecar(args.out, "states", scn)
     return f"states: wrote 4 drive settings to {args.out}"
@@ -170,8 +170,6 @@ def _cmd_fitdl(args, scn: Scenario) -> str:
 
 
 def _cmd_polarimetry(args, scn: Scenario) -> str:
-    if args.infile is None:
-        raise ScenarioError("polarimetry requires --in CSV with columns i1,i2,i3,s0")
     stokes = extract_stokes(*_read_csv(args.infile, 4).T)
     _write_csv(args.out, ("S0", "S1", "S2", "S3", "DOP"), (*stokes.T, degree_of_polarization(stokes)))
     _write_sidecar(args.out, "polarimetry", scn, {"input": str(args.infile)})
@@ -198,7 +196,8 @@ def _cmd_sweep(args, scn: Scenario) -> str:
         scn,
         {
             "grid": dataclasses.asdict(grid_spec),
-            "threshold_db": result.threshold_db,
+            # NaN (no grid point is positive) is not JSON: null stands for it
+            "threshold_db": None if np.isnan(result.threshold_db) else result.threshold_db,
             "threshold_is_grid_edge": result.threshold_is_grid_edge,
         },
     )
@@ -295,10 +294,16 @@ def _positive_int(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, so ``main`` reports them as one JSON record."""
+    """Raises usage errors, so ``main`` reports them as one JSON record.
+
+    A subcommand's error passes back through its own and its parent's
+    ``parse_known_args``, each calling ``error`` again: prefix the prog once.
+    """
 
     def error(self, message: str):
-        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+        if not message.startswith("ipmsim"):
+            message = f"{self.prog}: {message}"
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,9 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="override grid as start:stop:step (dB for sweep, nm for scan/fitdl)",
             )
-        if name in ("fitdl", "polarimetry"):
+        if name == "fitdl":
             inputs.add_argument("--in", dest="infile", type=Path, default=None,
-                                help="input CSV (fitdl synthesizes a scan when omitted)")
+                                help="scan CSV wavelength_nm,intensity (a scan is synthesized when omitted)")
+        if name == "polarimetry":
+            cmd.add_argument("--in", dest="infile", type=Path, required=True,
+                             help="projection CSV with columns i1,i2,i3,s0")
         if name == "mc":
             cmd.add_argument("--seed", type=_parse_seed, default=None, help="override the scenario seed")
             cmd.add_argument("--workers", type=_positive_int, default=1,

@@ -25,7 +25,6 @@ targets are stated in the receiver frame.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -71,33 +70,10 @@ class ModulatorConfig:
                                                f"(a null phi0 is 2 pi n_1 delta_l / wavelength), got {phase}")
 
 
-@dataclass(frozen=True)
-class DriveSettings:
-    """MZI arm voltages v1/v2, and v0 = 0 for the unmodelled intensity modulator.
-
-    ``v0`` stays because readers of the ``states`` CSV take S0..S3 by column position.
-    """
-
-    v0: float
-    v1: float
-    v2: float
-
-
-class Bb84State(enum.Enum):
-    H = "H"
-    D = "D"
-    V = "V"
-    A = "A"
-
-
-#: Table of MZI arm voltages per BB84 state, in units of v_pi_pm.
-#: Settings are symmetric around zero volts (v1 + v2 = 0, no DC bias).
-BB84_DRIVE_FRACTIONS = {
-    Bb84State.H: (1 / 8, -1 / 8),
-    Bb84State.D: (-1 / 8, 1 / 8),
-    Bb84State.V: (-3 / 8, 3 / 8),
-    Bb84State.A: (3 / 8, -3 / 8),
-}
+#: MZI arm voltages (v1, v2) per BB84 state, in units of v_pi_pm, one row
+#: per state in ``montecarlo.STATES`` order (H, D, V, A).  Settings are
+#: symmetric around zero volts (v1 + v2 = 0, no DC bias).
+BB84_DRIVE_FRACTIONS = np.array([[1 / 8, -1 / 8], [-1 / 8, 1 / 8], [-3 / 8, 3 / 8], [3 / 8, -3 / 8]])
 
 #: Jones matrix of the fixed output stage: a quarter-wave retarder at
 #: -45 deg, then a rotator(-pi/4) that aligns the output frame.
@@ -171,19 +147,16 @@ def output_stokes(v1, v2, cfg: ModulatorConfig) -> np.ndarray:
     return np.stack([np.ones_like(s1), s1, s2, s3], axis=-1)
 
 
-def bb84_drive(state: Bb84State, cfg: ModulatorConfig) -> DriveSettings:
-    """Arm voltages for a BB84 state (drive table, phi0 = pi/4 operating point; v0 = 0)."""
-    f1, f2 = BB84_DRIVE_FRACTIONS[Bb84State(state)]
-    return DriveSettings(v0=0.0, v1=f1 * cfg.v_pi_pm, v2=f2 * cfg.v_pi_pm)
+def bb84_table(cfg: ModulatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Arm voltages (4, 2) and receiver-frame Stokes vectors (4, 4) of the BB84 states.
 
-
-def bb84_table(cfg: ModulatorConfig) -> list[tuple[Bb84State, DriveSettings, np.ndarray]]:
-    """Drive settings and receiver-frame Stokes output for all four states."""
-    rows = []
-    for state in Bb84State:
-        drive = bb84_drive(state, cfg)
-        rows.append((state, drive, RECEIVER_FRAME @ output_stokes(drive.v1, drive.v2, cfg)))
-    return rows
+    Rows follow ``montecarlo.STATES`` (H, D, V, A); the drive fractions
+    are set for the phi0 = pi/4 operating point.
+    """
+    v = BB84_DRIVE_FRACTIONS * cfg.v_pi_pm
+    s = output_stokes(v[:, 0], v[:, 1], cfg)
+    # a stack of matvecs gives each row the bits of RECEIVER_FRAME @ row, which s @ RECEIVER_FRAME.T does not
+    return v, (RECEIVER_FRAME @ s[..., None])[..., 0]
 
 
 def wavelength_scan(cfg: ModulatorConfig, polarizer_angle: float, wavelengths) -> np.ndarray:
@@ -364,5 +337,5 @@ def poincare_trace(cfg: ModulatorConfig, n_periods: int = 2, samples_per_period:
     n = n_periods * samples_per_period
     t = np.arange(n) / samples_per_period
     v1 = cfg.v_pi_pm / 2.0 * triangular_wave(t)
-    v2 = -v1
+    v2 = 0.0 - v1   # not -v1, which writes -0 where v1 = 0
     return t, v1, v2, output_stokes(v1, v2, cfg)

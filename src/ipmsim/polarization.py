@@ -15,11 +15,6 @@ Conventions (used consistently by every module in this package):
   change-of-basis matrix ``A`` below, M = A (J kron J*) A^-1, with
   J kron J* formed as one broadcast outer product.
 
-Retarder and polarizer matrices are normalized so their first entry
-(row-major) above ``CONSTRUCTION_TOL`` is real non-negative, giving
-deterministic comparisons; the global phase is invisible in the Mueller
-calculus anyway.
-
 The element constructors take float or ndarray angles: a scalar call
 gives one 2x2 matrix, array arguments give a (..., 2, 2) stack equal,
 matrix by matrix, to the scalar calls.  ``jones_to_mueller`` maps a
@@ -32,9 +27,6 @@ is pure and reentrant.
 from __future__ import annotations
 
 import numpy as np
-
-# Construction-time checks run at 1e-12.
-CONSTRUCTION_TOL = 1e-12
 
 #: Stokes basis change for M = A (J kron J*) A^-1.
 A_MATRIX = np.array(
@@ -50,23 +42,6 @@ A_INVERSE = A_MATRIX.conj().T / 2.0
 
 #: Horizontal polarizer in its own frame.
 _H_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
-def _normalize_phase(j: np.ndarray) -> np.ndarray:
-    """Rotate each matrix's global phase so its first entry above tolerance is real >= 0.
-
-    Matrices with no such entry come back unchanged.  A 2x2 matrix is a
-    stack of one; the scan runs matrix by matrix, which for the stacks of a
-    few matrices built here costs less than a vectorized argmax/gather.
-    """
-    out = j.copy()
-    for row in out.reshape(-1, 4):
-        for entry in row.tolist():
-            if abs(entry) > CONSTRUCTION_TOL:
-                # np.arctan2(z.imag, z.real) is np.angle(z) without its Python-level dispatch
-                row *= np.exp(-1j * np.arctan2(entry.imag, entry.real))
-                break
-    return out
 
 
 def rotator(theta) -> np.ndarray:
@@ -87,7 +62,7 @@ def retarder(theta, retardance) -> np.ndarray:
     j0 = np.zeros(np.shape(slow) + (2, 2), dtype=complex)
     j0[..., 0, 0] = 1.0
     j0[..., 1, 1] = slow
-    return _normalize_phase(rotator(-theta) @ j0 @ rotator(theta))
+    return rotator(-theta) @ j0 @ rotator(theta)
 
 
 def polarizer(theta) -> np.ndarray:
@@ -95,7 +70,7 @@ def polarizer(theta) -> np.ndarray:
 
     Array angles give a (..., 2, 2) stack.
     """
-    return _normalize_phase(rotator(-theta) @ _H_PROJECTOR @ rotator(theta))
+    return rotator(-theta) @ _H_PROJECTOR @ rotator(theta)
 
 
 def jones_to_mueller(j: np.ndarray) -> np.ndarray:

@@ -7,12 +7,11 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from ipmsim.decoy import RatePoint, SweepResult, _rate_points
-from ipmsim.modulator import OUTPUT_STAGE, Bb84State, ModulatorConfig, ScanFit, operating_phi0
+from ipmsim.modulator import OUTPUT_STAGE, ModulatorConfig, ScanFit, operating_phi0
 from ipmsim.polarimetry import IDEAL_RETARDANCE
 from ipmsim.polarization import (
     A_INVERSE,
     A_MATRIX,
-    CONSTRUCTION_TOL,
     jones_to_mueller,
     polarizer,
     retarder,
@@ -20,8 +19,16 @@ from ipmsim.polarization import (
 )
 from ipmsim.scenario import ScenarioError
 
+#: Closed-form element identities hold to 1e-12.
+ELEMENT_TOL = 1e-12
 
-def is_unitary(j, tol=CONSTRUCTION_TOL):
+
+def bitwise_equal(a, b) -> bool:
+    """Same shape, dtype and bytes: signed zeros count."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def is_unitary(j, tol=ELEMENT_TOL):
     """True if J is unitary to within ``tol`` (lossless element check)."""
     j = np.asarray(j, dtype=complex)
     return bool(np.abs(j.conj().T @ j - np.eye(2)).max() <= tol)
@@ -48,10 +55,10 @@ def stokes_from_jones(e: np.ndarray) -> np.ndarray:
 
 #: Receiver-frame Stokes targets for the four BB84 states.
 BB84_TARGET_STOKES = {
-    Bb84State.H: np.array([1.0, 1.0, 0.0, 0.0]),
-    Bb84State.D: np.array([1.0, 0.0, 1.0, 0.0]),
-    Bb84State.V: np.array([1.0, -1.0, 0.0, 0.0]),
-    Bb84State.A: np.array([1.0, 0.0, -1.0, 0.0]),
+    "H": np.array([1.0, 1.0, 0.0, 0.0]),
+    "D": np.array([1.0, 0.0, 1.0, 0.0]),
+    "V": np.array([1.0, -1.0, 0.0, 0.0]),
+    "A": np.array([1.0, 0.0, -1.0, 0.0]),
 }
 
 

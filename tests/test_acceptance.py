@@ -20,9 +20,7 @@ from ipmsim.decoy import (
     sweep_loss,
 )
 from ipmsim.modulator import (
-    Bb84State,
     ModulatorConfig,
-    bb84_drive,
     bb84_table,
     fit_delta_l,
     modulator_mueller,
@@ -30,7 +28,7 @@ from ipmsim.modulator import (
     poincare_trace,
     wavelength_scan,
 )
-from ipmsim.montecarlo import SimConfig, estimate, simulate
+from ipmsim.montecarlo import STATES, SimConfig, estimate, simulate
 from ipmsim.polarimetry import measure_stokes
 from ipmsim.polarization import apply_mueller
 
@@ -81,24 +79,19 @@ def test_criterion_1_closed_form_equals_component_pipeline():
 def test_criterion_2_bb84_state_table():
     with criterion(2, "drive table states and basis geometry at 1e-12"):
         cfg = ModulatorConfig()  # operating phase pi/4, no splitter offset
-        expected_volts = {
-            Bb84State.H: (0.5, -0.5),
-            Bb84State.D: (-0.5, 0.5),
-            Bb84State.V: (-1.5, 1.5),
-            Bb84State.A: (1.5, -1.5),
-        }
+        expected_volts = {"H": (0.5, -0.5), "D": (-0.5, 0.5), "V": (-1.5, 1.5), "A": (1.5, -1.5)}
+        volts, stokes = bb84_table(cfg)
         vectors = {}
-        for state, drive, stokes in bb84_table(cfg):
-            assert drive == bb84_drive(state, cfg)
-            assert (drive.v1, drive.v2) == expected_volts[state]
-            assert drive.v1 + drive.v2 == 0.0
-            np.testing.assert_allclose(stokes, BB84_TARGET_STOKES[state], atol=1e-12)
-            assert abs(stokes[3]) <= 1e-12  # equator
-            vectors[state] = stokes[1:]
-        assert abs(np.dot(vectors[Bb84State.H], vectors[Bb84State.V]) + 1) <= 1e-12
-        assert abs(np.dot(vectors[Bb84State.D], vectors[Bb84State.A]) + 1) <= 1e-12
-        for z in (Bb84State.H, Bb84State.V):
-            for x in (Bb84State.D, Bb84State.A):
+        for state, (v1, v2), s in zip(STATES, volts, stokes):
+            assert (v1, v2) == expected_volts[state]
+            assert v1 + v2 == 0.0
+            np.testing.assert_allclose(s, BB84_TARGET_STOKES[state], atol=1e-12)
+            assert abs(s[3]) <= 1e-12  # equator
+            vectors[state] = s[1:]
+        assert abs(np.dot(vectors["H"], vectors["V"]) + 1) <= 1e-12
+        assert abs(np.dot(vectors["D"], vectors["A"]) + 1) <= 1e-12
+        for z in "HV":
+            for x in "DA":
                 assert abs(np.dot(vectors[z], vectors[x])) <= 1e-12
 
 

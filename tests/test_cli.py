@@ -19,13 +19,8 @@ import ipmsim
 from ipmsim import decoy
 from ipmsim.cli import _COMMANDS, RATE_COLUMNS, _null_z, _read_csv, _write_csv, build_parser, main
 from ipmsim.decoy import ChannelParams, ProtocolParams, sweep_loss
-from ipmsim.modulator import (
-    RECEIVER_FRAME,
-    Bb84State,
-    bb84_drive,
-    modulator_mueller,
-)
-from ipmsim.montecarlo import RateEstimate
+from ipmsim.modulator import BB84_DRIVE_FRACTIONS, RECEIVER_FRAME, modulator_mueller
+from ipmsim.montecarlo import STATES, RateEstimate
 from ipmsim.polarimetry import InconsistentProjectionsWarning
 from ipmsim.polarization import apply_mueller
 from ipmsim.scenario import (
@@ -47,6 +42,13 @@ def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def strict_json(text):
+    """Parse JSON that must hold no NaN or Infinity, which the JSON grammar lacks."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def read_csv(path):
@@ -376,9 +378,9 @@ class TestStatesCommand:
             "state", "v0", "v1", "v2", "S0", "S1", "S2", "S3",
             "S1_meas", "S2_meas", "S3_meas",
         ]
-        assert [r[0] for r in rows] == ["H", "D", "V", "A"]
+        assert [r[0] for r in rows] == list(STATES)
         for row in rows:
-            target = BB84_TARGET_STOKES[Bb84State(row[0])]
+            target = BB84_TARGET_STOKES[row[0]]
             got = np.array([float(x) for x in row[4:8]])
             np.testing.assert_allclose(got, target, atol=1e-12)
             assert float(row[2]) + float(row[3]) == 0.0
@@ -413,9 +415,8 @@ class TestStatesCommand:
         }]
         _, rows = read_csv(out)
         h_in = np.array([1.0, 1.0, 0.0, 0.0])
-        for row in rows:
-            drive = bb84_drive(Bb84State(row[0]), cfg)
-            want = RECEIVER_FRAME @ apply_mueller(modulator_mueller(drive.v1, drive.v2, cfg), h_in)
+        for row, (v1, v2) in zip(rows, BB84_DRIVE_FRACTIONS * cfg.v_pi_pm):
+            want = RECEIVER_FRAME @ apply_mueller(modulator_mueller(v1, v2, cfg), h_in)
             got = np.array([float(x) for x in row[4:]])
             np.testing.assert_allclose(got[:4], want, rtol=1e-8, atol=1e-12)
             d = cfg.qwp_retardance
@@ -452,7 +453,7 @@ class TestSidecars:
         out = tmp_path / "out"
         argv = [command, "--in", str(proj)] if command == "polarimetry" else [command]
         assert main([*argv, "--out", str(out)]) == 0
-        sidecar = json.loads((tmp_path / "out.params.json").read_text())
+        sidecar = strict_json((tmp_path / "out.params.json").read_text())
         sections = SIDECAR_SECTIONS[command]
         assert sidecar["command"] == command
         assert sidecar["parameters"] == resolved_dict(Scenario(), sorted(sections))
@@ -467,6 +468,14 @@ class TestTraceCommand:
         assert header == ["t", "v1", "v2", "S0", "S1", "S2", "S3"]
         s3 = np.array([float(r[6]) for r in rows])
         assert np.max(np.abs(s3)) <= 1e-12
+
+    def test_no_cell_reads_minus_zero(self, tmp_path):
+        # the push-pull drive crosses 0 V four times, where v2 = -v1 would print -0
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [row[0] for row in rows if row[2] == "0"] == ["0", "0.5", "1", "1.5"]
+        assert "-0" not in {cell for row in rows for cell in row}
 
 
 class TestScanAndFit:
@@ -763,8 +772,9 @@ class TestPolarimetryCommand:
 
     def test_missing_input_is_scenario_error(self, tmp_path, capsys):
         assert main(["polarimetry", "--out", str(tmp_path / "x.csv")]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert "--in" in record["error"]
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ipmsim polarimetry: the following arguments are required: --in",
+                                    "field": None}
 
 
 class TestKeyrateAndSweep:
@@ -825,6 +835,13 @@ class TestKeyrateAndSweep:
                      "--grid", "3000:3300:1"]) == 0
         assert capsys.readouterr().err == ""
         assert len(read_csv(out)[1]) == 301
+
+    def test_no_positive_point_writes_a_null_threshold(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--out", str(out), "--grid", "80:90:1"]) == 0
+        sidecar = strict_json((tmp_path / "s.csv.params.json").read_text())
+        assert sidecar["threshold_db"] is None and not sidecar["threshold_is_grid_edge"]
+        assert "threshold nan dB" in capsys.readouterr().out
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -926,8 +943,9 @@ class TestFlags:
             ["states", "--grid", "0:1:0.1"],
             ["keyrate", "--grid", "0:1:0.1"],
             ["mc", "--grid", "0:1:0.1"],
-            ["polarimetry", "--seed", "1"],
-            ["polarimetry", "--scenario", "s.json"],
+            # with --in, which polarimetry requires, so the ignored flag is the only error
+            ["polarimetry", "--in", "p.csv", "--seed", "1"],
+            ["polarimetry", "--in", "p.csv", "--scenario", "s.json"],
         ],
     )
     def test_flag_on_a_command_that_ignores_it_exits_2(self, argv, tmp_path, capsys):

@@ -10,9 +10,7 @@ from ipmsim.bounds import BoundError
 from ipmsim.modulator import (
     OUTPUT_STAGE,
     RECEIVER_FRAME,
-    Bb84State,
     ModulatorConfig,
-    bb84_drive,
     bb84_table,
     drive_angle,
     fit_delta_l,
@@ -24,9 +22,17 @@ from ipmsim.modulator import (
     triangular_wave,
     wavelength_scan,
 )
+from ipmsim.montecarlo import STATES
 from ipmsim.polarization import apply_mueller, jones_to_mueller, rotator
 
-from helpers import BB84_TARGET_STOKES, is_unitary, mzi_jones, oracle_modulator_mueller, scipy_fit_delta_l
+from helpers import (
+    BB84_TARGET_STOKES,
+    bitwise_equal,
+    is_unitary,
+    mzi_jones,
+    oracle_modulator_mueller,
+    scipy_fit_delta_l,
+)
 
 H_IN = np.array([1.0, 1.0, 0.0, 0.0])
 
@@ -131,9 +137,9 @@ class TestOutputStokes:
 
     def test_table1_h_voltages_give_quarter_turn(self):
         cfg = cfg_with()
-        drive = bb84_drive(Bb84State.H, cfg)
-        assert drive_angle(drive.v1, drive.v2, cfg) == pytest.approx(np.pi / 2)
-        s = output_stokes(drive.v1, drive.v2, cfg)
+        v1, v2 = bb84_table(cfg)[0][STATES.index("H")]
+        assert drive_angle(v1, v2, cfg) == pytest.approx(np.pi / 2)
+        s = output_stokes(v1, v2, cfg)
         assert abs(s[3]) < 1e-12  # equator
 
     def test_full_splitter_offset_pins_circular(self):
@@ -272,36 +278,39 @@ class TestModulatorMueller:
 
 class TestBb84Drive:
     def test_table_voltages_at_four_volts(self):
-        cfg = cfg_with()
-        drive = bb84_drive(Bb84State.H, cfg)
-        assert (drive.v1, drive.v2) == (0.5, -0.5)
-        expected = {
-            Bb84State.H: (0.5, -0.5),
-            Bb84State.D: (-0.5, 0.5),
-            Bb84State.V: (-1.5, 1.5),
-            Bb84State.A: (1.5, -1.5),
-        }
-        for state, (v1, v2) in expected.items():
-            d = bb84_drive(state, cfg)
-            assert (d.v1, d.v2) == (v1, v2)
+        v, _ = bb84_table(cfg_with())
+        assert v.shape == (4, 2)
+        expected = {"H": (0.5, -0.5), "D": (-0.5, 0.5), "V": (-1.5, 1.5), "A": (1.5, -1.5)}
+        for state, volts in expected.items():
+            assert tuple(v[STATES.index(state)]) == volts
 
     def test_zero_dc_bias(self):
-        cfg = cfg_with(v_pi_pm=3.7)
-        for state in Bb84State:
-            d = bb84_drive(state, cfg)
-            assert d.v1 + d.v2 == 0.0
+        v, _ = bb84_table(cfg_with(v_pi_pm=3.7))
+        assert np.all(v[:, 0] + v[:, 1] == 0.0)
 
     def test_receiver_frame_states_hit_targets(self):
-        for state, _, stokes in bb84_table(cfg_with()):
-            np.testing.assert_allclose(stokes, BB84_TARGET_STOKES[state], atol=1e-12)
+        _, stokes = bb84_table(cfg_with())
+        assert stokes.shape == (4, 4)
+        for state, s in zip(STATES, stokes):
+            np.testing.assert_allclose(s, BB84_TARGET_STOKES[state], atol=1e-12)
 
     def test_basis_geometry(self):
-        vecs = {state: s[1:] for state, _, s in bb84_table(cfg_with())}
-        assert np.dot(vecs[Bb84State.H], vecs[Bb84State.V]) == pytest.approx(-1.0, abs=1e-12)
-        assert np.dot(vecs[Bb84State.D], vecs[Bb84State.A]) == pytest.approx(-1.0, abs=1e-12)
-        for z in (Bb84State.H, Bb84State.V):
-            for x in (Bb84State.D, Bb84State.A):
+        vecs = dict(zip(STATES, bb84_table(cfg_with())[1][:, 1:]))
+        assert np.dot(vecs["H"], vecs["V"]) == pytest.approx(-1.0, abs=1e-12)
+        assert np.dot(vecs["D"], vecs["A"]) == pytest.approx(-1.0, abs=1e-12)
+        for z in "HV":
+            for x in "DA":
                 assert abs(np.dot(vecs[z], vecs[x])) < 1e-12
+
+    def test_rows_equal_the_per_state_receiver_frame_output_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            cfg = cfg_with(v_pi_pm=rng.uniform(0.1, 10.0), delta=rng.uniform(-np.pi, np.pi),
+                           phi0_operating=rng.uniform(-10.0, 10.0), temp_coeff=rng.uniform(-1.0, 1.0),
+                           temp_delta=rng.uniform(-5.0, 5.0))
+            v, stokes = bb84_table(cfg)
+            for (v1, v2), s in zip(v, stokes):
+                assert bitwise_equal(s, RECEIVER_FRAME @ output_stokes(v1, v2, cfg))
 
     def test_receiver_frame_is_relabeled_closed_form(self):
         # at delta = 0 the half-wave plate at 22.5 deg acts on the closed

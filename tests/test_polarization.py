@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ipmsim.polarization import (
-    CONSTRUCTION_TOL,
-    _normalize_phase,
     apply_mueller,
     degree_of_polarization,
     jones_to_mueller,
@@ -15,7 +13,7 @@ from ipmsim.polarization import (
     rotator,
 )
 
-from helpers import is_unitary, kron_jones_to_mueller, stokes_from_jones
+from helpers import ELEMENT_TOL, bitwise_equal, is_unitary, kron_jones_to_mueller, stokes_from_jones
 
 # randomized property tests run at 1e-9
 PROPERTY_TOL = 1e-9
@@ -48,11 +46,11 @@ def random_lossless_element(rng):
 
 class TestJonesToMueller:
     def test_identity(self):
-        np.testing.assert_allclose(jones_to_mueller(np.eye(2)), np.eye(4), atol=CONSTRUCTION_TOL)
+        np.testing.assert_allclose(jones_to_mueller(np.eye(2)), np.eye(4), atol=ELEMENT_TOL)
 
     def test_global_phase_is_invisible(self):
         j = np.exp(1j * 0.7) * np.eye(2)
-        np.testing.assert_allclose(jones_to_mueller(j), np.eye(4), atol=CONSTRUCTION_TOL)
+        np.testing.assert_allclose(jones_to_mueller(j), np.eye(4), atol=ELEMENT_TOL)
 
     def test_horizontal_polarizer(self):
         # A (J kron J*) A^-1 evaluated by hand for J = [[1,0],[0,0]]
@@ -65,7 +63,7 @@ class TestJonesToMueller:
             ]
         )
         np.testing.assert_allclose(
-            jones_to_mueller(polarizer(0.0)), expected, atol=CONSTRUCTION_TOL
+            jones_to_mueller(polarizer(0.0)), expected, atol=ELEMENT_TOL
         )
 
     def test_rejects_non_finite(self):
@@ -115,11 +113,6 @@ class TestJonesToMueller:
             assert abs(degree_of_polarization(out) - degree_of_polarization(s)) < PROPERTY_TOL
 
 
-def bitwise_equal(a, b) -> bool:
-    """Same shape, dtype and bytes: signed zeros count."""
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 FINITE = st.floats(-10.0, 10.0, allow_subnormal=False)
 
 
@@ -166,20 +159,6 @@ class TestStacks:
         assert bitwise_equal(retarder(theta[0], delta),
                              np.array([retarder(theta[0], d) for d in delta]))
 
-    def test_phase_normalization_per_matrix_zero_matrices_included(self):
-        stack = np.array([
-            np.zeros((2, 2)),                            # nothing above tolerance
-            [[1e-13j, -0.0], [0.0, -1e-14]],             # nonzero, all below tolerance
-            [[1e-13, 0.6j], [0.8, 0.0]],                 # leading entry below tolerance
-            [[-0.6, 0.0], [0.0, 0.8j]],
-            [[np.nan, 1j], [0.0, 1.0]],                  # nan is not above tolerance
-        ], dtype=complex)
-        per_matrix = np.array([_normalize_phase(j) for j in stack])
-        assert bitwise_equal(_normalize_phase(stack), per_matrix)
-        assert bitwise_equal(_normalize_phase(stack[:2]), stack[:2])
-        assert bitwise_equal(_normalize_phase(stack.reshape(5, 1, 2, 2)),
-                             per_matrix.reshape(5, 1, 2, 2))
-
     def test_one_bad_matrix_fails_the_whole_stack(self):
         good = np.array([rotator(0.3), retarder(0.2, 1.1), polarizer(0.4)])
         non_finite = good.copy()
@@ -196,16 +175,16 @@ class TestStacks:
 class TestElements:
     def test_rotator_at_45_degrees(self):
         expected = np.array([[1, 1], [-1, 1]]) / np.sqrt(2)
-        np.testing.assert_allclose(rotator(np.pi / 4), expected, atol=CONSTRUCTION_TOL)
+        np.testing.assert_allclose(rotator(np.pi / 4), expected, atol=ELEMENT_TOL)
 
     def test_half_wave_at_zero(self):
         np.testing.assert_allclose(
-            retarder(0.0, np.pi), np.diag([1.0, -1.0]), atol=CONSTRUCTION_TOL
+            retarder(0.0, np.pi), np.diag([1.0, -1.0]), atol=ELEMENT_TOL
         )
 
     def test_polarizer_is_h_projector(self):
         np.testing.assert_allclose(
-            polarizer(0.0), np.array([[1, 0], [0, 0]]), atol=CONSTRUCTION_TOL
+            polarizer(0.0), np.array([[1, 0], [0, 0]]), atol=ELEMENT_TOL
         )
 
     def test_lossless_elements_are_unitary(self):
@@ -218,19 +197,12 @@ class TestElements:
         rng = np.random.default_rng(15)
         for _ in range(50):
             p = polarizer(rng.uniform(0, 2 * np.pi))
-            np.testing.assert_allclose(p @ p, p, atol=CONSTRUCTION_TOL)
-
-    def test_phase_normalization_leading_entry_real(self):
-        rng = np.random.default_rng(16)
-        for _ in range(50):
-            j = retarder(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
-            lead = next(x for x in j.ravel() if abs(x) > CONSTRUCTION_TOL)
-            assert abs(lead.imag) < CONSTRUCTION_TOL and lead.real >= 0
+            np.testing.assert_allclose(p @ p, p, atol=ELEMENT_TOL)
 
     def test_s3_sign_adoption(self):
         # quarter wave at +45 deg on horizontal light gives right circular, S3 = +1
         out = retarder(np.pi / 4, np.pi / 2) @ HORIZONTAL
-        np.testing.assert_allclose(stokes_from_jones(out), [1, 0, 0, 1], atol=CONSTRUCTION_TOL)
+        np.testing.assert_allclose(stokes_from_jones(out), [1, 0, 0, 1], atol=ELEMENT_TOL)
 
 
 class TestApplyMueller:
@@ -240,11 +212,11 @@ class TestApplyMueller:
 
     def test_h_polarizer_passes_h(self):
         m = jones_to_mueller(polarizer(0.0))
-        np.testing.assert_allclose(apply_mueller(m, H_STOKES), H_STOKES, atol=CONSTRUCTION_TOL)
+        np.testing.assert_allclose(apply_mueller(m, H_STOKES), H_STOKES, atol=ELEMENT_TOL)
 
     def test_h_polarizer_blocks_v(self):
         m = jones_to_mueller(polarizer(0.0))
-        np.testing.assert_allclose(apply_mueller(m, V_STOKES), np.zeros(4), atol=CONSTRUCTION_TOL)
+        np.testing.assert_allclose(apply_mueller(m, V_STOKES), np.zeros(4), atol=ELEMENT_TOL)
 
     def test_passive_elements_never_overpolarize(self):
         rng = np.random.default_rng(17)
