@@ -18,7 +18,9 @@ sections it reads, for provenance.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
+import itertools
 import json
 import sys
 import warnings
@@ -52,14 +54,22 @@ RATE_COLUMNS = {
 # printf conversion for each column's numpy dtype kind
 _CONVERSIONS = {"U": "%s", "i": "%d", "f": "%.9g"}
 
+# rows _write_csv formats at a time, and characters _read_csv decodes at a
+# time: each bounds what a table costs beyond its own arrays
+_WRITE_ROWS = 4096
+_READ_CHARS = 1 << 16
+
 
 def _write_csv(path: Path, header, columns) -> None:
     """Header row, then row k of the table holds element k of every column."""
     columns = [np.asarray(c) for c in columns]
-    row_format = ",".join(_CONVERSIONS[c.dtype.kind] for c in columns)
-    lines = [",".join(header)]
-    lines.extend(row_format % row for row in zip(*(c.tolist() for c in columns)))
-    path.write_text("\n".join(lines) + "\n")
+    row_format = ",".join(_CONVERSIONS[c.dtype.kind] for c in columns) + "\n"
+    rows = min(map(len, columns))
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, rows, _WRITE_ROWS):
+            block = zip(*(c[start : start + _WRITE_ROWS].tolist() for c in columns))
+            f.write("".join(map(row_format.__mod__, block)))
 
 
 def _write_sidecar(out: Path, command: str, scn: Scenario, extra: dict | None = None) -> None:
@@ -112,44 +122,92 @@ def _cmd_scan(args, scn: Scenario) -> str:
     return f"scan: wrote {len(lam)} points to {args.out}"
 
 
+class _TextLines:
+    """Iterates the lines of ``f.read().rstrip().splitlines()``, read a block at a time.
+
+    A block's last non-blank line may run on into the next block, or be the
+    text's last line, which loses its trailing whitespace: it is held back
+    with the blank lines after it.  Each read takes _READ_CHARS characters
+    more than are held, so a line of any length costs linear time.
+    ``count`` is the number of lines in the blocks read so far.
+    """
+
+    def __init__(self, f):
+        self.count = 0
+        self._lines = itertools.chain.from_iterable(self._blocks(f))
+
+    def __iter__(self):
+        return self._lines
+
+    def _blocks(self, f):
+        held = ""
+        while chunk := f.read(_READ_CHARS + len(held)):
+            text = held + chunk
+            body = text.rstrip()
+            lines = body.splitlines()
+            held = text[len(body) - len(lines.pop()) :] if lines else text
+            self.count += len(lines)
+            yield lines
+        lines = held.rstrip().splitlines()
+        self.count += len(lines)
+        yield lines
+
+
 def _read_csv(path: Path, expected_columns: int) -> np.ndarray:
     """The data rows below the header as a (rows, expected_columns) float array.
 
-    The first non-blank line is the header.  Cells follow Python ``float()``
-    syntax, and errors name lines counted from the top of the file.
+    The first non-blank line is the header.  Lines end where
+    ``str.splitlines`` ends them, cells follow Python ``float()`` syntax,
+    and errors name lines counted from the top of the file.  The file is
+    read as a stream, but decoded in full before any error is raised.
     """
     try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"input file {path} is not UTF-8: {exc}") from exc
-    lines = text.rstrip().splitlines()
-    header = next((k for k, line in enumerate(lines) if line.strip()), len(lines))
-    rows = lines[header + 1 :]
-    if not rows:
-        raise ScenarioError(f"input file {path} has no data rows")
-    # numpy's C reader parses with the same PyOS_string_to_double as float(),
-    # but skips empty lines and rejects spellings such as 1_000
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        if values.shape == (len(rows), expected_columns):
+        with path.open() as f:
+            source = _TextLines(f)
+            lines = iter(source)
+            header = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)
+            # numpy's C reader parses with the same PyOS_string_to_double as
+            # float(), but skips empty lines and rejects spellings such as 1_000
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except UnicodeDecodeError:
+                raise
+            except ValueError:
+                values = None
+        rows = source.count - header
+        if rows == 0:
+            raise ScenarioError(f"input file {path} has no data rows")
+        if values is not None and values.shape == (rows, expected_columns):
             return values
-    except ValueError:
-        pass
-    # the C reader rejected or reshaped the table: walk it, naming the first offending line
-    parsed = []
-    for lineno, line in enumerate(rows, start=header + 2):
-        parts = line.split(",")
-        if len(parts) != expected_columns:
-            raise ScenarioError(
-                f"{path}:{lineno}: expected {expected_columns} columns, got {len(parts)}"
-            )
+        # the C reader rejected or reshaped the table: walk it, naming the first offending line
+        with path.open() as f:
+            lines = itertools.islice(enumerate(_TextLines(f), start=1), header, None)
+            parsed = []
+            try:
+                for lineno, line in lines:
+                    parts = line.split(",")
+                    if len(parts) != expected_columns:
+                        raise ScenarioError(
+                            f"{path}:{lineno}: expected {expected_columns} columns, got {len(parts)}"
+                        )
+                    try:
+                        parsed.append([float(x) for x in parts])
+                    except ValueError as exc:
+                        raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
+            except ScenarioError:
+                collections.deque(lines, maxlen=0)   # a later undecodable byte still fails the file
+                raise
+        return np.array(parsed)
+    except UnicodeDecodeError:
+        # a block's decode error counts bytes from that block: decoding the
+        # whole file names the byte by its offset in the file
         try:
-            parsed.append([float(x) for x in parts])
-        except ValueError as exc:
-            raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(parsed)
+            path.read_text()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"input file {path} is not UTF-8: {exc}") from exc
+        raise
 
 
 def _cmd_fitdl(args, scn: Scenario) -> str:

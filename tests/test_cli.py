@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ipmsim
-from ipmsim import decoy
+from ipmsim import cli, decoy
 from ipmsim.cli import _COMMANDS, RATE_COLUMNS, _null_z, _read_csv, _write_csv, build_parser, main
 from ipmsim.decoy import ChannelParams, ProtocolParams, sweep_loss
 from ipmsim.modulator import BB84_DRIVE_FRACTIONS, RECEIVER_FRAME, modulator_mueller
@@ -633,7 +634,8 @@ def csv_tables(draw):
     for _ in range(draw(st.integers(0, 2))):
         rows.insert(draw(st.integers(0, len(rows))), draw(bad_row))
     leading = draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    # a lone \r, \x85 and \u2028 end a line for str.splitlines as \n does
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028"]))
     trailing = draw(st.sampled_from(["", newline, newline * 2, " ", newline + " \t" + newline]))
     return newline.join([*leading, "a,b", *rows]) + trailing, columns, len(leading)
 
@@ -682,6 +684,14 @@ class TestCsvInput:
     @settings(max_examples=400, deadline=None)
     @given(csv_tables())
     @example(("a,b\n1,2#3\n", 2, 0))
+    # str.splitlines also ends lines at \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029,
+    # where a reader that iterates the file's lines does not
+    @example(("a,b\f1,2\n3,4\n", 2, 0))
+    @example(("a,b\n1,2\f\n3,4", 2, 0))
+    @example(("a,b\n1\f,2", 2, 0))
+    @example(("a,b\r1,2\r3,4\r", 2, 0))
+    @example(("a,b\n1,2\x853,4\n", 2, 0))
+    @example(("a,b\u20281,2\n3,4", 2, 0))
     def test_random_tables_match_the_oracle(self, tmp_path_factory, table):
         text, columns, leading_lines = table
         infile = tmp_path_factory.getbasetemp() / "table.csv"
@@ -707,6 +717,49 @@ class TestCsvInput:
             assert isinstance(got, np.ndarray), got
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_tables(), st.sampled_from([1, 2, 3, 7]))
+    def test_block_edges_do_not_change_the_result(self, tmp_path_factory, table, read_chars):
+        text, columns, _ = table
+        infile = tmp_path_factory.getbasetemp() / "blocks.csv"
+        infile.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_READ_CHARS", read_chars)
+            small_blocks = read_outcome(infile, columns)
+        assert small_blocks == read_outcome(infile, columns)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"1,2\n" * 30000 + b"\xff\n",
+            # the file is undecodable, whichever line is bad before the byte
+            b"1,x\n" + b"1,2\n" * 30000 + b"1,\xc3\n",
+        ],
+    )
+    def test_undecodable_byte_is_named_by_its_offset_in_the_file(self, tmp_path, body):
+        infile = tmp_path / "scan.csv"
+        infile.write_bytes(b"wavelength_nm,intensity\n" + body)
+        with pytest.raises(UnicodeDecodeError) as decode:
+            infile.read_text()
+        with pytest.raises(ScenarioError) as info:
+            _read_csv(infile, 2)
+        assert str(info.value) == f"input file {infile} is not UTF-8: {decode.value}"
+
+    def test_reading_holds_little_beyond_the_result(self, tmp_path):
+        infile = tmp_path / "proj.csv"
+        data = np.random.default_rng(16).uniform(0.0, 2.5, size=(200000, 4))
+        np.savetxt(infile, data, fmt="%.17g", delimiter=",", header="i1,i2,i3,s0", comments="")
+        del data
+        tracemalloc.start()
+        try:
+            values = _read_csv(infile, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (200000, 4)
+        # reading the whole text and its lines peaked at 56.5 MiB
+        assert peak < values.nbytes + 4 * 2**20
 
     def test_well_formed_table_never_reaches_the_python_walk(self, tmp_path, monkeypatch):
         load, parsed = np.loadtxt, []
@@ -769,6 +822,17 @@ class TestPolarimetryCommand:
         records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert records == [{"warning": "recovered DOP 29.0985 exceeds 1: projections are inconsistent",
                             "category": InconsistentProjectionsWarning.__name__}]
+
+    def test_input_may_be_the_output(self, tmp_path):
+        rng = np.random.default_rng(17)
+        s0 = rng.uniform(0.5, 2.0, size=5000)
+        projections = np.column_stack([rng.uniform(0.0, 1.0, size=(5000, 3)) * s0[:, None], s0])
+        infile, out, same = tmp_path / "proj.csv", tmp_path / "stokes.csv", tmp_path / "same.csv"
+        np.savetxt(infile, projections, fmt="%.17g", delimiter=",", header="i1,i2,i3,s0", comments="")
+        same.write_bytes(infile.read_bytes())
+        assert main(["polarimetry", "--in", str(infile), "--out", str(out)]) == 0
+        assert main(["polarimetry", "--in", str(same), "--out", str(same)]) == 0
+        assert same.read_bytes() == out.read_bytes()
 
     def test_missing_input_is_scenario_error(self, tmp_path, capsys):
         assert main(["polarimetry", "--out", str(tmp_path / "x.csv")]) == 2
@@ -1043,6 +1107,15 @@ def test_cli_import_loads_no_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+def read_outcome(path, columns):
+    """What ``_read_csv`` gives: the array's dtype, shape and bytes, or the error text."""
+    try:
+        values = _read_csv(path, columns)
+    except ScenarioError as exc:
+        return str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
 def rowwise_bytes(header, rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "oracle.csv"
@@ -1088,6 +1161,32 @@ class TestColumnarWriter:
     def test_mixed_tables_match_the_rowwise_oracle(self, columns):
         header = [f"c{k}" for k in range(len(columns))]
         assert columnar_bytes(header, columns) == rowwise_bytes(header, zip(*columns))
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1, 2 * cli._WRITE_ROWS + 1]
+    )
+    def test_tables_across_block_edges_match_the_rowwise_oracle(self, rows):
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        floats[::3] = np.resize(SPECIAL_FLOATS, len(floats[::3]))
+        columns = [
+            np.array([f"row {k}" for k in range(rows)], dtype=str),
+            rng.integers(-(2**63), 2**63 - 1, size=rows, endpoint=True),
+            floats,
+        ]
+        header = ["text", "int", "float"]
+        assert columnar_bytes(header, columns) == rowwise_bytes(header, zip(*columns))
+
+    def test_writing_holds_little_beyond_the_columns(self, tmp_path):
+        columns = np.random.default_rng(18).standard_normal((5, 50000))
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "table.csv", [f"c{k}" for k in range(5)], columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # formatting every row before the first write peaked at 13 MiB here (52.7 MiB at 200000 rows)
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "data, grid",
