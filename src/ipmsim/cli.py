@@ -1,8 +1,11 @@
 """Scenario-driven command line front end.
 
 Every command but ``polarimetry`` reads one scenario file (all sections
-optional).  Each command writes its results to files, prints a one-line
-summary to stdout, and exits 0.  On failure an error record is printed to
+optional).  Each command computes its results, then one writer writes
+every file of the command: the data files first, and last a
+``<out>.params.json`` sidecar with the resolved scenario sections the
+command reads, for provenance.  The command prints a one-line summary to
+stdout and exits 0.  On failure an error record is printed to
 stderr as a single JSON line and the exit status is 2 for a usage error,
 a malformed scenario or a file that cannot be read or written, or 3 for a
 numerical/parameter failure (the record names the offending field).  Each
@@ -10,9 +13,7 @@ distinct warning is printed to stderr as one JSON line too.
 
 Output conventions: CSV with a mandatory header row, comma separator,
 '.' decimal point, floats as printf %.9g, integers as %d and text verbatim,
-so identical scenario + seed produces byte-identical files.  Each command
-also writes a ``<out>.params.json`` sidecar with the resolved scenario
-sections it reads, for provenance.
+so identical scenario + seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -72,12 +73,20 @@ def _write_csv(path: Path, header, columns) -> None:
             f.write("".join(map(row_format.__mod__, block)))
 
 
-def _write_sidecar(out: Path, command: str, scn: Scenario, extra: dict | None = None) -> None:
-    record = {"command": command, "parameters": resolved_dict(scn, _COMMANDS[command][2])}
-    if extra:
-        record.update(extra)
-    sidecar = out.with_name(out.name + ".params.json")
-    sidecar.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def _write_outputs(args, scn: Scenario, files: dict, extra: dict) -> None:
+    """Write a command's files in order, then its ``<out>.params.json`` sidecar.
+
+    ``files`` maps a suffix on ``--out`` to a ``(header, columns)`` table
+    for ``_write_csv`` or to text written as is.
+    """
+    record = {"command": args.command, "parameters": resolved_dict(scn, _COMMANDS[args.command][2]), **extra}
+    sidecar = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    for suffix, content in {**files, ".params.json": sidecar}.items():
+        path = args.out.with_name(args.out.name + suffix)
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            _write_csv(path, *content)
 
 
 def _scan_wavelengths(scn: Scenario, grid: SweepSpec | None):
@@ -90,36 +99,31 @@ def _scan_wavelengths(scn: Scenario, grid: SweepSpec | None):
     return (start_nm + np.arange(1201) * 0.002) * 1e-9
 
 
-def _cmd_states(args, scn: Scenario) -> str:
+def _cmd_states(args, scn: Scenario) -> tuple[str, dict, dict]:
     v, stokes = bb84_table(scn.modulator)
     # S1..S3 are the ideal outputs; S*_meas is what the polarimeter recovers
     # through the configured (possibly imperfect) waveplate retardance
-    measured = np.array([measure_stokes(s, retardance=scn.modulator.qwp_retardance) for s in stokes])
-    _write_csv(
-        args.out,
-        ("state", "v0", "v1", "v2", "S0", "S1", "S2", "S3",
-         "S1_meas", "S2_meas", "S3_meas"),
+    measured = measure_stokes(stokes, retardance=scn.modulator.qwp_retardance)
+    table = (
+        ("state", "v0", "v1", "v2", "S0", "S1", "S2", "S3", "S1_meas", "S2_meas", "S3_meas"),
         # v0, the unmodelled intensity modulator's drive, stays 0 because
         # ipmbench reads S0..S3 by column position
         (np.array(STATES), np.zeros(4), *v.T, *stokes.T, *measured[:, 1:].T),
     )
-    _write_sidecar(args.out, "states", scn)
-    return f"states: wrote 4 drive settings to {args.out}"
+    return f"states: wrote 4 drive settings to {args.out}", {"": table}, {}
 
 
-def _cmd_trace(args, scn: Scenario) -> str:
+def _cmd_trace(args, scn: Scenario) -> tuple[str, dict, dict]:
     t, v1, v2, stokes = poincare_trace(scn.modulator)
-    _write_csv(args.out, ("t", "v1", "v2", "S0", "S1", "S2", "S3"), (t, v1, v2, *stokes.T))
-    _write_sidecar(args.out, "trace", scn)
-    return f"trace: wrote {len(t)} samples to {args.out}"
+    table = (("t", "v1", "v2", "S0", "S1", "S2", "S3"), (t, v1, v2, *stokes.T))
+    return f"trace: wrote {len(t)} samples to {args.out}", {"": table}, {}
 
 
-def _cmd_scan(args, scn: Scenario) -> str:
+def _cmd_scan(args, scn: Scenario) -> tuple[str, dict, dict]:
     lam = _scan_wavelengths(scn, args.grid)
     intensities = wavelength_scan(scn.modulator, polarizer_angle=0.0, wavelengths=lam)
-    _write_csv(args.out, ("wavelength_nm", "intensity"), (lam * 1e9, intensities))
-    _write_sidecar(args.out, "scan", scn, {"polarizer_angle": 0.0})
-    return f"scan: wrote {len(lam)} points to {args.out}"
+    table = (("wavelength_nm", "intensity"), (lam * 1e9, intensities))
+    return f"scan: wrote {len(lam)} points to {args.out}", {"": table}, {"polarizer_angle": 0.0}
 
 
 class _TextLines:
@@ -176,30 +180,26 @@ def _read_csv(path: Path, expected_columns: int) -> np.ndarray:
                 raise
             except ValueError:
                 values = None
+                collections.deque(lines, maxlen=0)   # decode and count the rest of the file
         rows = source.count - header
         if rows == 0:
             raise ScenarioError(f"input file {path} has no data rows")
         if values is not None and values.shape == (rows, expected_columns):
             return values
-        # the C reader rejected or reshaped the table: walk it, naming the first offending line
+        # the C reader rejected or reshaped the table: walk it into the result,
+        # naming the first offending line
+        values = np.empty((rows, expected_columns))
         with path.open() as f:
             lines = itertools.islice(enumerate(_TextLines(f), start=1), header, None)
-            parsed = []
-            try:
-                for lineno, line in lines:
-                    parts = line.split(",")
-                    if len(parts) != expected_columns:
-                        raise ScenarioError(
-                            f"{path}:{lineno}: expected {expected_columns} columns, got {len(parts)}"
-                        )
-                    try:
-                        parsed.append([float(x) for x in parts])
-                    except ValueError as exc:
-                        raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
-            except ScenarioError:
-                collections.deque(lines, maxlen=0)   # a later undecodable byte still fails the file
-                raise
-        return np.array(parsed)
+            for row, (lineno, line) in zip(values, lines):
+                parts = line.split(",")
+                if len(parts) != expected_columns:
+                    raise ScenarioError(f"{path}:{lineno}: expected {expected_columns} columns, got {len(parts)}")
+                try:
+                    row[:] = [float(x) for x in parts]
+                except ValueError as exc:
+                    raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
+        return values
     except UnicodeDecodeError:
         # a block's decode error counts bytes from that block: decoding the
         # whole file names the byte by its offset in the file
@@ -210,7 +210,7 @@ def _read_csv(path: Path, expected_columns: int) -> np.ndarray:
         raise
 
 
-def _cmd_fitdl(args, scn: Scenario) -> str:
+def _cmd_fitdl(args, scn: Scenario) -> tuple[str, dict, dict]:
     if args.infile is not None:
         data = _read_csv(args.infile, 2)
         lam, intensity = data[:, 0] * 1e-9, data[:, 1]
@@ -218,51 +218,39 @@ def _cmd_fitdl(args, scn: Scenario) -> str:
         lam = _scan_wavelengths(scn, args.grid)
         intensity = wavelength_scan(scn.modulator, polarizer_angle=0.0, wavelengths=lam)
     fit = fit_delta_l(lam, intensity, scn.modulator.n_1)
-    _write_csv(
-        args.out,
-        ("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned"),
-        [[fit.delta_l], [fit.contrast], [fit.phase], [fit.residual_rms], [fit.periods_spanned]],
-    )
-    _write_sidecar(args.out, "fitdl", scn, {"input": str(args.infile) if args.infile else None})
-    return f"fitdl: delta_l = {fit.delta_l:.9g} m (residual rms {fit.residual_rms:.9g}) -> {args.out}"
+    table = (("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned"),
+             [[fit.delta_l], [fit.contrast], [fit.phase], [fit.residual_rms], [fit.periods_spanned]])
+    summary = f"fitdl: delta_l = {fit.delta_l:.9g} m (residual rms {fit.residual_rms:.9g}) -> {args.out}"
+    return summary, {"": table}, {"input": str(args.infile) if args.infile else None}
 
 
-def _cmd_polarimetry(args, scn: Scenario) -> str:
+def _cmd_polarimetry(args, scn: Scenario) -> tuple[str, dict, dict]:
     stokes = extract_stokes(*_read_csv(args.infile, 4).T)
-    _write_csv(args.out, ("S0", "S1", "S2", "S3", "DOP"), (*stokes.T, degree_of_polarization(stokes)))
-    _write_sidecar(args.out, "polarimetry", scn, {"input": str(args.infile)})
-    return f"polarimetry: extracted {len(stokes)} states to {args.out}"
+    table = (("S0", "S1", "S2", "S3", "DOP"), (*stokes.T, degree_of_polarization(stokes)))
+    return f"polarimetry: extracted {len(stokes)} states to {args.out}", {"": table}, {"input": str(args.infile)}
 
 
-def _cmd_keyrate(args, scn: Scenario) -> str:
+def _cmd_keyrate(args, scn: Scenario) -> tuple[str, dict, dict]:
     point = secure_rate(scn.protocol, scn.channel)
-    _write_csv(args.out, RATE_COLUMNS, [[getattr(point, f)] for f in RATE_COLUMNS.values()])
-    _write_sidecar(args.out, "keyrate", scn)
-    return (
-        f"keyrate: R = {point.rate_per_pulse:.9g}/pulse "
-        f"({point.rate_per_second:.9g} bit/s) at {point.loss_db:.9g} dB -> {args.out}"
-    )
+    table = (RATE_COLUMNS, [[getattr(point, f)] for f in RATE_COLUMNS.values()])
+    summary = (f"keyrate: R = {point.rate_per_pulse:.9g}/pulse "
+               f"({point.rate_per_second:.9g} bit/s) at {point.loss_db:.9g} dB -> {args.out}")
+    return summary, {"": table}, {}
 
 
-def _cmd_sweep(args, scn: Scenario) -> str:
+def _cmd_sweep(args, scn: Scenario) -> tuple[str, dict, dict]:
     grid_spec = args.grid if args.grid is not None else scn.sweep
     result = sweep_loss(scn.protocol, scn.channel, grid_spec.grid())
-    _write_csv(args.out, RATE_COLUMNS, [result.columns[f] for f in RATE_COLUMNS.values()])
-    _write_sidecar(
-        args.out,
-        "sweep",
-        scn,
-        {
-            "grid": dataclasses.asdict(grid_spec),
-            # NaN (no grid point is positive) is not JSON: null stands for it
-            "threshold_db": None if np.isnan(result.threshold_db) else result.threshold_db,
-            "threshold_is_grid_edge": result.threshold_is_grid_edge,
-        },
-    )
-    return (
-        f"sweep: {len(result.columns['loss_db'])} points, positive-rate threshold "
-        f"{result.threshold_db:.9g} dB -> {args.out}"
-    )
+    table = (RATE_COLUMNS, [result.columns[f] for f in RATE_COLUMNS.values()])
+    summary = (f"sweep: {len(result.columns['loss_db'])} points, positive-rate threshold "
+               f"{result.threshold_db:.9g} dB -> {args.out}")
+    extra = {
+        "grid": dataclasses.asdict(grid_spec),
+        # NaN (no grid point is positive) is not JSON: null stands for it
+        "threshold_db": None if np.isnan(result.threshold_db) else result.threshold_db,
+        "threshold_is_grid_edge": result.threshold_is_grid_edge,
+    }
+    return summary, {"": table}, extra
 
 
 def _null_z(est: RateEstimate, analytic: float) -> float:
@@ -281,33 +269,27 @@ def _null_z(est: RateEstimate, analytic: float) -> float:
     return float(np.copysign(np.inf, diff)) if diff else 0.0
 
 
-def _cmd_mc(args, scn: Scenario) -> str:
+def _cmd_mc(args, scn: Scenario) -> tuple[str, dict, dict]:
     seed = args.seed if args.seed is not None else scn.sim.seed
     cfg = SimConfig(n_pulses=scn.sim.n_pulses, seed=seed, protocol=scn.protocol,
                     channel=scn.channel)
     tally = simulate(cfg)
     emp = estimate(tally, cfg)
-
-    args.out.write_text(tally.to_json() + "\n")
-    _write_csv(args.out.with_name(args.out.name + ".csv"), *tally.table())
-
     ge = gains_and_errors(scn.protocol, scn.channel)
-    report = args.out.with_name(args.out.name + ".report.csv")
     report_rows = []
     for name in ("Q_mu", "Q_nu", "E_mu", "E_nu", "Y0"):
         est, analytic = getattr(emp, name.lower()), getattr(ge, name.lower())
         report_rows.append((name, est.value, est.stderr, analytic, _null_z(est, analytic)))
-    _write_csv(report, ("quantity", "empirical", "stderr", "analytic", "z_score"),
-               list(zip(*report_rows)))
-    _write_sidecar(args.out, "mc", scn, {"seed": seed})
+    report = (("quantity", "empirical", "stderr", "analytic", "z_score"), list(zip(*report_rows)))
     summary_flags = f" flags={';'.join(emp.flags)}" if emp.flags else ""
-    return (
-        f"mc: {cfg.n_pulses} pulses, Q_mu = {emp.q_mu.value:.9g} "
-        f"(analytic {ge.q_mu:.9g}) -> {args.out}{summary_flags}"
-    )
+    summary = (f"mc: {cfg.n_pulses} pulses, Q_mu = {emp.q_mu.value:.9g} "
+               f"(analytic {ge.q_mu:.9g}) -> {args.out}{summary_flags}")
+    return summary, {"": tally.to_json() + "\n", ".csv": tally.table(), ".report.csv": report}, {"seed": seed}
 
 
-# command -> (handler, help text, the scenario sections it reads)
+# command -> (handler, help text, the scenario sections it reads).  A handler
+# returns its stdout summary, its files keyed by their suffix on --out ("" for
+# the data file) and its sidecar's extra keys; main writes them.
 _COMMANDS = {
     "states": (_cmd_states, "BB84 drive-voltage table and output Stokes vectors", ("modulator",)),
     "trace": (_cmd_trace, "Poincare trace under triangular differential drive", ("modulator",)),
@@ -409,7 +391,8 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             scn = load_scenario(getattr(args, "scenario", None))
-            summary = _COMMANDS[args.command][0](args, scn)
+            summary, files, extra = _COMMANDS[args.command][0](args, scn)
+            _write_outputs(args, scn, files, extra)
         except (argparse.ArgumentError, OSError) as exc:
             print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
             return 2

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check_bounds
+from .bounds import BoundError, check_bounds
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ class ProtocolParams:
     Defaults are the projected-performance operating point: signal 0.6 and
     decoy 0.2 photons per pulse, basis reconciliation q = 1/2, constant
     error-correction efficiency 1.22, vacuum error rate 0.5, and a
-    2:1:1 signal/decoy/vacuum pulse allocation.
+    2:1:1 signal/decoy/vacuum pulse allocation.  A ``BoundError`` naming
+    ``nu`` refuses a ``mu*nu - nu^2`` that underflows to 0 in floating point.
     """
 
     mu: float = field(default=0.6, metadata={"gt": 0, "lt": 1})
@@ -69,6 +70,9 @@ class ProtocolParams:
             raise ValueError(
                 f"need nu < mu (mu*nu - nu^2 must be positive), got mu={self.mu}, nu={self.nu}"
             )
+        if not self.mu * self.nu - self.nu**2 > 0:
+            raise BoundError("nu", f"must leave mu*nu - nu^2 positive, but at mu={self.mu}, nu={self.nu} "
+                                   "the product underflows or cancels to 0")
         total = self.p_signal + self.p_decoy + self.p_vacuum
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"pulse allocation must sum to 1, got {total}")

@@ -75,14 +75,15 @@ def extract_stokes(i1, i2, i3, s0) -> np.ndarray:
 
 
 def measure_stokes(s, retardance: float = IDEAL_RETARDANCE) -> np.ndarray:
-    """Project a known state at the three settings and extract it back.
+    """Project known states, one or a (..., 4) stack, at the three settings and extract them back.
 
     At the ideal retardance this is an exact round trip; away from it the
     S3 channel picks up the sin/cos bias documented in the module
     docstring.  Useful for studying waveplate imperfection.  The three
-    analyzers are built and converted as one (3, 2, 2) stack.
+    analyzers are built and converted once per call, as one (3, 2, 2) stack.
     """
     s = np.asarray(s, dtype=float)
     analyzers = jones_to_mueller(polarizer(_POLARIZER_ANGLES) @ retarder(_QWP_ANGLES, retardance))
-    i1, i2, i3 = (float(row @ s) for row in analyzers[:, 0])
-    return extract_stokes(i1, i2, i3, s[0])
+    # a stack of (1, 4) @ (4, 1) products gives each intensity the bits of row @ vector
+    i = (s[..., None, None, :] @ analyzers[:, 0, :, None])[..., 0, 0]
+    return extract_stokes(*np.moveaxis(i, -1, 0), s[..., 0])

@@ -15,7 +15,8 @@ both name ``section.key``.  A value outside the bound its field declares
 naming ``section.key`` too.  A rule across fields (nu < mu, the allocation
 summing to 1, stop_db >= start_db, the 10^7-point grid cap) is a
 ``ParameterError`` naming the section, except a finite operating phase,
-which names ``modulator.phi0_operating``.
+which names ``modulator.phi0_operating``, and a positive ``mu*nu - nu^2``
+in floating point, which names ``protocol.nu``.
 ``sim.chunk_pulses`` is checked (>= 1) and otherwise ignored: an MC run
 is one draw keyed by its seed.
 ``resolved_dict`` returns the expanded sections (all defaults applied) for

@@ -158,6 +158,9 @@ PROBES = [
     ("states", {"modulator": {"v_pi_im": 4.0}}, 2, "modulator.v_pi_im"),
     ("states", {"modulator": {"mod_depth": 1.0}}, 2, "modulator.mod_depth"),
     ("states", {"modulator": {"phi_1": 0.0}}, 2, "modulator.phi_1"),
+    # an underflowing mu*nu - nu^2 passed load: keyrate exited 3 naming no field, mc exited 0
+    ("keyrate", {"protocol": {"mu": 1e-300, "nu": 1e-301}}, 3, "protocol.nu"),
+    ("mc", {"protocol": {"mu": 1e-300, "nu": 1e-301}}, 3, "protocol.nu"),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -451,10 +454,20 @@ class TestSidecars:
     def test_sidecar_records_only_the_sections_its_command_reads(self, command, tmp_path):
         proj = tmp_path / "proj.csv"
         proj.write_text("i1,i2,i3,s0\n1.0,0.5,0.5,1.0\n")
-        out = tmp_path / "out"
+        run = tmp_path / "run"
+        run.mkdir()
         argv = [command, "--in", str(proj)] if command == "polarimetry" else [command]
-        assert main([*argv, "--out", str(out)]) == 0
-        sidecar = strict_json((tmp_path / "out.params.json").read_text())
+        argv += ["--out", str(run / "out")]
+        # the handler only computes: main writes every file
+        _COMMANDS[command][0](build_parser().parse_args(argv), Scenario())
+        assert not any(run.iterdir())
+        assert main(argv) == 0
+        # the data file, mc's two tables, and the sidecar: nothing else
+        suffixes = ["", ".csv", ".report.csv"] if command == "mc" else [""]
+        assert sorted(p.name for p in run.iterdir()) == sorted(f"out{s}" for s in [*suffixes, ".params.json"])
+        sidecar = strict_json((run / "out.params.json").read_text())
+        if command == "mc":
+            strict_json((run / "out").read_text())
         sections = SIDECAR_SECTIONS[command]
         assert sidecar["command"] == command
         assert sidecar["parameters"] == resolved_dict(Scenario(), sorted(sections))
@@ -759,6 +772,20 @@ class TestCsvInput:
             tracemalloc.stop()
         assert values.shape == (200000, 4)
         # reading the whole text and its lines peaked at 56.5 MiB
+        assert peak < values.nbytes + 4 * 2**20
+
+    def test_walking_holds_little_beyond_the_result(self, tmp_path):
+        # numpy's C reader rejects 1_000, so every row takes the Python walk
+        infile = tmp_path / "proj.csv"
+        infile.write_text("i1,i2,i3,s0\n" + "1_000,0.5,0.25,2_0\n" * 200000)
+        tracemalloc.start()
+        try:
+            values = _read_csv(infile, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (200000, 4) and (values == [1000.0, 0.5, 0.25, 20.0]).all()
+        # holding every row as a Python list peaked at about 49 MiB
         assert peak < values.nbytes + 4 * 2**20
 
     def test_well_formed_table_never_reaches_the_python_walk(self, tmp_path, monkeypatch):

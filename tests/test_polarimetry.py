@@ -120,6 +120,17 @@ class TestExtractStokes:
             expected = extract_stokes(*per_setting, s[0])
             assert measure_stokes(s, retardance).tobytes() == expected.tobytes()
 
+    def test_stacked_call_equals_per_vector_calls(self):
+        rng = np.random.default_rng(28)
+        stack = np.array([random_physical_stokes(rng) for _ in range(60)]).reshape(5, 3, 4, 4)
+        for retardance in (IDEAL_RETARDANCE, DEFAULT_QWP_RETARDANCE, 0.9 * IDEAL_RETARDANCE):
+            got = measure_stokes(stack, retardance)
+            assert got.shape == stack.shape
+            per_vector = [measure_stokes(s, retardance) for s in stack.reshape(-1, 4)]
+            assert got.tobytes() == np.array(per_vector).reshape(stack.shape).tobytes()
+            # a stack of one is one vector too
+            assert measure_stokes(stack[:1, 0, 0], retardance).tobytes() == per_vector[0].tobytes()
+
     def test_biased_retardance_leaks_s2_into_s3(self):
         rng = np.random.default_rng(26)
         delta = DEFAULT_QWP_RETARDANCE
