@@ -4,7 +4,7 @@ A bounded field states its bound where it is declared, for example
 ``mu: float = field(default=0.6, metadata={"gt": 0, "lt": 1})``, with the
 keys ``gt`` (>), ``ge`` (>=), ``lt`` (<) and ``le`` (<=).  ``check_bounds``
 reads them and raises a ``BoundError`` naming the first field out of its
-bound.
+bound.  A rule over a whole section raises a ``BoundError`` with no field.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ _COMPARISONS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
 
 
 class BoundError(ValueError):
-    """A value outside its field's bound, or a rule it breaks; ``field`` names the field."""
+    """A value outside its field's bound, or a rule it breaks; ``field`` names the field, if any."""
 
-    def __init__(self, field: str, requirement: str):
-        super().__init__(f"'{field}' {requirement}")
+    def __init__(self, field: str | None, requirement: str):
+        super().__init__(f"'{field}' {requirement}" if field else requirement)
         self.field = field
         self.requirement = requirement
 

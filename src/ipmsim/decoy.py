@@ -52,7 +52,8 @@ class ProtocolParams:
     decoy 0.2 photons per pulse, basis reconciliation q = 1/2, constant
     error-correction efficiency 1.22, vacuum error rate 0.5, and a
     2:1:1 signal/decoy/vacuum pulse allocation.  A ``BoundError`` naming
-    ``nu`` refuses a ``mu*nu - nu^2`` that underflows to 0 in floating point.
+    ``nu`` refuses nu >= mu, and a ``mu*nu - nu^2`` that underflows or
+    cancels to 0 in floating point: ``q1_lower`` divides by it.
     """
 
     mu: float = field(default=0.6, metadata={"gt": 0, "lt": 1})
@@ -66,16 +67,13 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        if not self.nu < self.mu:
-            raise ValueError(
-                f"need nu < mu (mu*nu - nu^2 must be positive), got mu={self.mu}, nu={self.nu}"
-            )
-        if not self.mu * self.nu - self.nu**2 > 0:
-            raise BoundError("nu", f"must leave mu*nu - nu^2 positive, but at mu={self.mu}, nu={self.nu} "
-                                   "the product underflows or cancels to 0")
+        # nu < mu first, as nu**2 overflows past 1.3e154; the difference as q1_lower computes it
+        if not (self.nu < self.mu and self.mu * self.nu - self.nu**2 > 0):
+            raise BoundError("nu", f"must satisfy nu < mu with mu*nu - nu^2 > 0 in floating point, "
+                                   f"got mu={self.mu}, nu={self.nu}")
         total = self.p_signal + self.p_decoy + self.p_vacuum
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"pulse allocation must sum to 1, got {total}")
+            raise BoundError(None, f"pulse allocation must sum to 1, got {total}")
 
     @property
     def l_mu(self) -> float:
@@ -200,14 +198,11 @@ def gains_and_errors(
 
 
 def q1_lower(p: ProtocolParams, q_mu, q_nu, y0):
-    """Lower bound on the single-photon gain; negative values clamp to 0."""
-    denom = p.mu * p.nu - p.nu**2
-    if denom <= 0:
-        raise ValueError(f"mu must exceed nu (mu*nu - nu^2 > 0), got mu={p.mu}, nu={p.nu}")
+    """Lower bound on the single-photon gain; negative values clamp to 0 (mu*nu - nu^2 > 0 by load)."""
     raw = (
         p.mu**2
         * math.exp(-p.mu)
-        / denom
+        / (p.mu * p.nu - p.nu**2)
         * (
             q_nu * math.exp(p.nu)
             - q_mu * math.exp(p.mu) * p.nu**2 / p.mu**2
@@ -218,11 +213,10 @@ def q1_lower(p: ProtocolParams, q_mu, q_nu, y0):
 
 
 def e1_upper(p: ProtocolParams, q1_low, e_nu, q_nu, y0):
-    """Upper bound on the single-photon error rate, clamped to [0, 1]."""
-    if np.any(p.nu * q1_low <= 0):    # a subnormal Q1_lower can underflow nu Q1_lower
-        raise ValueError("e1 bound undefined for nu Q1_lower <= 0; treat the rate as 0")
-    raw = (e_nu * q_nu * math.exp(p.nu) - p.e0 * y0) * p.mu * math.exp(-p.mu) / (p.nu * q1_low)
-    return np.clip(raw, 0.0, 1.0)
+    """Upper bound on the single-photon error rate, clamped to [0, 1]; it reads 1 where nu Q1_L is 0."""
+    num, nu_q1 = (e_nu * q_nu * math.exp(p.nu) - p.e0 * y0) * p.mu * math.exp(-p.mu), p.nu * q1_low
+    raw = np.divide(num, nu_q1, out=np.ones(np.broadcast(num, nu_q1).shape), where=nu_q1 > 0)
+    return np.clip(raw, 0.0, 1.0)[()]
 
 
 def binary_entropy(x):
@@ -255,8 +249,7 @@ def _rate_curve(p: ProtocolParams, ch: ChannelParams, loss) -> tuple[dict, np.nd
     ge = gains_and_errors(p, ch, loss)
     q1 = q1_lower(p, ge.q_mu, ge.q_nu, ge.y0)
     gain = p.nu * q1 > 0.0
-    e1 = np.ones_like(q1)
-    e1[gain] = e1_upper(p, q1[gain], ge.e_nu[gain], ge.q_nu[gain], ge.y0)
+    e1 = e1_upper(p, q1, ge.e_nu, ge.q_nu, ge.y0)
     ec = -ge.q_mu * p.f_ec * binary_entropy(ge.e_mu)
     raw = p.q * p.l_mu * np.where(gain, ec + q1 * (1.0 - binary_entropy(e1)), ec)
     clamped = raw < 0.0

@@ -6,17 +6,21 @@ The top-level keys are the fields of ``Scenario``: ``modulator``
 (``SweepSpec``).  All are optional, and the defaults reproduce the
 projected performance operating point, so an empty scenario is valid.
 
-Each section is checked at load, for every command.  An unknown key or a
-value unlike its field's annotation (``int``: a non-boolean integer,
-``float``: any number, ``| None``: also null) is a ``ScenarioError``, and
-a NaN, an infinity or an int past the float range a ``ParameterError``;
-both name ``section.key``.  A value outside the bound its field declares
-(``bounds``), or an ``n_pulses`` of 2**63 or more, is a ``ParameterError``
-naming ``section.key`` too.  A rule across fields (nu < mu, the allocation
-summing to 1, stop_db >= start_db, the 10^7-point grid cap) is a
-``ParameterError`` naming the section, except a finite operating phase,
-which names ``modulator.phi0_operating``, and a positive ``mu*nu - nu^2``
-in floating point, which names ``protocol.nu``.
+Each section is checked at load, for every command, and each rule once.
+An unknown key or a value unlike its field's annotation (``int``: a
+non-boolean integer, ``float``: any number, ``| None``: also null) is a
+``ScenarioError`` naming ``section.key``.  Every other failure is a
+``ParameterError``, naming:
+
+- a NaN, an infinity, an int past the float range, or a value outside the
+  bound its field declares (``bounds``; ``n_pulses`` < 2**63 included):
+  ``section.key``;
+- the decoy order, nu < mu with a positive ``mu*nu - nu^2``: ``protocol.nu``;
+- a finite operating phase: ``modulator.phi0_operating``;
+- a step that collapses grid points: ``sweep.step_db``;
+- the allocation summing to 1, stop_db >= start_db and the 10^7-point
+  grid cap: the section.
+
 ``sim.chunk_pulses`` is checked (>= 1) and otherwise ignored: an MC run
 is one draw keyed by its seed.
 ``resolved_dict`` returns the expanded sections (all defaults applied) for
@@ -62,9 +66,15 @@ class SweepSpec:
     def __post_init__(self) -> None:
         check_bounds(self)
         if self.stop_db < self.start_db:
-            raise ValueError("stop_db must be >= start_db")
+            raise BoundError(None, "stop_db must be >= start_db")
         if not np.round((self.stop_db - self.start_db) / self.step_db) < MAX_GRID_POINTS:
-            raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} points")
+            raise BoundError(None, f"a grid holds at most {MAX_GRID_POINTS} points")
+        # each grid point lies within one float spacing of its exact value; the
+        # spacing is NaN where stop_db + step_db overflows, and such a step is far above it
+        spacing = np.spacing(self.stop_db + self.step_db)
+        if self.step_db <= 2 * spacing:
+            raise BoundError("step_db", f"must exceed twice the float spacing at stop_db + step_db "
+                                        f"({2 * spacing}) so that grid points stay distinct, got {self.step_db}")
 
     def grid(self) -> np.ndarray:
         n = int(round((self.stop_db - self.start_db) / self.step_db)) + 1
@@ -103,11 +113,9 @@ def _build_section(cls, data: dict, path: str):
         _check_value(value, annotations[key], f"{path}.{key}")
     try:
         return cls(**data)
-    except BoundError as exc:
-        key = f"{path}.{exc.field}"
-        raise ParameterError(f"'{key}' {exc.requirement}", key) from exc
-    except ValueError as exc:
-        raise ParameterError(f"invalid value in section '{path}': {exc}", path) from exc
+    except BoundError as exc:   # a rule over the whole section names no field
+        key = f"{path}.{exc.field}" if exc.field else path
+        raise ParameterError(f"'{key}' {exc.requirement}" if exc.field else exc.requirement, key) from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import ipmsim
 from ipmsim import cli, decoy
+from ipmsim.bounds import BoundError
 from ipmsim.cli import _COMMANDS, RATE_COLUMNS, _null_z, _read_csv, _write_csv, build_parser, main
 from ipmsim.decoy import ChannelParams, ProtocolParams, sweep_loss
 from ipmsim.modulator import BB84_DRIVE_FRACTIONS, RECEIVER_FRAME, modulator_mueller
@@ -52,6 +54,14 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+@st.composite
+def decoy_pairs(draw):
+    """(mu, nu) at the edges of the decoy order: nu = mu, its float neighbours, subnormal or huge nu."""
+    mu = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    near = st.sampled_from([mu, math.nextafter(mu, 0.0), math.nextafter(mu, 1.0), 1e200])
+    return mu, draw(near | st.floats(5e-324, 2.2e-308) | st.floats(5e-324, 1e200))
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -83,6 +93,30 @@ class TestScenario:
     def test_physical_precondition_is_parameter_error(self):
         with pytest.raises(ParameterError, match="nu < mu"):
             scenario_from_dict({"protocol": {"mu": 0.1, "nu": 0.2}})
+
+    @settings(max_examples=300, deadline=None)
+    @given(decoy_pairs())
+    @example((0.6, 0.6))
+    @example((0.6, math.nextafter(0.6, 0.0)))
+    @example((0.6, math.nextafter(0.6, 1.0)))
+    @example((0.6, 5e-324))
+    @example((0.4, 5e-324))       # 0.4 nu rounds to 0
+    @example((1e-300, 1e-301))    # mu nu underflows to 0
+    @example((0.6, 1e200))        # nu**2 would overflow
+    @example((0.4925396286408898, 0.4925396286408898))   # mu nu - nu**2 is 2.8e-17 here
+    def test_decoy_order_is_one_rule_naming_nu(self, pair):
+        mu, nu = pair
+        accepted = nu < mu and mu * nu - nu**2 > 0
+        try:
+            ProtocolParams(mu=mu, nu=nu)
+            assert accepted
+        except BoundError as exc:
+            assert not accepted and exc.field == "nu"
+        try:
+            scenario_from_dict({"protocol": {"mu": mu, "nu": nu}})
+            assert accepted
+        except ScenarioError as exc:
+            assert not accepted and exc.field_path == "protocol.nu"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot read"):
@@ -123,6 +157,25 @@ class TestScenario:
         assert "at most 10000000 points" in record["error"]
         assert not out.exists()
 
+    def test_collapsing_grid_flag_is_a_usage_error(self, tmp_path, capsys):
+        # 10^6 + k 1e-12 rounds to a few floats: the grid's points collapse
+        assert main(["sweep", "--grid", "1e6:1000000.000001:1e-12", "--out", str(tmp_path / "s.csv")]) == 2
+        assert "'step_db' must exceed" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_grid_whose_top_plus_step_overflows_loads(self):
+        assert SweepSpec(stop_db=1.7e308, step_db=1.7e308).grid().tolist() == [0.0, 1.7e308]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e300), st.floats(0.5, 64.0), st.integers(1, 1000))
+    def test_an_accepted_grid_strictly_increases(self, stop, spacings, points):
+        # steps of a few float spacings at the grid's top, the edge of the rule
+        step = spacings * float(np.spacing(stop))
+        with contextlib.suppress(ParameterError):
+            spec = scenario_from_dict({"sweep": {"start_db": max(stop - points * step, 0.0),
+                                                 "stop_db": stop, "step_db": step}}).sweep
+            grid = spec.grid()
+            assert np.all(grid[1:] > grid[:-1])
+
 
 NO_FLOAT = 10**400   # a JSON integer that no float can hold
 
@@ -161,6 +214,9 @@ PROBES = [
     # an underflowing mu*nu - nu^2 passed load: keyrate exited 3 naming no field, mc exited 0
     ("keyrate", {"protocol": {"mu": 1e-300, "nu": 1e-301}}, 3, "protocol.nu"),
     ("mc", {"protocol": {"mu": 1e-300, "nu": 1e-301}}, 3, "protocol.nu"),
+    # the decoy order named the section; a collapsing step named no field
+    ("keyrate", {"protocol": {"mu": 0.5, "nu": 0.5}}, 3, "protocol.nu"),
+    ("sweep", {"sweep": {"start_db": 1e6, "stop_db": 1000000.000001, "step_db": 1e-12}}, 3, "sweep.step_db"),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -313,8 +369,8 @@ class TestInputBoundary:
         section, key, bounds, is_int = bounded
         status, err = run_section(section, key, data.draw(within_bounds(bounds, is_int)))
         records = assert_json_stderr(status, err)
-        if status != 0:
-            assert status == 3 and records[-1]["field"] == section
+        if status != 0:   # the decoy order names protocol.nu, the other rules their section
+            assert status == 3 and records[-1]["field"] in (section, "protocol.nu")
 
 
 # values each flag accepts, and values that no flag accepts
@@ -881,7 +937,7 @@ class TestKeyrateAndSweep:
         scn = write_scenario(tmp_path, {"protocol": {"mu": 0.1, "nu": 0.2}})
         assert main(["keyrate", "--scenario", str(scn), "--out", str(tmp_path / "r.csv")]) == 3
         record = json.loads(capsys.readouterr().err.strip())
-        assert record["field"] == "protocol"
+        assert record["field"] == "protocol.nu"
         assert "nu < mu" in record["error"]
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
@@ -999,7 +1055,7 @@ class TestMcCommand:
         assert main(["mc", "--scenario", str(scn), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "2**63" in json.loads(err)["error"]
+        assert "must be < 9223372036854775808" in json.loads(err)["error"]
         assert not out.exists()
 
     def test_chunk_pulses_is_accepted_and_ignored(self, tmp_path, capsys):

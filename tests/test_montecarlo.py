@@ -251,9 +251,9 @@ class TestSimConfig:
     def test_rejects_pulse_counts_an_int64_tally_cannot_hold(self):
         # 2**65 pulses would wrap the int64 sent total, whatever chunk_pulses says
         for chunk in (2**62, 2**65):
-            with pytest.raises(ValueError, match=r"2\*\*63"):
+            with pytest.raises(ValueError, match="must be < 9223372036854775808"):
                 SimConfig(n_pulses=2**65, seed=1, chunk_pulses=chunk)
-        with pytest.raises(ValueError, match=r"2\*\*63"):
+        with pytest.raises(ValueError, match="must be < 9223372036854775808"):
             SimConfig(n_pulses=2**63, seed=1)
         SimConfig(n_pulses=2**63 - 1, seed=1, chunk_pulses=2**65)
 

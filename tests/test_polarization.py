@@ -276,7 +276,8 @@ class TestDegreeOfPolarization:
             except FloatingPointError:   # a square over- or underflows, or the quotient does
                 plain.append(None)
         kept = [k for k, dop in enumerate(plain) if dop is not None]
-        dop = degree_of_polarization(rows)
+        with np.errstate(over="ignore"):   # some drawn rows have a DOP past the float range
+            dop = degree_of_polarization(rows)
         np.testing.assert_array_equal(dop[kept], [plain[k] for k in kept], strict=True)
 
     @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
