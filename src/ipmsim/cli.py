@@ -121,7 +121,7 @@ def _cmd_trace(args, scn: Scenario) -> tuple[str, dict, dict]:
 
 def _cmd_scan(args, scn: Scenario) -> tuple[str, dict, dict]:
     lam = _scan_wavelengths(scn, args.grid)
-    intensities = wavelength_scan(scn.modulator, polarizer_angle=0.0, wavelengths=lam)
+    intensities = wavelength_scan(scn.modulator, lam)
     table = (("wavelength_nm", "intensity"), (lam * 1e9, intensities))
     return f"scan: wrote {len(lam)} points to {args.out}", {"": table}, {"polarizer_angle": 0.0}
 
@@ -216,7 +216,7 @@ def _cmd_fitdl(args, scn: Scenario) -> tuple[str, dict, dict]:
         lam, intensity = data[:, 0] * 1e-9, data[:, 1]
     else:
         lam = _scan_wavelengths(scn, args.grid)
-        intensity = wavelength_scan(scn.modulator, polarizer_angle=0.0, wavelengths=lam)
+        intensity = wavelength_scan(scn.modulator, lam)
     fit = fit_delta_l(lam, intensity, scn.modulator.n_1)
     table = (("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned"),
              [[fit.delta_l], [fit.contrast], [fit.phase], [fit.residual_rms], [fit.periods_spanned]])

@@ -159,21 +159,22 @@ def bb84_table(cfg: ModulatorConfig) -> tuple[np.ndarray, np.ndarray]:
     return v, (RECEIVER_FRAME @ s[..., None])[..., 0]
 
 
-def wavelength_scan(cfg: ModulatorConfig, polarizer_angle: float, wavelengths) -> np.ndarray:
-    """Transmitted intensity 0.5 (1 + cos(2 theta) cos(phi0(lambda))) per wavelength.
+def wavelength_scan(cfg: ModulatorConfig, wavelengths) -> np.ndarray:
+    """Transmitted intensity 0.5 (1 + cos(phi0(lambda))) per wavelength.
 
-    Models the polarizer + quarter-wave analyzer scan used to measure the
-    arm imbalance; intensities are normalized to unit input.  The phase
-    follows the geometric phi0(lambda) (the scan exists to measure it), so
-    ``phi0_operating`` is deliberately ignored here.  Raises ValueError
-    when the phase is not finite (a large ``delta_l`` overflows it).
+    Models the polarizer (at 0) + quarter-wave analyzer scan used to
+    measure the arm imbalance; intensities are normalized to unit input.
+    The phase follows the geometric phi0(lambda) (the scan exists to
+    measure it), so ``phi0_operating`` is deliberately ignored here.
+    Raises ValueError when the phase is not finite (a large ``delta_l``
+    overflows it).
     """
     lam = np.asarray(wavelengths, dtype=float)
     with np.errstate(over="ignore"):
         phase = phi0(lam, cfg)
     if not np.isfinite(phase).all():
         raise ValueError("scan phase 2 pi n_1 delta_l / wavelength passes the float range")
-    return 0.5 * (1.0 + np.cos(2.0 * polarizer_angle) * np.cos(phase))
+    return 0.5 * (1.0 + np.cos(phase))
 
 
 @dataclass(frozen=True)
@@ -327,15 +328,17 @@ def triangular_wave(phase) -> np.ndarray:
     return 4.0 * np.abs(x - 0.5) - 1.0
 
 
-def poincare_trace(cfg: ModulatorConfig, n_periods: int = 2, samples_per_period: int = 512):
+TRACE_PERIODS, TRACE_SAMPLES_PER_PERIOD = 2, 512   # the trace's drive periods, samples in each
+
+
+def poincare_trace(cfg: ModulatorConfig):
     """Poincare-sphere trace under push-pull triangular arm drive.
 
     v1 = A tri(t), v2 = -A tri(t) with A = v_pi_pm / 2, so the differential
     voltage spans 2 v_pi and the trace covers a full great circle.  Returns
-    (t, v1, v2, stokes) with stokes of shape (n, 4).
+    (t, v1, v2, stokes) with t in drive periods and stokes of shape (n, 4).
     """
-    n = n_periods * samples_per_period
-    t = np.arange(n) / samples_per_period
+    t = np.arange(TRACE_PERIODS * TRACE_SAMPLES_PER_PERIOD) / TRACE_SAMPLES_PER_PERIOD
     v1 = cfg.v_pi_pm / 2.0 * triangular_wave(t)
     v2 = 0.0 - v1   # not -v1, which writes -0 where v1 = 0
     return t, v1, v2, output_stokes(v1, v2, cfg)

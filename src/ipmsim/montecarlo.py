@@ -1,7 +1,8 @@
 """Count-level Monte Carlo of the decoy-BB84 pulse train, exact in law.
 
-Each pulse has a class (signal/decoy/vacuum) drawn from the allocation, a
-BB84 state drawn uniformly, a click type drawn from the detector law of
+Each pulse has a class (signal/decoy/vacuum) drawn from the allocation
+normalised by its sum (the split ``l_mu`` reads), a BB84 state drawn
+uniformly, a click type drawn from the detector law of
 ``decoy.click_law`` (photon click with probability ``decoy.photon_click``,
 independent dark fires on every receiver detector), a uniform receiver
 basis, sifting on matched bases, and an error drawn at the click type's
@@ -77,11 +78,6 @@ class PulseTally:
     dark_only: int = 0
     double_click: int = 0
 
-    @classmethod
-    def zeros(cls) -> "PulseTally":
-        shape = (len(PULSE_CLASSES), len(STATES))
-        return cls(**{name: np.zeros(shape, dtype=np.int64) for name in COUNTERS})
-
     def to_dict(self) -> dict:
         """Nested class -> state -> counters mapping plus click totals."""
         out: dict = {"dark_only": int(self.dark_only), "double_click": int(self.double_click)}
@@ -97,14 +93,9 @@ class PulseTally:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PulseTally":
-        tally = cls.zeros()
-        tally.dark_only = int(data["dark_only"])
-        tally.double_click = int(data["double_click"])
-        for ci, cls_name in enumerate(PULSE_CLASSES):
-            for si, state in enumerate(STATES):
-                for name in COUNTERS:
-                    getattr(tally, name)[ci, si] = data[cls_name][state][name]
-        return tally
+        counters = {name: np.array([[data[c][s][name] for s in STATES] for c in PULSE_CLASSES], dtype=np.int64)
+                    for name in COUNTERS}
+        return cls(**counters, dark_only=int(data["dark_only"]), double_click=int(data["double_click"]))
 
     def table(self) -> tuple[tuple[str, ...], list]:
         """Header and columns of the flat CSV table.
@@ -127,7 +118,8 @@ def _cell_probs(cfg: SimConfig) -> np.ndarray:
     p, ch = cfg.protocol, cfg.channel
     click = photon_click(ch, np.array([p.mu, p.nu, 0.0]))
     click_types = np.stack([click, 1.0 - click], axis=-1) @ click_law(ch)
-    class_p = np.array([p.p_signal, p.p_decoy, p.p_vacuum]) / len(STATES)
+    allocation = np.array([p.p_signal, p.p_decoy, p.p_vacuum])
+    class_p = allocation / allocation.sum() / len(STATES)
     return np.repeat((class_p[:, None] * click_types)[:, None, :], len(STATES), axis=1)
 
 

@@ -6,8 +6,9 @@ The top-level keys are the fields of ``Scenario``: ``modulator``
 (``SweepSpec``).  All are optional, and the defaults reproduce the
 projected performance operating point, so an empty scenario is valid.
 
-Each section is checked at load, for every command, and each rule once.
-An unknown key or a value unlike its field's annotation (``int``: a
+Each section is checked at load, for every command, and each rule once:
+the rate engine and the Monte Carlo check none of these rules again.  An
+unknown key or a value unlike its field's annotation (``int``: a
 non-boolean integer, ``float``: any number, ``| None``: also null) is a
 ``ScenarioError`` naming ``section.key``.  Every other failure is a
 ``ParameterError``, naming:
@@ -17,9 +18,10 @@ non-boolean integer, ``float``: any number, ``| None``: also null) is a
   ``section.key``;
 - the decoy order, nu < mu with a positive ``mu*nu - nu^2``: ``protocol.nu``;
 - a finite operating phase: ``modulator.phi0_operating``;
-- a step that collapses grid points: ``sweep.step_db``;
-- the allocation summing to 1, stop_db >= start_db and the 10^7-point
-  grid cap: the section.
+- a step that takes the grid's last point past the float range, or that
+  collapses grid points: ``sweep.step_db``;
+- the allocation summing to 1 with p_signal + p_decoy > 0, stop_db >=
+  start_db and the 10^7-point grid cap: the section.
 
 ``sim.chunk_pulses`` is checked (>= 1) and otherwise ignored: an MC run
 is one draw keyed by its seed.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,12 +72,13 @@ class SweepSpec:
             raise BoundError(None, "stop_db must be >= start_db")
         if not np.round((self.stop_db - self.start_db) / self.step_db) < MAX_GRID_POINTS:
             raise BoundError(None, f"a grid holds at most {MAX_GRID_POINTS} points")
-        # each grid point lies within one float spacing of its exact value; the
-        # spacing is NaN where stop_db + step_db overflows, and such a step is far above it
-        spacing = np.spacing(self.stop_db + self.step_db)
-        if self.step_db <= 2 * spacing:
-            raise BoundError("step_db", f"must exceed twice the float spacing at stop_db + step_db "
-                                        f"({2 * spacing}) so that grid points stay distinct, got {self.step_db}")
+        top = self.start_db + round((self.stop_db - self.start_db) / self.step_db) * self.step_db
+        if not math.isfinite(top):   # the last point as grid() computes it
+            raise BoundError("step_db", f"must keep the last grid point finite, got {self.step_db}")
+        # every point lies within ulp(top) of its exact value: a step above twice that keeps them distinct
+        if self.step_db <= 2 * math.ulp(top):
+            raise BoundError("step_db", f"must exceed twice the float spacing at the last grid point "
+                                        f"({2 * math.ulp(top)}) so that points stay distinct, got {self.step_db}")
 
     def grid(self) -> np.ndarray:
         n = int(round((self.stop_db - self.start_db) / self.step_db)) + 1

@@ -100,7 +100,7 @@ def test_criterion_3_arm_imbalance_recovery():
         start = time.perf_counter()
         cfg = ModulatorConfig()
         lam = np.linspace(1548.8e-9, 1551.2e-9, 1201)  # 2.4 nm around 1550 nm
-        clean = wavelength_scan(cfg, 0.0, lam)
+        clean = wavelength_scan(cfg, lam)
 
         fit = fit_delta_l(lam, clean, cfg.n_1)
         noiseless_err = abs(fit.delta_l - cfg.delta_l) / cfg.delta_l
@@ -272,7 +272,7 @@ def test_criterion_7_monte_carlo_agreement():
 
 def test_criterion_8_poincare_trace(tmp_path):
     with criterion(8, "triangular drive: equatorial great circle, monotone phase per half period"):
-        _, v1, v2, stokes = poincare_trace(ModulatorConfig(), n_periods=2, samples_per_period=512)
+        _, v1, v2, stokes = poincare_trace(ModulatorConfig())
         assert np.max(np.abs(stokes[:, 3])) <= 1e-12
         np.testing.assert_allclose(np.hypot(stokes[:, 1], stokes[:, 2]), 1.0, atol=1e-12)
 

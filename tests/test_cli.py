@@ -162,8 +162,17 @@ class TestScenario:
         assert main(["sweep", "--grid", "1e6:1000000.000001:1e-12", "--out", str(tmp_path / "s.csv")]) == 2
         assert "'step_db' must exceed" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_overflowing_grid_flag_is_a_usage_error(self, tmp_path, capsys):
+        # 0, 1e308, 2e308: the last point passes the float range
+        assert main(["sweep", "--grid", "0:1.7e308:1e308", "--out", str(tmp_path / "s.csv")]) == 2
+        assert "'step_db' must keep the last grid point" in json.loads(capsys.readouterr().err)["error"]
+
     def test_grid_whose_top_plus_step_overflows_loads(self):
         assert SweepSpec(stop_db=1.7e308, step_db=1.7e308).grid().tolist() == [0.0, 1.7e308]
+
+    def test_step_at_the_top_of_the_float_range_loads(self):
+        # the spacing rule read the spacing at stop_db + step_db, inf at the float range's top
+        assert SweepSpec(step_db=sys.float_info.max).grid().tolist() == [0.0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 1e300), st.floats(0.5, 64.0), st.integers(1, 1000))
@@ -178,6 +187,8 @@ class TestScenario:
 
 
 NO_FLOAT = 10**400   # a JSON integer that no float can hold
+ALL_VACUUM = {"protocol": {"p_signal": 0, "p_decoy": 0, "p_vacuum": 1}}
+OVERFLOWING_GRID = {"sweep": {"start_db": 0, "stop_db": 1.7e308, "step_db": 1e308}}
 
 # the probes that reached a traceback, a nan rate or an unchecked section
 PROBES = [
@@ -217,6 +228,14 @@ PROBES = [
     # the decoy order named the section; a collapsing step named no field
     ("keyrate", {"protocol": {"mu": 0.5, "nu": 0.5}}, 3, "protocol.nu"),
     ("sweep", {"sweep": {"start_db": 1e6, "stop_db": 1000000.000001, "step_db": 1e-12}}, 3, "sweep.step_db"),
+    # an all-vacuum allocation passed load: keyrate exited 3 naming no field, mc exited 0 with nan
+    ("keyrate", ALL_VACUUM, 3, "protocol"),
+    ("mc", ALL_VACUUM, 3, "protocol"),
+    # a grid whose last point overflows wrote an inf loss row with exit 0
+    ("sweep", OVERFLOWING_GRID, 3, "sweep.step_db"),
+    # (1 - p_d)^n rounded far enough that the cells summed past 1 + 1e-12: mc exited 3 naming no field
+    ("mc", {"protocol": {"p_signal": 0.5, "p_decoy": 0.5, "p_vacuum": 0}, "channel": {"num_detectors": 536776045}},
+     3, "channel.num_detectors"),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -265,6 +284,39 @@ def command_trees(draw):
         n = draw(st.integers(1, 10**5))
         tree["sim"] = {"n_pulses": n, "chunk_pulses": draw(st.integers(1, n))}
     return command, tree
+
+
+@st.composite
+def allocations(draw):
+    """(p_signal, p_decoy, p_vacuum): shares, zeros among them, summing to 1 up to a slack of 1e-9."""
+    weights = [draw(st.floats(0.0, 1.0) | st.floats(0.0, 1.0) | st.just(0.0)) for _ in range(3)]
+    total = sum(weights)
+    shares = [w / total for w in weights] if total > 0 else [0.0, 0.0, 1.0]
+    slack = draw(st.sampled_from([0.0, 1e-9, -1e-9, 9e-10, -9e-10]) | st.floats(-1e-9, 1e-9))
+    shares[draw(st.integers(0, 2))] += slack
+    return dict(zip(("p_signal", "p_decoy", "p_vacuum"), shares))
+
+
+@st.composite
+def runnable_trees(draw):
+    """Protocol, channel, sim and sweep sections with every value inside its declared bound.
+
+    nu is mu times a draw from (0, 1], so that the decoy order mostly holds.
+    A sweep grid holds at most about 200 points: that keeps the runtime
+    down and hides nothing, as no grid rule depends on the grid's length.
+    """
+    tree = {
+        section: {f.name: draw(st.just(f.default) | within_bounds(f.metadata, f.type == "int"))
+                  for f in dataclasses.fields(_SECTIONS[section]) if f.metadata}
+        for section in ("protocol", "channel", "sim")
+    }
+    tree["protocol"]["nu"] = tree["protocol"]["mu"] * draw(st.floats(0.0, 1.0, exclude_min=True))
+    tree["protocol"].update(draw(allocations()))
+    start = draw(st.just(0.0) | within_bounds({"ge": 0}, False))
+    step = draw(within_bounds({"gt": 0}, False))
+    # stop may overflow to inf, which load refuses
+    tree["sweep"] = {"start_db": start, "stop_db": start + draw(st.floats(0.0, 199.0)) * step, "step_db": step}
+    return tree
 
 
 # (section, key, bounds, is_int) for every section field that declares a bound
@@ -353,6 +405,21 @@ class TestInputBoundary:
     @given(command_trees())
     def test_random_trees_exit_0_2_or_3_with_json_stderr(self, command_tree):
         assert_json_stderr(*run_scenario(*command_tree))
+
+    @settings(max_examples=300, deadline=None)
+    @given(runnable_trees())
+    @example(ALL_VACUUM)
+    @example({"protocol": {"p_signal": 0.7500000009, "p_decoy": 0.25, "p_vacuum": 0}})   # sum 1 + 9e-10
+    @example(OVERFLOWING_GRID)
+    def test_a_scenario_that_loads_runs_keyrate_sweep_and_mc(self, tree):
+        try:
+            scenario_from_dict(tree)
+        except ScenarioError:   # ParameterError included
+            return
+        for command in ("keyrate", "sweep", "mc"):
+            status, err = run_scenario(command, tree)
+            assert status == 0, f"{command}: {err}"
+            assert all("warning" in json.loads(line) for line in err.splitlines()), err
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(BOUNDED_FIELDS), st.data())

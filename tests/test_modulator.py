@@ -326,21 +326,14 @@ class TestBb84Drive:
 
 
 class TestWavelengthScan:
-    def test_balanced_analyzer_sees_flat_half(self):
-        lam = np.linspace(1549e-9, 1551e-9, 101)
-        out = wavelength_scan(cfg_with(), np.pi / 4, lam)
-        np.testing.assert_allclose(out, 0.5, atol=1e-12)
-
     def test_zero_imbalance_is_flat(self):
-        cfg = cfg_with(delta_l=0.0)
-        theta = 0.3
-        out = wavelength_scan(cfg, theta, np.linspace(1549e-9, 1551e-9, 51))
-        np.testing.assert_allclose(out, 0.5 * (1 + np.cos(2 * theta)), atol=1e-12)
+        out = wavelength_scan(cfg_with(delta_l=0.0), np.linspace(1549e-9, 1551e-9, 51))
+        np.testing.assert_array_equal(out, 1.0)
 
     def test_fringe_spacing_in_wavenumber(self):
         cfg = cfg_with()
         lam = np.linspace(1548.8e-9, 1551.2e-9, 20001)
-        out = wavelength_scan(cfg, 0.0, lam)
+        out = wavelength_scan(cfg, lam)
         m = 1.0 / lam
         maxima = [
             i
@@ -352,7 +345,7 @@ class TestWavelengthScan:
         np.testing.assert_allclose(spacings, expected, rtol=2e-3)
 
     def test_intensities_within_unit_range(self):
-        out = wavelength_scan(cfg_with(), 0.1, np.linspace(1549e-9, 1551e-9, 501))
+        out = wavelength_scan(cfg_with(), np.linspace(1549e-9, 1551e-9, 501))
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
@@ -361,7 +354,7 @@ class TestFitDeltaL:
 
     def test_noiseless_round_trip(self):
         cfg = cfg_with()
-        fit = fit_delta_l(self.LAM, wavelength_scan(cfg, 0.0, self.LAM), cfg.n_1)
+        fit = fit_delta_l(self.LAM, wavelength_scan(cfg, self.LAM), cfg.n_1)
         assert abs(fit.delta_l - cfg.delta_l) / cfg.delta_l < 1e-3
         assert fit.residual_rms < 1e-8
         assert fit.periods_spanned > 2.0
@@ -369,7 +362,7 @@ class TestFitDeltaL:
     def test_recovers_with_additive_noise(self):
         cfg = cfg_with()
         rng = np.random.default_rng(8)
-        clean = wavelength_scan(cfg, 0.0, self.LAM)
+        clean = wavelength_scan(cfg, self.LAM)
         noisy = clean + rng.uniform(-0.02, 0.02, size=clean.size)
         fit = fit_delta_l(self.LAM, noisy, cfg.n_1)
         assert abs(fit.delta_l - cfg.delta_l) / cfg.delta_l < 1e-2
@@ -380,7 +373,7 @@ class TestFitDeltaL:
 
     def test_under_two_periods_rejected(self):
         cfg = cfg_with(delta_l=1.5e-4)  # ~0.18 periods over the span
-        scan = wavelength_scan(cfg, 0.0, self.LAM)
+        scan = wavelength_scan(cfg, self.LAM)
         with pytest.raises(ValueError, match="period"):
             fit_delta_l(self.LAM, scan, cfg.n_1)
 
@@ -405,7 +398,7 @@ class TestFitDeltaL:
     )
     def test_non_finite_or_non_physical_input_named(self, where, index, value, error):
         lam = self.LAM.copy()
-        scan = wavelength_scan(cfg_with(), 0.0, self.LAM)
+        scan = wavelength_scan(cfg_with(), self.LAM)
         (scan if where == "intensity" else lam)[index] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -416,7 +409,7 @@ class TestFitDeltaL:
     def test_scaled_scan_fits_the_same_fringe(self, scale):
         # the offset is fitted, so a scan in any units gives the same dL and visibility
         cfg = cfg_with()
-        scan = wavelength_scan(cfg, 0.0, self.LAM) + np.random.default_rng(8).uniform(-0.02, 0.02, self.LAM.size)
+        scan = wavelength_scan(cfg, self.LAM) + np.random.default_rng(8).uniform(-0.02, 0.02, self.LAM.size)
         unit = fit_delta_l(self.LAM, scan, cfg.n_1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -431,7 +424,7 @@ class TestFitDeltaL:
             raise AssertionError("the fit called lstsq or argsort")
 
         cfg = cfg_with()
-        scan = wavelength_scan(cfg, 0.0, self.LAM) + np.random.default_rng(11).uniform(-0.02, 0.02, self.LAM.size)
+        scan = wavelength_scan(cfg, self.LAM) + np.random.default_rng(11).uniform(-0.02, 0.02, self.LAM.size)
         expected = fit_delta_l(self.LAM, scan, cfg.n_1)
         monkeypatch.setattr(np.linalg, "lstsq", forbidden)
         monkeypatch.setattr(np, "argsort", forbidden)
@@ -444,11 +437,11 @@ class TestFitDeltaL:
         monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs: sizes.append(len(a)) or rfft(a, *args, **kwargs))
         lam = np.linspace(1548.8e-9, 1551.2e-9, n)
         cfg = cfg_with(delta_l=2e-3)   # about 2.9 periods over the span
-        fit_delta_l(lam, wavelength_scan(cfg, 0.0, lam), cfg.n_1)
+        fit_delta_l(lam, wavelength_scan(cfg, lam), cfg.n_1)
         assert sizes == [n_fft]
 
     def test_nonpositive_offset_rejected(self):
-        scan = -wavelength_scan(cfg_with(), 0.0, self.LAM)
+        scan = -wavelength_scan(cfg_with(), self.LAM)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^fitted fringe offset -0.5 must be positive$"):
@@ -461,7 +454,7 @@ class TestFitDeltaL:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^fitted fringe offset 0 must be positive$"):
-                fit_delta_l(self.LAM, wavelength_scan(cfg_with(), 0.0, self.LAM), 1.468)
+                fit_delta_l(self.LAM, wavelength_scan(cfg_with(), self.LAM), 1.468)
 
 
 N_1 = 1.468
@@ -597,18 +590,18 @@ class TestPoincareTrace:
         np.testing.assert_allclose(triangular_wave(t), [0.0, 1.0, 0.0, -1.0], atol=1e-12)
 
     def test_equator_great_circle_at_zero_offset(self):
-        _, _, _, stokes = poincare_trace(cfg_with(), n_periods=2, samples_per_period=256)
+        _, _, _, stokes = poincare_trace(cfg_with())
         assert np.max(np.abs(stokes[:, 3])) <= 1e-12
         radius = np.hypot(stokes[:, 1], stokes[:, 2])
         np.testing.assert_allclose(radius, 1.0, atol=1e-12)
 
     def test_constant_latitude_with_offset(self):
         cfg = cfg_with(delta=0.05)
-        _, _, _, stokes = poincare_trace(cfg, n_periods=1, samples_per_period=128)
+        _, _, _, stokes = poincare_trace(cfg)
         np.testing.assert_allclose(stokes[:, 3], np.sin(0.1), atol=1e-12)
 
     def test_phase_monotone_per_half_period(self):
-        _, v1, v2, stokes = poincare_trace(cfg_with(), n_periods=2, samples_per_period=256)
+        _, v1, v2, stokes = poincare_trace(cfg_with())
         assert monotone_phase_segments(v1 - v2, stokes)
 
     def test_differential_span_covers_full_circle(self):

@@ -137,14 +137,12 @@ def _event_tally(cfg: SimConfig) -> PulseTally:
     # bincount over the 12 (class, state) cells
     code = (pulse_class << 2) | state
     n_cells = len(PULSE_CLASSES) * len(STATES)
-    tally = PulseTally.zeros()
-    tally.sent += np.bincount(code, minlength=n_cells).reshape(3, 4)
-    tally.detected += np.bincount(code[detected], minlength=n_cells).reshape(3, 4)
-    tally.sifted += np.bincount(code[sifted], minlength=n_cells).reshape(3, 4)
-    tally.errors += np.bincount(code[errors], minlength=n_cells).reshape(3, 4)
-    tally.dark_only = int(dark_only.sum())
-    tally.double_click = int(double.sum())
-    return tally
+    return PulseTally(
+        *(np.bincount(code[mask], minlength=n_cells).reshape(3, 4)
+          for mask in (slice(None), detected, sifted, errors)),
+        dark_only=int(dark_only.sum()),
+        double_click=int(double.sum()),
+    )
 
 
 def _counters(tally: PulseTally) -> np.ndarray:
@@ -152,6 +150,10 @@ def _counters(tally: PulseTally) -> np.ndarray:
     cells = np.stack([tally.sent, tally.detected, tally.sifted, tally.errors]).ravel()
     return np.concatenate([cells, [tally.dark_only, tally.double_click]])
 
+
+# load refuses an allocation with no signal or decoy pulses; a decoy share
+# of 5e-324 passes, and no pulse draws it: each cell's probability is 0
+ALL_VACUUM = ProtocolParams(p_signal=0.0, p_decoy=5e-324, p_vacuum=1.0)
 
 ORACLE_CHANNELS = {
     "dense-darks": dict(total_loss_db=8.0, dark_rate=5e6, gate_window=1e-9, intrinsic_qber=0.03),
@@ -178,11 +180,7 @@ class TestAgainstEventLevelOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_CHANNELS))
     def test_count_sampler_matches_event_level_law(self, name):
-        protocol = (
-            ProtocolParams(p_signal=0.0, p_decoy=0.0, p_vacuum=1.0)
-            if name == "all-vacuum"
-            else ProtocolParams()
-        )
+        protocol = ALL_VACUUM if name == "all-vacuum" else ProtocolParams()
         channel = ChannelParams(**ORACLE_CHANNELS[name])
 
         def cfg(seed: int) -> SimConfig:
@@ -239,6 +237,15 @@ class TestOneClickLaw:
         np.testing.assert_allclose(
             error_clicks[:2], [ge.e_mu * ge.q_mu, ge.e_nu * ge.q_nu], rtol=1e-15, atol=0.0
         )
+
+    @pytest.mark.parametrize("allocation", [(0.5, 0.25, 0.25), (0.7500000009, 0.25, 0.0), (0.7, 0.2, 0.1)])
+    def test_class_split_is_the_allocation_over_its_sum(self, allocation):
+        # load accepts a sum within 1e-9 of 1; the MC reads the split l_mu reads
+        p = ProtocolParams(**dict(zip(("p_signal", "p_decoy", "p_vacuum"), allocation)))
+        split = _cell_probs(SimConfig(protocol=p)).sum(axis=(1, 2))
+        assert split[0] / (split[0] + split[1]) == pytest.approx(p.l_mu, rel=1e-15)
+        assert split.sum() == pytest.approx(1.0, rel=1e-15)
+        assert simulate(SimConfig(n_pulses=10**6, seed=1, protocol=p)).sent.sum() == 10**6
 
 
 class TestSimConfig:
@@ -386,7 +393,7 @@ class TestTallySerialization:
 
 class TestEstimate:
     def test_all_vacuum_run_measures_y0(self):
-        protocol = ProtocolParams(p_signal=0.0, p_decoy=0.0, p_vacuum=1.0)
+        protocol = ALL_VACUUM
         channel = ChannelParams(total_loss_db=300.0, dark_rate=2e5, gate_window=1e-9)
         cfg = SimConfig(n_pulses=500_000, seed=11, protocol=protocol, channel=channel)
         tally = simulate(cfg)
