@@ -1,11 +1,11 @@
 """Scenario-driven command line front end.
 
 Every command but ``polarimetry`` reads one scenario file (all sections
-optional).  Each command computes its results, then one writer writes
-every file of the command: the data files first, and last a
-``<out>.params.json`` sidecar with the resolved scenario sections the
-command reads, for provenance.  The command prints a one-line summary to
-stdout and exits 0.  On failure an error record is printed to
+optional).  Each command writes its files through one writer: the data
+files first, and last a ``<out>.params.json`` sidecar with the resolved
+scenario sections the command reads, for provenance.  The files appear
+together when the command succeeds, or not at all.  The command prints a
+one-line summary to stdout and exits 0.  On failure an error record is printed to
 stderr as a single JSON line and the exit status is 2 for a usage error,
 a malformed scenario or a file that cannot be read or written, or 3 for a
 numerical/parameter failure (the record names the offending field).  Each
@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import itertools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -30,12 +32,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bounds import BoundError
 from .decoy import gains_and_errors, secure_rate, sweep_loss
 from .modulator import bb84_table, fit_delta_l, poincare_trace, wavelength_scan
 from .montecarlo import STATES, RateEstimate, SimConfig, SimSpec, estimate, simulate
 from .polarimetry import extract_stokes, measure_stokes
 from .polarization import degree_of_polarization
-from .scenario import Scenario, ScenarioError, SweepSpec, _check_value, load_scenario, resolved_dict
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    SweepSpec,
+    _check_value,
+    load_scenario,
+    resolved_dict,
+    section_error,
+)
 
 # rate CSV header -> the RatePoint field its column prints
 RATE_COLUMNS = {
@@ -55,51 +66,92 @@ RATE_COLUMNS = {
 # printf conversion for each column's numpy dtype kind
 _CONVERSIONS = {"U": "%s", "i": "%d", "f": "%.9g"}
 
-# rows _write_csv formats at a time, and characters _read_csv decodes at a
-# time: each bounds what a table costs beyond its own arrays
+# rows a table block holds (the rows _write_csv formats at a time, and the
+# sweep's grid points per engine pass), and characters _read_csv decodes at
+# a time: each bounds what a table costs beyond its own arrays
 _WRITE_ROWS = 4096
 _READ_CHARS = 1 << 16
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    """Header row, then row k of the table holds element k of every column."""
+def _slices(columns):
+    """A table source over whole columns: blocks of ``_WRITE_ROWS`` rows."""
     columns = [np.asarray(c) for c in columns]
-    row_format = ",".join(_CONVERSIONS[c.dtype.kind] for c in columns) + "\n"
     rows = min(map(len, columns))
+
+    def source(emit):
+        for start in range(0, rows, _WRITE_ROWS):
+            emit([c[start : start + _WRITE_ROWS] for c in columns])
+
+    return source
+
+
+def _write_csv(path: Path, header, source):
+    """Header row, then the rows of each block of columns that ``source`` supplies.
+
+    ``source(emit)`` calls ``emit`` with each block, a list of equal-length
+    columns whose row k holds element k of every column; each block is
+    written before the source computes the next.  Returns what ``source``
+    returns.
+    """
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, rows, _WRITE_ROWS):
-            block = zip(*(c[start : start + _WRITE_ROWS].tolist() for c in columns))
-            f.write("".join(map(row_format.__mod__, block)))
+
+        def emit(columns):
+            row_format = ",".join(_CONVERSIONS[c.dtype.kind] for c in columns) + "\n"
+            f.write("".join(map(row_format.__mod__, zip(*(c.tolist() for c in columns)))))
+
+        return source(emit)
 
 
-def _write_outputs(args, scn: Scenario, files: dict, extra: dict) -> None:
-    """Write a command's files in order, then its ``<out>.params.json`` sidecar.
+@contextlib.contextmanager
+def _write_outputs(out: Path):
+    """Yield ``write``; the files written through it appear when the block ends, or not at all.
 
-    ``files`` maps a suffix on ``--out`` to a ``(header, columns)`` table
-    for ``_write_csv`` or to text written as is.
+    ``write(suffix, content)`` writes the file named by ``suffix`` on
+    ``out``: ``content`` is text written as is or a ``(header, source)``
+    table for ``_write_csv``, whose result it returns.  Each file goes to a
+    sibling temporary file, and after the block ``os.replace`` moves them
+    all into place, in the order written.  An exception deletes the
+    temporaries and leaves every output path as it was.
     """
-    record = {"command": args.command, "parameters": resolved_dict(scn, _COMMANDS[args.command][2]), **extra}
-    sidecar = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    for suffix, content in {**files, ".params.json": sidecar}.items():
-        path = args.out.with_name(args.out.name + suffix)
+    pending = {}   # output path -> its temporary sibling
+
+    def write(suffix: str, content):
+        path = out.with_name(out.name + suffix)
+        pending[path] = temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         if isinstance(content, str):
-            path.write_text(content)
-        else:
-            _write_csv(path, *content)
+            return temporary.write_text(content)
+        return _write_csv(temporary, *content)
+
+    try:
+        yield write
+        for path, temporary in pending.items():
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in pending.values():
+            with contextlib.suppress(OSError):
+                temporary.unlink()
+        raise
 
 
-def _scan_wavelengths(scn: Scenario, grid: SweepSpec | None):
-    """Wavelength grid in meters; --grid (in nm) overrides the default span."""
+def _synthetic_scan(scn: Scenario, grid: SweepSpec | None):
+    """Wavelengths in meters and the scan's intensities; --grid (in nm) overrides the default span.
+
+    A scan phase past the float range names ``modulator.delta_l``.
+    """
     if grid is not None:
-        return grid.grid() * 1e-9
-    # default: 1201 points, +-1.2 nm around the operating wavelength, which
-    # ModulatorConfig bounds above 1.2 nm so that the scan stays above 0 nm
-    start_nm = scn.modulator.wavelength * 1e9 - 1.2
-    return (start_nm + np.arange(1201) * 0.002) * 1e-9
+        lam = grid.grid() * 1e-9
+    else:
+        # default: 1201 points, +-1.2 nm around the operating wavelength, which
+        # ModulatorConfig bounds above 1.2 nm so that the scan stays above 0 nm
+        lam = (scn.modulator.wavelength * 1e9 - 1.2 + np.arange(1201) * 0.002) * 1e-9
+    try:
+        return lam, wavelength_scan(scn.modulator, lam)
+    except BoundError as exc:
+        raise section_error(exc, "modulator") from exc
 
 
-def _cmd_states(args, scn: Scenario) -> tuple[str, dict, dict]:
+def _cmd_states(args, scn: Scenario, write) -> tuple[str, dict]:
     v, stokes = bb84_table(scn.modulator)
     # S1..S3 are the ideal outputs; S*_meas is what the polarimeter recovers
     # through the configured (possibly imperfect) waveplate retardance
@@ -108,22 +160,22 @@ def _cmd_states(args, scn: Scenario) -> tuple[str, dict, dict]:
         ("state", "v0", "v1", "v2", "S0", "S1", "S2", "S3", "S1_meas", "S2_meas", "S3_meas"),
         # v0, the unmodelled intensity modulator's drive, stays 0 because
         # ipmbench reads S0..S3 by column position
-        (np.array(STATES), np.zeros(4), *v.T, *stokes.T, *measured[:, 1:].T),
+        _slices((np.array(STATES), np.zeros(4), *v.T, *stokes.T, *measured[:, 1:].T)),
     )
-    return f"states: wrote 4 drive settings to {args.out}", {"": table}, {}
+    write("", table)
+    return f"states: wrote 4 drive settings to {args.out}", {}
 
 
-def _cmd_trace(args, scn: Scenario) -> tuple[str, dict, dict]:
+def _cmd_trace(args, scn: Scenario, write) -> tuple[str, dict]:
     t, v1, v2, stokes = poincare_trace(scn.modulator)
-    table = (("t", "v1", "v2", "S0", "S1", "S2", "S3"), (t, v1, v2, *stokes.T))
-    return f"trace: wrote {len(t)} samples to {args.out}", {"": table}, {}
+    write("", (("t", "v1", "v2", "S0", "S1", "S2", "S3"), _slices((t, v1, v2, *stokes.T))))
+    return f"trace: wrote {len(t)} samples to {args.out}", {}
 
 
-def _cmd_scan(args, scn: Scenario) -> tuple[str, dict, dict]:
-    lam = _scan_wavelengths(scn, args.grid)
-    intensities = wavelength_scan(scn.modulator, lam)
-    table = (("wavelength_nm", "intensity"), (lam * 1e9, intensities))
-    return f"scan: wrote {len(lam)} points to {args.out}", {"": table}, {"polarizer_angle": 0.0}
+def _cmd_scan(args, scn: Scenario, write) -> tuple[str, dict]:
+    lam, intensities = _synthetic_scan(scn, args.grid)
+    write("", (("wavelength_nm", "intensity"), _slices((lam * 1e9, intensities))))
+    return f"scan: wrote {len(lam)} points to {args.out}", {"polarizer_angle": 0.0}
 
 
 class _TextLines:
@@ -210,39 +262,42 @@ def _read_csv(path: Path, expected_columns: int) -> np.ndarray:
         raise
 
 
-def _cmd_fitdl(args, scn: Scenario) -> tuple[str, dict, dict]:
+def _cmd_fitdl(args, scn: Scenario, write) -> tuple[str, dict]:
     if args.infile is not None:
         data = _read_csv(args.infile, 2)
         lam, intensity = data[:, 0] * 1e-9, data[:, 1]
     else:
-        lam = _scan_wavelengths(scn, args.grid)
-        intensity = wavelength_scan(scn.modulator, lam)
+        lam, intensity = _synthetic_scan(scn, args.grid)
     fit = fit_delta_l(lam, intensity, scn.modulator.n_1)
-    table = (("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned"),
-             [[fit.delta_l], [fit.contrast], [fit.phase], [fit.residual_rms], [fit.periods_spanned]])
+    write("", (("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned"),
+               _slices([[fit.delta_l], [fit.contrast], [fit.phase], [fit.residual_rms], [fit.periods_spanned]])))
     summary = f"fitdl: delta_l = {fit.delta_l:.9g} m (residual rms {fit.residual_rms:.9g}) -> {args.out}"
-    return summary, {"": table}, {"input": str(args.infile) if args.infile else None}
+    return summary, {"input": str(args.infile) if args.infile else None}
 
 
-def _cmd_polarimetry(args, scn: Scenario) -> tuple[str, dict, dict]:
+def _cmd_polarimetry(args, scn: Scenario, write) -> tuple[str, dict]:
     stokes = extract_stokes(*_read_csv(args.infile, 4).T)
-    table = (("S0", "S1", "S2", "S3", "DOP"), (*stokes.T, degree_of_polarization(stokes)))
-    return f"polarimetry: extracted {len(stokes)} states to {args.out}", {"": table}, {"input": str(args.infile)}
+    write("", (("S0", "S1", "S2", "S3", "DOP"), _slices((*stokes.T, degree_of_polarization(stokes)))))
+    return f"polarimetry: extracted {len(stokes)} states to {args.out}", {"input": str(args.infile)}
 
 
-def _cmd_keyrate(args, scn: Scenario) -> tuple[str, dict, dict]:
+def _cmd_keyrate(args, scn: Scenario, write) -> tuple[str, dict]:
     point = secure_rate(scn.protocol, scn.channel)
-    table = (RATE_COLUMNS, [[getattr(point, f)] for f in RATE_COLUMNS.values()])
+    write("", (RATE_COLUMNS, _slices([[getattr(point, f)] for f in RATE_COLUMNS.values()])))
     summary = (f"keyrate: R = {point.rate_per_pulse:.9g}/pulse "
                f"({point.rate_per_second:.9g} bit/s) at {point.loss_db:.9g} dB -> {args.out}")
-    return summary, {"": table}, {}
+    return summary, {}
 
 
-def _cmd_sweep(args, scn: Scenario) -> tuple[str, dict, dict]:
+def _cmd_sweep(args, scn: Scenario, write) -> tuple[str, dict]:
     grid_spec = args.grid if args.grid is not None else scn.sweep
-    result = sweep_loss(scn.protocol, scn.channel, grid_spec.grid())
-    table = (RATE_COLUMNS, [result.columns[f] for f in RATE_COLUMNS.values()])
-    summary = (f"sweep: {len(result.columns['loss_db'])} points, positive-rate threshold "
+
+    def rate_blocks(emit):   # the engine hands each block of the curve on as soon as it is computed
+        return sweep_loss(scn.protocol, scn.channel, grid_spec.blocks(_WRITE_ROWS),
+                          lambda columns, _: emit([columns[f] for f in RATE_COLUMNS.values()]))
+
+    result = write("", (RATE_COLUMNS, rate_blocks))
+    summary = (f"sweep: {len(grid_spec)} points, positive-rate threshold "
                f"{result.threshold_db:.9g} dB -> {args.out}")
     extra = {
         "grid": dataclasses.asdict(grid_spec),
@@ -250,7 +305,7 @@ def _cmd_sweep(args, scn: Scenario) -> tuple[str, dict, dict]:
         "threshold_db": None if np.isnan(result.threshold_db) else result.threshold_db,
         "threshold_is_grid_edge": result.threshold_is_grid_edge,
     }
-    return summary, {"": table}, extra
+    return summary, extra
 
 
 def _null_z(est: RateEstimate, analytic: float) -> float:
@@ -269,7 +324,7 @@ def _null_z(est: RateEstimate, analytic: float) -> float:
     return float(np.copysign(np.inf, diff)) if diff else 0.0
 
 
-def _cmd_mc(args, scn: Scenario) -> tuple[str, dict, dict]:
+def _cmd_mc(args, scn: Scenario, write) -> tuple[str, dict]:
     seed = args.seed if args.seed is not None else scn.sim.seed
     cfg = SimConfig(n_pulses=scn.sim.n_pulses, seed=seed, protocol=scn.protocol,
                     channel=scn.channel)
@@ -280,16 +335,20 @@ def _cmd_mc(args, scn: Scenario) -> tuple[str, dict, dict]:
     for name in ("Q_mu", "Q_nu", "E_mu", "E_nu", "Y0"):
         est, analytic = getattr(emp, name.lower()), getattr(ge, name.lower())
         report_rows.append((name, est.value, est.stderr, analytic, _null_z(est, analytic)))
-    report = (("quantity", "empirical", "stderr", "analytic", "z_score"), list(zip(*report_rows)))
+    header, columns = tally.table()
+    write("", tally.to_json() + "\n")
+    write(".csv", (header, _slices(columns)))
+    write(".report.csv", (("quantity", "empirical", "stderr", "analytic", "z_score"), _slices(zip(*report_rows))))
     summary_flags = f" flags={';'.join(emp.flags)}" if emp.flags else ""
     summary = (f"mc: {cfg.n_pulses} pulses, Q_mu = {emp.q_mu.value:.9g} "
                f"(analytic {ge.q_mu:.9g}) -> {args.out}{summary_flags}")
-    return summary, {"": tally.to_json() + "\n", ".csv": tally.table(), ".report.csv": report}, {"seed": seed}
+    return summary, {"seed": seed}
 
 
 # command -> (handler, help text, the scenario sections it reads).  A handler
-# returns its stdout summary, its files keyed by their suffix on --out ("" for
-# the data file) and its sidecar's extra keys; main writes them.
+# hands each of its files to the ``write`` of ``_write_outputs``, keyed by its
+# suffix on --out ("" for the data file), and returns its stdout summary and
+# its sidecar's extra keys; main writes the sidecar.
 _COMMANDS = {
     "states": (_cmd_states, "BB84 drive-voltage table and output Stokes vectors", ("modulator",)),
     "trace": (_cmd_trace, "Poincare trace under triangular differential drive", ("modulator",)),
@@ -391,8 +450,11 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             scn = load_scenario(getattr(args, "scenario", None))
-            summary, files, extra = _COMMANDS[args.command][0](args, scn)
-            _write_outputs(args, scn, files, extra)
+            handler, _, sections = _COMMANDS[args.command]
+            with _write_outputs(args.out) as write:
+                summary, extra = handler(args, scn, write)
+                record = {"command": args.command, "parameters": resolved_dict(scn, sections), **extra}
+                write(".params.json", json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
         except (argparse.ArgumentError, OSError) as exc:
             print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
             return 2

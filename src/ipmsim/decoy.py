@@ -30,8 +30,8 @@ Secure rate per pulse:
 with L_mu = p_signal / (p_signal + p_decoy) and QBER = E_mu.  Negative
 rates clamp to zero (flagged) so loss sweeps cross the threshold smoothly.
 All functions are pure.  Gains, bounds and rate are numpy array code over
-loss: a sweep evaluates its whole grid in one pass, and a single point is
-a one-element sweep.
+loss: a sweep evaluates its grid a block at a time, and a single point is
+a one-element block.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ class ProtocolParams:
     decoy 0.2 photons per pulse, basis reconciliation q = 1/2, constant
     error-correction efficiency 1.22, vacuum error rate 0.5, and a
     2:1:1 signal/decoy/vacuum pulse allocation.  A ``BoundError`` naming
-    ``nu`` refuses nu >= mu, and a ``mu*nu - nu^2`` that underflows or
-    cancels to 0 in floating point: ``q1_lower`` divides by it.  One with
+    ``nu`` refuses nu >= mu, a ``mu*nu - nu^2`` that underflows or cancels
+    to 0 in floating point, and one so small (a subnormal nu) that
+    ``q1_lower``'s factor mu^2 e^-mu / (mu nu - nu^2) overflows.  One with
     no field refuses an allocation that does not sum to 1 or has no signal
     or decoy pulses: ``l_mu`` divides by p_signal + p_decoy.
     """
@@ -73,6 +74,8 @@ class ProtocolParams:
         if not (self.nu < self.mu and self.mu * self.nu - self.nu**2 > 0):
             raise BoundError("nu", f"must satisfy nu < mu with mu*nu - nu^2 > 0 in floating point, "
                                    f"got mu={self.mu}, nu={self.nu}")
+        if not math.isfinite(_q1_factor(self)):
+            raise BoundError("nu", f"must keep mu^2 e^-mu / (mu nu - nu^2) finite, got mu={self.mu}, nu={self.nu}")
         total = self.p_signal + self.p_decoy + self.p_vacuum
         if abs(total - 1.0) > 1e-9 or not self.p_signal + self.p_decoy > 0:
             raise BoundError(None, f"pulse allocation must sum to 1 with p_signal + p_decoy > 0, got "
@@ -198,17 +201,17 @@ def gains_and_errors(
     return GainsAndErrors(q_mu=q[0], q_nu=q[1], e_mu=err[0], e_nu=err[1], y0=float(q_dark))
 
 
+def _q1_factor(p: ProtocolParams) -> float:
+    """mu^2 e^-mu / (mu nu - nu^2), the factor of the bracket in Q1_L."""
+    return p.mu**2 * math.exp(-p.mu) / (p.mu * p.nu - p.nu**2)
+
+
 def q1_lower(p: ProtocolParams, q_mu, q_nu, y0):
-    """Lower bound on the single-photon gain; negative values clamp to 0 (mu*nu - nu^2 > 0 by load)."""
-    raw = (
-        p.mu**2
-        * math.exp(-p.mu)
-        / (p.mu * p.nu - p.nu**2)
-        * (
-            q_nu * math.exp(p.nu)
-            - q_mu * math.exp(p.mu) * p.nu**2 / p.mu**2
-            - (p.mu**2 - p.nu**2) / p.mu**2 * y0
-        )
+    """Lower bound on the single-photon gain; negative values clamp to 0 (a finite factor by load)."""
+    raw = _q1_factor(p) * (
+        q_nu * math.exp(p.nu)
+        - q_mu * math.exp(p.mu) * p.nu**2 / p.mu**2
+        - (p.mu**2 - p.nu**2) / p.mu**2 * y0
     )
     return np.maximum(raw, 0.0)
 
@@ -280,12 +283,10 @@ def secure_rate(p: ProtocolParams, ch: ChannelParams) -> RatePoint:
     return _rate_points(columns, codes)[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SweepResult:
-    """Rate curve over a loss grid: each numeric RatePoint field's array and the flag codes."""
+    """Positive-rate threshold of a loss sweep, and whether it is only the grid's last loss."""
 
-    columns: dict[str, np.ndarray]
-    flag_codes: np.ndarray
     threshold_db: float
     threshold_is_grid_edge: bool = False
 
@@ -315,27 +316,32 @@ def _threshold(p: ProtocolParams, ch: ChannelParams, l1, l2, r1, r2) -> float:
     return x
 
 
-def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_grid) -> SweepResult:
-    """Rate points over a loss grid plus the positive-rate threshold.
+def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_blocks, consume) -> SweepResult:
+    """Rate points over a loss grid, a block at a time, plus the positive-rate threshold.
 
-    The grid comes from a loaded ``SweepSpec``: non-empty, finite, >= 0 and
-    strictly increasing.  The threshold is the loss where the unclamped
+    ``loss_blocks`` yields the grid of a loaded ``SweepSpec`` as non-empty
+    arrays: together finite, >= 0 and strictly increasing.  Each block's
+    columns and flag codes (as ``_rate_curve`` gives them) go to
+    ``consume(columns, codes)`` before the next block is evaluated, so no
+    array spans the grid.  The threshold is the loss where the unclamped
     per-pulse rate reaches 0 between the last positive and the first
-    non-positive grid points, to 1e-9 dB.  If the rate is still positive at
-    the end of the grid the last grid loss is returned as a lower bound
-    (``threshold_is_grid_edge`` set).
+    non-positive grid points, which may lie in different blocks, to 1e-9
+    dB.  If the rate is still positive at the end of the grid the last grid
+    loss is returned as a lower bound (``threshold_is_grid_edge`` set).
     """
-    grid = np.asarray(loss_grid, dtype=float).ravel()
-    columns, codes, raw = _rate_curve(p, ch, grid)
-    threshold = float("nan")  # stays NaN when no grid point is positive
-    edge = False
-    positive = np.flatnonzero(raw > 0.0)
-    if positive.size:
-        last = int(positive[-1])
-        if last == grid.size - 1:
-            threshold = float(grid[-1])
-            edge = True
-        else:
-            (l1, l2), (r1, r2) = grid[last:last + 2].tolist(), raw[last:last + 2].tolist()
-            threshold = _threshold(p, ch, l1, l2, r1, r2)
-    return SweepResult(columns, codes, threshold, edge)
+    last = after = None   # (loss, raw rate) at the last positive point and at the point after it
+    for loss in loss_blocks:
+        columns, codes, raw = _rate_curve(p, ch, loss)
+        consume(columns, codes)
+        if last is not None and after is None:
+            after = float(loss[0]), float(raw[0])
+        positive = np.flatnonzero(raw > 0.0)
+        if positive.size:
+            k = int(positive[-1])
+            last = float(loss[k]), float(raw[k])
+            after = (float(loss[k + 1]), float(raw[k + 1])) if k + 1 < raw.size else None
+    if last is None:
+        return SweepResult(float("nan"))   # no grid point is positive
+    if after is None:
+        return SweepResult(last[0], threshold_is_grid_edge=True)
+    return SweepResult(_threshold(p, ch, last[0], after[0], last[1], after[1]))

@@ -166,14 +166,14 @@ def wavelength_scan(cfg: ModulatorConfig, wavelengths) -> np.ndarray:
     measure the arm imbalance; intensities are normalized to unit input.
     The phase follows the geometric phi0(lambda) (the scan exists to
     measure it), so ``phi0_operating`` is deliberately ignored here.
-    Raises ValueError when the phase is not finite (a large ``delta_l``
-    overflows it).
+    Raises a ``BoundError`` naming ``delta_l`` when the phase is not finite
+    (a large ``delta_l`` overflows it).
     """
     lam = np.asarray(wavelengths, dtype=float)
     with np.errstate(over="ignore"):
         phase = phi0(lam, cfg)
     if not np.isfinite(phase).all():
-        raise ValueError("scan phase 2 pi n_1 delta_l / wavelength passes the float range")
+        raise BoundError("delta_l", "must keep the scan phase 2 pi n_1 delta_l / wavelength within the float range")
     return 0.5 * (1.0 + np.cos(phase))
 
 

@@ -16,7 +16,8 @@ non-boolean integer, ``float``: any number, ``| None``: also null) is a
 - a NaN, an infinity, an int past the float range, or a value outside the
   bound its field declares (``bounds``; ``n_pulses`` < 2**63 included):
   ``section.key``;
-- the decoy order, nu < mu with a positive ``mu*nu - nu^2``: ``protocol.nu``;
+- the decoy order, nu < mu with a positive ``mu*nu - nu^2`` and a finite
+  ``mu^2 e^-mu / (mu nu - nu^2)``: ``protocol.nu``;
 - a finite operating phase: ``modulator.phi0_operating``;
 - a step that takes the grid's last point past the float range, or that
   collapses grid points: ``sweep.step_db``;
@@ -72,17 +73,29 @@ class SweepSpec:
             raise BoundError(None, "stop_db must be >= start_db")
         if not np.round((self.stop_db - self.start_db) / self.step_db) < MAX_GRID_POINTS:
             raise BoundError(None, f"a grid holds at most {MAX_GRID_POINTS} points")
-        top = self.start_db + round((self.stop_db - self.start_db) / self.step_db) * self.step_db
-        if not math.isfinite(top):   # the last point as grid() computes it
+        with np.errstate(over="ignore"):   # an overflowing last point is refused below
+            top = float(self.points(len(self) - 1, len(self))[0])
+        if not math.isfinite(top):
             raise BoundError("step_db", f"must keep the last grid point finite, got {self.step_db}")
         # every point lies within ulp(top) of its exact value: a step above twice that keeps them distinct
         if self.step_db <= 2 * math.ulp(top):
             raise BoundError("step_db", f"must exceed twice the float spacing at the last grid point "
                                         f"({2 * math.ulp(top)}) so that points stay distinct, got {self.step_db}")
 
+    def __len__(self) -> int:
+        return int(round((self.stop_db - self.start_db) / self.step_db)) + 1
+
+    def points(self, i: int, j: int) -> np.ndarray:
+        """Grid points i to j - 1, each start_db + k step_db in float64: the bits of ``grid()[i:j]``."""
+        return float(self.start_db) + np.arange(i, j) * float(self.step_db)
+
     def grid(self) -> np.ndarray:
-        n = int(round((self.stop_db - self.start_db) / self.step_db)) + 1
-        return self.start_db + np.arange(n) * self.step_db
+        return self.points(0, len(self))
+
+    def blocks(self, size: int):
+        """The grid as consecutive blocks of ``size`` points, the last one possibly shorter."""
+        n = len(self)
+        return (self.points(i, min(i + size, n)) for i in range(0, n, size))
 
 
 @dataclass(frozen=True)
@@ -117,9 +130,14 @@ def _build_section(cls, data: dict, path: str):
         _check_value(value, annotations[key], f"{path}.{key}")
     try:
         return cls(**data)
-    except BoundError as exc:   # a rule over the whole section names no field
-        key = f"{path}.{exc.field}" if exc.field else path
-        raise ParameterError(f"'{key}' {exc.requirement}" if exc.field else exc.requirement, key) from exc
+    except BoundError as exc:
+        raise section_error(exc, path) from exc
+
+
+def section_error(exc: BoundError, section: str) -> ParameterError:
+    """The ``ParameterError`` naming ``section.field``, or the section for a rule over it that names no field."""
+    key = f"{section}.{exc.field}" if exc.field else section
+    return ParameterError(f"'{key}' {exc.requirement}" if exc.field else exc.requirement, key)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -6,7 +6,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import least_squares
 
-from ipmsim.decoy import RatePoint, SweepResult, _rate_points
+from ipmsim.cli import _WRITE_ROWS
+from ipmsim.decoy import RatePoint, SweepResult, _rate_points, sweep_loss
 from ipmsim.modulator import OUTPUT_STAGE, ModulatorConfig, ScanFit, operating_phi0
 from ipmsim.polarimetry import IDEAL_RETARDANCE
 from ipmsim.polarization import (
@@ -108,9 +109,16 @@ def _write_csv(path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def sweep_points(result: SweepResult) -> list[RatePoint]:
-    """A sweep's rows as the RatePoints ``secure_rate`` gives at each loss."""
-    return _rate_points(result.columns, result.flag_codes)
+def sweep_points(p, ch, grid) -> tuple[list[RatePoint], SweepResult]:
+    """A sweep in the CLI's blocks: its rows as the RatePoints ``secure_rate`` gives at each loss, and its result.
+
+    The rows are collected through ``sweep_loss``'s per-block consumer.
+    """
+    grid = np.asarray(grid, dtype=float)
+    points = []
+    result = sweep_loss(p, ch, (grid[i : i + _WRITE_ROWS] for i in range(0, grid.size, _WRITE_ROWS)),
+                        lambda columns, codes: points.extend(_rate_points(columns, codes)))
+    return points, result
 
 
 def _rate_row(pt: RatePoint) -> tuple:

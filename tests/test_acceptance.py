@@ -153,7 +153,7 @@ def test_criterion_5_headline_key_rates():
         rate76 = secure_rate(protocol, ch76).rate_per_second
         assert 155.0 / 2.0 <= rate76 <= 155.0 * 2.0, f"76 MHz rate {rate76:.1f} bit/s"
 
-        sweep = sweep_loss(protocol, ch76, np.arange(40.0, 70.0 + 0.25, 0.5))
+        sweep = sweep_loss(protocol, ch76, [np.arange(40.0, 70.0 + 0.25, 0.5)], lambda columns, codes: None)
         assert sweep.threshold_db > 60.0, f"threshold {sweep.threshold_db:.2f} dB"
 
         # gate window scales with the clock so the per-pulse dark budget shrinks

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import ipmsim
 from ipmsim import cli, decoy
 from ipmsim.bounds import BoundError
-from ipmsim.cli import _COMMANDS, RATE_COLUMNS, _null_z, _read_csv, _write_csv, build_parser, main
-from ipmsim.decoy import ChannelParams, ProtocolParams, sweep_loss
+from ipmsim.cli import _COMMANDS, RATE_COLUMNS, _null_z, _read_csv, _slices, _write_csv, build_parser, main
+from ipmsim.decoy import ChannelParams, ProtocolParams
 from ipmsim.modulator import BB84_DRIVE_FRACTIONS, RECEIVER_FRAME, modulator_mueller
 from ipmsim.montecarlo import STATES, RateEstimate
 from ipmsim.polarimetry import InconsistentProjectionsWarning
@@ -106,7 +106,8 @@ class TestScenario:
     @example((0.4925396286408898, 0.4925396286408898))   # mu nu - nu**2 is 2.8e-17 here
     def test_decoy_order_is_one_rule_naming_nu(self, pair):
         mu, nu = pair
-        accepted = nu < mu and mu * nu - nu**2 > 0
+        # the order in floating point, and q1_lower's factor finite (a subnormal nu overflows it)
+        accepted = nu < mu and mu * nu - nu**2 > 0 and math.isfinite(mu**2 * math.exp(-mu) / (mu * nu - nu**2))
         try:
             ProtocolParams(mu=mu, nu=nu)
             assert accepted
@@ -170,6 +171,11 @@ class TestScenario:
     def test_grid_whose_top_plus_step_overflows_loads(self):
         assert SweepSpec(stop_db=1.7e308, step_db=1.7e308).grid().tolist() == [0.0, 1.7e308]
 
+    def test_integer_fields_give_the_float_grid(self):
+        # an int step past int64 raised OverflowError, and 2**62 wrapped the grid's last point to -2**63
+        assert SweepSpec(step_db=2**64).grid().tolist() == [0.0]
+        assert SweepSpec(start_db=0, stop_db=2**63, step_db=2**62).grid().tolist() == [0.0, 2.0**62, 2.0**63]
+
     def test_step_at_the_top_of_the_float_range_loads(self):
         # the spacing rule read the spacing at stop_db + step_db, inf at the float range's top
         assert SweepSpec(step_db=sys.float_info.max).grid().tolist() == [0.0]
@@ -215,9 +221,9 @@ PROBES = [
     ("scan", {"modulator": {"wavelength": 1e-9}}, 3, "modulator.wavelength"),
     ("trace", {"modulator": {"phi0_operating": None, "delta_l": 1e305, "wavelength": 1e-9}}, 3,
      "modulator.wavelength"),
-    # a geometric scan phase past the float range wrote nan scan rows with exit 0
-    ("scan", {"modulator": {"delta_l": 1e303}}, 3, None),
-    ("fitdl", {"modulator": {"delta_l": 1e303}}, 3, None),
+    # a geometric scan phase past the float range wrote nan scan rows with exit 0, then named no field
+    ("scan", {"modulator": {"delta_l": 1e303}}, 3, "modulator.delta_l"),
+    ("fitdl", {"modulator": {"delta_l": 1e303}}, 3, "modulator.delta_l"),
     # the intensity-modulator fields left with the model no command ran
     ("states", {"modulator": {"v_pi_im": 4.0}}, 2, "modulator.v_pi_im"),
     ("states", {"modulator": {"mod_depth": 1.0}}, 2, "modulator.mod_depth"),
@@ -236,6 +242,9 @@ PROBES = [
     # (1 - p_d)^n rounded far enough that the cells summed past 1 + 1e-12: mc exited 3 naming no field
     ("mc", {"protocol": {"p_signal": 0.5, "p_decoy": 0.5, "p_vacuum": 0}, "channel": {"num_detectors": 536776045}},
      3, "channel.num_detectors"),
+    # a subnormal nu overflowed q1_lower's factor: keyrate and sweep wrote a nan Q1L with exit 0
+    *((command, {"protocol": {"nu": nu}}, 3, "protocol.nu") for nu in (5e-324, 1e-310)
+      for command in ("keyrate", "sweep", "mc")),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -581,12 +590,19 @@ class TestSidecars:
         run.mkdir()
         argv = [command, "--in", str(proj)] if command == "polarimetry" else [command]
         argv += ["--out", str(run / "out")]
-        # the handler only computes: main writes every file
-        _COMMANDS[command][0](build_parser().parse_args(argv), Scenario())
+        # the handler writes only through the writer it is given, and main writes the sidecar
+        written = []
+
+        def write(suffix, content):   # records the file and runs a table's source into no file
+            written.append(suffix)
+            return None if isinstance(content, str) else content[1](lambda block: None)
+
+        _COMMANDS[command][0](build_parser().parse_args(argv), Scenario(), write)
         assert not any(run.iterdir())
         assert main(argv) == 0
         # the data file, mc's two tables, and the sidecar: nothing else
         suffixes = ["", ".csv", ".report.csv"] if command == "mc" else [""]
+        assert written == suffixes
         assert sorted(p.name for p in run.iterdir()) == sorted(f"out{s}" for s in [*suffixes, ".params.json"])
         sidecar = strict_json((run / "out.params.json").read_text())
         if command == "mc":
@@ -667,7 +683,7 @@ class TestScanAndFit:
         assert main(["scan", "--out", str(scan)]) == 0
         data = _read_csv(scan, 2)
         data[:, column] = edit(data[:, column])
-        _write_csv(scan, ("wavelength_nm", "intensity"), data.T)
+        _write_csv(scan, ("wavelength_nm", "intensity"), _slices(data.T))
         capsys.readouterr()
         assert main(["fitdl", "--in", str(scan), "--out", str(tmp_path / "fit.csv")]) == 3
         records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
@@ -684,7 +700,7 @@ class TestScanAndFit:
         scan = tmp_path / "scan.csv"
         assert main(["scan", "--out", str(scan)]) == 0
         data = _read_csv(scan, 2)
-        _write_csv(scan, ("wavelength_nm", "intensity"), [data[:, 0], edit(data[:, 1])])
+        _write_csv(scan, ("wavelength_nm", "intensity"), _slices([data[:, 0], edit(data[:, 1])]))
         capsys.readouterr()
         out = tmp_path / "fit.csv"
         assert main(["fitdl", "--in", str(scan), "--out", str(out)]) == 0
@@ -1057,11 +1073,72 @@ class TestKeyrateAndSweep:
         assert sidecar["threshold_db"] is None and not sidecar["threshold_is_grid_edge"]
         assert "threshold nan dB" in capsys.readouterr().out
 
+    def test_tiny_normal_nu_runs(self, tmp_path, capsys):
+        # q1_lower's factor mu^2 e^-mu / (mu nu - nu^2) is 3.3e299 here, finite
+        scn = write_scenario(tmp_path, {"protocol": {"nu": 1e-300}, "sim": {"n_pulses": 1000}})
+        for command in ("keyrate", "sweep", "mc"):
+            assert main([command, "--scenario", str(scn), "--out", str(tmp_path / command)]) == 0
+            assert capsys.readouterr().err == ""
+
+    def test_a_sweep_holds_little_beyond_one_block(self, tmp_path):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--grid", "0:20:0.0001", "--out", str(tmp_path / "s.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 200001 points: evaluating the whole grid before writing peaked at 20.7 MiB here, blocks at 3.0 MiB
+        assert peak < 4 * 2**20
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["sweep", "--out", str(out_a), "--grid", "40:55:0.5"])
         main(["sweep", "--out", str(out_b), "--grid", "40:55:0.5"])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def failing_on_call(n, fn, error):
+    """``fn``, except that its n-th call raises ``ValueError(error)``."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise ValueError(error)
+        return fn(*args, **kwargs)
+
+    return failing
+
+
+class TestOutputsAppearTogether:
+    """A command's files appear together when it succeeds, and a failure changes no output path."""
+
+    def test_a_sweep_failing_in_its_second_block_leaves_the_previous_outputs(self, tmp_path, capsys, monkeypatch):
+        argv = ["sweep", "--grid", "0:10:0.001"]   # 10001 points: three blocks
+        assert main([*argv, "--out", str(tmp_path / "s.csv")]) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(before) == ["s.csv", "s.csv.params.json"]
+        original, streamed = decoy._rate_curve, []
+
+        def rate_curve(*args):   # notes the new files, which hold the first block when the second fails
+            streamed.extend((path.name, path.stat().st_size) for path in tmp_path.iterdir() if path.name not in before)
+            return engine(*args)
+
+        monkeypatch.setattr(decoy, "_rate_curve", rate_curve)
+        capsys.readouterr()
+        for out in ("s.csv", "fresh.csv"):
+            engine = failing_on_call(2, original, "the engine failed")
+            streamed.clear()
+            assert main([*argv, "--out", str(tmp_path / out)]) == 3
+            assert json.loads(capsys.readouterr().err) == {"error": "the engine failed", "field": None}
+            assert [name for name, size in streamed if size > 0] == [f".{out}.{os.getpid()}.tmp"]
+            assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_mc_failing_before_its_sidecar_writes_none_of_its_files(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "resolved_dict", failing_on_call(1, cli.resolved_dict, "no sidecar"))
+        assert main(["mc", "--out", str(tmp_path / "mc.json")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "no sidecar"
+        assert not any(tmp_path.iterdir())
 
 
 class TestMcCommand:
@@ -1276,7 +1353,7 @@ def rowwise_bytes(header, rows):
 def columnar_bytes(header, columns):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
-        _write_csv(path, header, columns)
+        _write_csv(path, header, _slices(columns))
         return path.read_bytes()
 
 
@@ -1331,7 +1408,7 @@ class TestColumnarWriter:
         columns = np.random.default_rng(18).standard_normal((5, 50000))
         tracemalloc.start()
         try:
-            _write_csv(tmp_path / "table.csv", [f"c{k}" for k in range(5)], columns)
+            _write_csv(tmp_path / "table.csv", [f"c{k}" for k in range(5)], _slices(columns))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1354,7 +1431,7 @@ class TestColumnarWriter:
             argv += ["--grid", f"{grid.start_db}:{grid.stop_db}:{grid.step_db}"]
         assert main(argv) == 0
         scn = load_scenario(scn_path)
-        points = sweep_points(sweep_loss(scn.protocol, scn.channel, (grid or scn.sweep).grid()))
+        points, _ = sweep_points(scn.protocol, scn.channel, (grid or scn.sweep).grid())
         assert out.read_bytes() == rowwise_bytes(RATE_COLUMNS, [_rate_row(pt) for pt in points])
 
     def test_sweep_command_builds_no_rate_point(self, tmp_path, monkeypatch):
@@ -1364,4 +1441,4 @@ class TestColumnarWriter:
         monkeypatch.setattr(decoy, "RatePoint", no_points)
         assert main(["sweep", "--out", str(tmp_path / "s.csv")]) == 0
         with pytest.raises(AssertionError, match="built a RatePoint"):
-            sweep_points(sweep_loss(ProtocolParams(), ChannelParams(), [40.0]))
+            sweep_points(ProtocolParams(), ChannelParams(), [40.0])

@@ -21,7 +21,10 @@ from ipmsim.decoy import (
     transmittance,
 )
 
-from helpers import _fmt, _rate_row, sweep_points
+from ipmsim.cli import _WRITE_ROWS
+from ipmsim.scenario import SweepSpec
+
+from helpers import _fmt, _rate_row, bitwise_equal, sweep_points
 
 # Independent oracle: photon-number-resolved gains by truncated Poisson
 # summation, with the detector law written out from first principles.  An
@@ -325,14 +328,14 @@ class TestSweepLoss:
     def test_single_point_noiseless_grid(self):
         p = ProtocolParams()
         ch = ChannelParams(total_loss_db=0.0, detector_efficiency=1.0, dark_rate=0.0)
-        result = sweep_loss(p, ch, [0.0])
-        assert len(sweep_points(result)) == 1
-        assert sweep_points(result)[0].rate_per_pulse > 0
+        points, result = sweep_points(p, ch, [0.0])
+        assert len(points) == 1
+        assert points[0].rate_per_pulse > 0
         assert result.threshold_is_grid_edge
 
     def test_threshold_brackets_sign_change(self):
         p, ch = ProtocolParams(), ChannelParams()
-        result = sweep_loss(p, ch, np.arange(40.0, 70.0 + 0.25, 0.5))
+        _, result = sweep_points(p, ch, np.arange(40.0, 70.0 + 0.25, 0.5))
         th = result.threshold_db
         assert not result.threshold_is_grid_edge
         before = secure_rate(p, ChannelParams(total_loss_db=th - 0.5))
@@ -342,16 +345,16 @@ class TestSweepLoss:
 
     def test_rate_monotone_in_loss_and_dark_rate(self):
         p, ch = ProtocolParams(), ChannelParams()
-        rates = [pt.rate_per_second for pt in sweep_points(sweep_loss(p, ch, np.arange(0, 66, 1.0)))]
+        rates = [pt.rate_per_second for pt in sweep_points(p, ch, np.arange(0, 66, 1.0))[0]]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         noisier = ChannelParams(dark_rate=500.0)
-        quiet = sweep_points(sweep_loss(p, ch, [45.0]))[0].rate_per_second
-        loud = sweep_points(sweep_loss(p, noisier, [45.0]))[0].rate_per_second
+        quiet = sweep_points(p, ch, [45.0])[0][0].rate_per_second
+        loud = sweep_points(p, noisier, [45.0])[0][0].rate_per_second
         assert loud <= quiet
 
     def test_qber_non_decreasing_in_loss(self):
         p, ch = ProtocolParams(), ChannelParams()
-        qbers = [pt.qber for pt in sweep_points(sweep_loss(p, ch, np.arange(0, 71, 1.0)))]
+        qbers = [pt.qber for pt in sweep_points(p, ch, np.arange(0, 71, 1.0))[0]]
         assert all(b >= a - 1e-15 for a, b in zip(qbers, qbers[1:]))
 
     @pytest.mark.parametrize("step", [0.5, 0.01])
@@ -368,18 +371,67 @@ class TestSweepLoss:
         calls = []
         engine = decoy._rate_curve
         monkeypatch.setattr(decoy, "_rate_curve", lambda *args: calls.append(1) or engine(*args))
-        threshold = sweep_loss(p, channel, grid).threshold_db
+        threshold = sweep_loss(p, channel, [grid], lambda columns, codes: None).threshold_db
         last = int(np.flatnonzero(grid < threshold)[-1])
         exact = bisect_threshold(p, channel, grid[last], grid[last + 1])
         assert threshold == pytest.approx(exact, abs=1e-8)
         if step == 0.01:
-            # the grid pass, then at most three one-point refinements
+            # the grid pass (one block), then at most three one-point refinements
             assert len(calls) <= 4
 
     def test_all_dead_grid_has_nan_threshold(self):
         p, ch = ProtocolParams(), ChannelParams()
-        result = sweep_loss(p, ch, [68.0, 69.0, 70.0])
+        _, result = sweep_points(p, ch, [68.0, 69.0, 70.0])
         assert math.isnan(result.threshold_db)
+
+
+def whole_grid_sweep(p, ch, grid):
+    """Columns, flag codes, threshold and edge flag of one whole-grid pass, as sweep_loss gave them before blocks."""
+    columns, codes, raw = decoy._rate_curve(p, ch, grid)
+    positive = np.flatnonzero(raw > 0.0)
+    if not positive.size:
+        return columns, codes, float("nan"), False
+    last = int(positive[-1])
+    if last == grid.size - 1:
+        return columns, codes, float(grid[-1]), True
+    (l1, l2), (r1, r2) = grid[last:last + 2].tolist(), raw[last:last + 2].tolist()
+    return columns, codes, decoy._threshold(p, ch, l1, l2, r1, r2), False
+
+
+class TestSweepBlocks:
+    """The sweep in the CLI's blocks against one whole-grid pass, bit for bit, at block edges."""
+
+    B = _WRITE_ROWS
+
+    @pytest.mark.parametrize(
+        "start, step, points, last_positive",
+        [
+            (0.0, 0.01, 1, 0),                       # one point, positive: the grid edge
+            (40.0, 0.01, B - 1, None),
+            (50.0, 0.01, B, None),
+            (60.0, 0.005, B + 1, None),
+            (21.34, 0.01, 2 * B + 1, B - 1),         # the last positive point ends the first block
+            (0.0, 0.01, B + 1, B),                   # positive up to a one-point last block
+            (70.0, 0.01, 2 * B + 1, -1),             # no positive point
+        ],
+    )
+    def test_blocks_give_the_bits_of_one_whole_grid_pass(self, start, step, points, last_positive):
+        p, ch = ProtocolParams(), ChannelParams()
+        spec = SweepSpec(start, start + (points - 1) * step, step)
+        assert len(spec) == points
+        grid = spec.grid()
+        want_columns, want_codes, want_threshold, want_edge = whole_grid_sweep(p, ch, grid)
+        raw = decoy._rate_curve(p, ch, grid)[2]
+        if last_positive is not None:
+            assert np.flatnonzero(raw > 0.0)[-1:].tolist() == ([last_positive] if last_positive >= 0 else [])
+        blocks = []
+        result = sweep_loss(p, ch, spec.blocks(self.B), lambda columns, codes: blocks.append((columns, codes)))
+        assert [len(codes) for _, codes in blocks] == [min(self.B, points - i) for i in range(0, points, self.B)]
+        for name, want in want_columns.items():
+            assert bitwise_equal(np.concatenate([columns[name] for columns, _ in blocks]), want), name
+        assert bitwise_equal(np.concatenate([codes for _, codes in blocks]), want_codes)
+        assert result.threshold_is_grid_edge == want_edge
+        assert result.threshold_db == want_threshold or math.isnan(result.threshold_db) and math.isnan(want_threshold)
 
 
 class TestArrayBuildingBlocks:
@@ -551,17 +603,17 @@ def assert_sweep_matches_oracle(p, ch, grid):
 
     Returns the number of interior thresholds checked (0 or 1).
     """
-    result = sweep_loss(p, ch, grid)
+    points, result = sweep_points(p, ch, grid)
     channels = [replace(ch, total_loss_db=float(loss)) for loss in grid]
     oracle = [scalar_rate_point(p, at_loss) for at_loss in channels]
     refs = [ref for ref, _ in oracle]
-    got = np.array([[getattr(pt, name) for name in FIELDS] for pt in sweep_points(result)])
+    got = np.array([[getattr(pt, name) for name in FIELDS] for pt in points])
     want = np.array([[getattr(ref, name) for name in FIELDS] for ref in refs])
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
-    assert [pt.flags for pt in sweep_points(result)] == [ref.flags for ref in refs]
-    assert [csv_row(pt) for pt in sweep_points(result)] == [csv_row(ref) for ref in refs]
+    assert [pt.flags for pt in points] == [ref.flags for ref in refs]
+    assert [csv_row(pt) for pt in points] == [csv_row(ref) for ref in refs]
     # a point is a one-element sweep: every row is secure_rate at its loss, bit for bit
-    assert sweep_points(result) == [secure_rate(p, at_loss) for at_loss in channels]
+    assert points == [secure_rate(p, at_loss) for at_loss in channels]
 
     raws = [raw for _, raw in oracle]
     positive = [i for i, r in enumerate(raws) if r > 0.0]
@@ -609,12 +661,12 @@ class TestArrayEngineAgainstScalarOracle:
         p, ch = ProtocolParams(), ChannelParams(dark_rate=0.0)
         grid = [0.0, 40.0, 1000.0, 3300.0, 4000.0]
         assert_sweep_matches_oracle(p, ch, grid)
-        assert sweep_points(sweep_loss(p, ch, grid))[-1].flags == ("no_single_photon_gain",)
+        assert sweep_points(p, ch, grid)[0][-1].flags == ("no_single_photon_gain",)
 
     def test_flags_cover_the_clamped_regimes(self):
         rng = np.random.default_rng(2005)
         seen = set()
         for _ in range(20):
             p, ch = random_design(rng)
-            seen.update(pt.flags for pt in sweep_points(sweep_loss(p, ch, self.GRID)))
+            seen.update(pt.flags for pt in sweep_points(p, ch, self.GRID)[0])
         assert {(), ("rate_clamped",), ("e1_at_or_above_half", "rate_clamped")} <= seen
