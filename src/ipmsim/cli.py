@@ -1,10 +1,10 @@
 """Scenario-driven command line front end.
 
 Every command but ``polarimetry`` reads one scenario file (all sections
-optional).  Each command writes its files through one writer: the data
-files first, and last a ``<out>.params.json`` sidecar with the resolved
-scenario sections the command reads, for provenance.  The files appear
-together when the command succeeds, or not at all.  The command prints a
+optional).  Each command writes its rows into files that one writer opens:
+the data files first, and last a ``<out>.params.json`` sidecar with the
+resolved scenario sections the command reads, for provenance.  The files
+appear together when the command succeeds, or not at all.  The command prints a
 one-line summary to stdout and exits 0.  On failure an error record is printed to
 stderr as a single JSON line and the exit status is 2 for a usage error,
 a malformed scenario or a file that cannot be read or written, or 3 for a
@@ -22,6 +22,7 @@ import argparse
 import collections
 import contextlib
 import dataclasses
+import errno
 import itertools
 import json
 import os
@@ -66,81 +67,77 @@ RATE_COLUMNS = {
 # printf conversion for each column's numpy dtype kind
 _CONVERSIONS = {"U": "%s", "i": "%d", "f": "%.9g"}
 
-# rows a table block holds (the rows _write_csv formats at a time, and the
+# rows a table block holds (the rows _write_rows formats at a time, and the
 # sweep's grid points per engine pass), and characters _read_csv decodes at
 # a time: each bounds what a table costs beyond its own arrays
 _WRITE_ROWS = 4096
 _READ_CHARS = 1 << 16
 
 
-def _slices(columns):
-    """A table source over whole columns: blocks of ``_WRITE_ROWS`` rows."""
-    columns = [np.asarray(c) for c in columns]
-    rows = min(map(len, columns))
+def _write_rows(f, columns):
+    """Write equal-length ``columns`` to ``f`` as CSV rows, ``_WRITE_ROWS`` rows at a time.
 
-    def source(emit):
-        for start in range(0, rows, _WRITE_ROWS):
-            emit([c[start : start + _WRITE_ROWS] for c in columns])
-
-    return source
-
-
-def _write_csv(path: Path, header, source):
-    """Header row, then the rows of each block of columns that ``source`` supplies.
-
-    ``source(emit)`` calls ``emit`` with each block, a list of equal-length
-    columns whose row k holds element k of every column; each block is
-    written before the source computes the next.  Returns what ``source``
-    returns.
+    Row k holds element k of every column.  Rows go to ``f`` one at a time:
+    a slice joined into one string left about 1 MB more resident.
     """
-    with path.open("w") as f:
-        f.write(",".join(header) + "\n")
-
-        def emit(columns):
-            row_format = ",".join(_CONVERSIONS[c.dtype.kind] for c in columns) + "\n"
-            f.write("".join(map(row_format.__mod__, zip(*(c.tolist() for c in columns)))))
-
-        return source(emit)
+    columns = [np.asarray(c) for c in columns]
+    row_format = ",".join(_CONVERSIONS[c.dtype.kind] for c in columns) + "\n"
+    for start in range(0, min(map(len, columns)), _WRITE_ROWS):
+        block = (c[start : start + _WRITE_ROWS].tolist() for c in columns)
+        f.writelines(map(row_format.__mod__, zip(*block)))
 
 
 @contextlib.contextmanager
 def _write_outputs(out: Path):
-    """Yield ``write``; the files written through it appear when the block ends, or not at all.
+    """Yield ``open_output``; the files it opens appear when the block ends, or not at all.
 
-    ``write(suffix, content)`` writes the file named by ``suffix`` on
-    ``out``: ``content`` is text written as is or a ``(header, source)``
-    table for ``_write_csv``, whose result it returns.  Each file goes to a
-    sibling temporary file, and after the block ``os.replace`` moves them
-    all into place, in the order written.  An exception deletes the
-    temporaries and leaves every output path as it was.
+    ``open_output(suffix, header=())`` opens the file named by ``suffix`` on
+    ``out`` as a hidden sibling temporary, writes ``header`` as its CSV
+    header row if one is given, and returns the open text file.  After the
+    block every file is closed and ``os.replace`` moves them all into place,
+    in the order opened.  An exception, or an output path that is a
+    directory, closes and deletes the temporaries and leaves every output
+    path as it was; a rename that fails for another reason can leave the
+    files before it moved.
     """
-    pending = {}   # output path -> its temporary sibling
+    pending = {}   # output path -> its open temporary sibling
 
-    def write(suffix: str, content):
+    def open_output(suffix: str, header=()):
         path = out.with_name(out.name + suffix)
-        pending[path] = temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        if isinstance(content, str):
-            return temporary.write_text(content)
-        return _write_csv(temporary, *content)
+        pending[path] = f = path.with_name(f".{path.name}.{os.getpid()}.tmp").open("w")
+        if header:
+            f.write(",".join(header) + "\n")
+        return f
 
     try:
-        yield write
-        for path, temporary in pending.items():
-            os.replace(temporary, path)
+        yield open_output
+        for f in pending.values():
+            f.close()
+        for path in pending:   # a directory is refused before anything moves
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path, f in pending.items():
+            os.replace(f.name, path)
     except BaseException:
-        for temporary in pending.values():
+        for f in pending.values():
             with contextlib.suppress(OSError):
-                temporary.unlink()
+                f.close()
+            with contextlib.suppress(OSError):
+                os.unlink(f.name)
         raise
 
 
-def _synthetic_scan(scn: Scenario, grid: SweepSpec | None):
+def _synthetic_scan(args, scn: Scenario):
     """Wavelengths in meters and the scan's intensities; --grid (in nm) overrides the default span.
 
-    A scan phase past the float range names ``modulator.delta_l``.
+    A --grid whose first wavelength is not above 0 m is a usage error, and
+    a scan phase past the float range names ``modulator.delta_l``.
     """
-    if grid is not None:
-        lam = grid.grid() * 1e-9
+    if args.grid is not None:
+        lam = args.grid.grid() * 1e-9
+        if not lam[0] > 0:   # a start of 0 nm, or one that underflows to 0 m
+            raise argparse.ArgumentError(None, f"ipmsim {args.command}: argument --grid: must start above "
+                                               f"0 nm, got {args.grid.start_db!r}")
     else:
         # default: 1201 points, +-1.2 nm around the operating wavelength, which
         # ModulatorConfig bounds above 1.2 nm so that the scan stays above 0 nm
@@ -151,30 +148,27 @@ def _synthetic_scan(scn: Scenario, grid: SweepSpec | None):
         raise section_error(exc, "modulator") from exc
 
 
-def _cmd_states(args, scn: Scenario, write) -> tuple[str, dict]:
+def _cmd_states(args, scn: Scenario, open_output) -> tuple[str, dict]:
     v, stokes = bb84_table(scn.modulator)
     # S1..S3 are the ideal outputs; S*_meas is what the polarimeter recovers
     # through the configured (possibly imperfect) waveplate retardance
     measured = measure_stokes(stokes, retardance=scn.modulator.qwp_retardance)
-    table = (
-        ("state", "v0", "v1", "v2", "S0", "S1", "S2", "S3", "S1_meas", "S2_meas", "S3_meas"),
-        # v0, the unmodelled intensity modulator's drive, stays 0 because
-        # ipmbench reads S0..S3 by column position
-        _slices((np.array(STATES), np.zeros(4), *v.T, *stokes.T, *measured[:, 1:].T)),
-    )
-    write("", table)
+    f = open_output("", ("state", "v0", "v1", "v2", "S0", "S1", "S2", "S3", "S1_meas", "S2_meas", "S3_meas"))
+    # v0, the unmodelled intensity modulator's drive, stays 0 because
+    # ipmbench reads S0..S3 by column position
+    _write_rows(f, (np.array(STATES), np.zeros(4), *v.T, *stokes.T, *measured[:, 1:].T))
     return f"states: wrote 4 drive settings to {args.out}", {}
 
 
-def _cmd_trace(args, scn: Scenario, write) -> tuple[str, dict]:
+def _cmd_trace(args, scn: Scenario, open_output) -> tuple[str, dict]:
     t, v1, v2, stokes = poincare_trace(scn.modulator)
-    write("", (("t", "v1", "v2", "S0", "S1", "S2", "S3"), _slices((t, v1, v2, *stokes.T))))
+    _write_rows(open_output("", ("t", "v1", "v2", "S0", "S1", "S2", "S3")), (t, v1, v2, *stokes.T))
     return f"trace: wrote {len(t)} samples to {args.out}", {}
 
 
-def _cmd_scan(args, scn: Scenario, write) -> tuple[str, dict]:
-    lam, intensities = _synthetic_scan(scn, args.grid)
-    write("", (("wavelength_nm", "intensity"), _slices((lam * 1e9, intensities))))
+def _cmd_scan(args, scn: Scenario, open_output) -> tuple[str, dict]:
+    lam, intensities = _synthetic_scan(args, scn)
+    _write_rows(open_output("", ("wavelength_nm", "intensity")), (lam * 1e9, intensities))
     return f"scan: wrote {len(lam)} points to {args.out}", {"polarizer_angle": 0.0}
 
 
@@ -262,41 +256,39 @@ def _read_csv(path: Path, expected_columns: int) -> np.ndarray:
         raise
 
 
-def _cmd_fitdl(args, scn: Scenario, write) -> tuple[str, dict]:
+def _cmd_fitdl(args, scn: Scenario, open_output) -> tuple[str, dict]:
     if args.infile is not None:
         data = _read_csv(args.infile, 2)
         lam, intensity = data[:, 0] * 1e-9, data[:, 1]
     else:
-        lam, intensity = _synthetic_scan(scn, args.grid)
+        lam, intensity = _synthetic_scan(args, scn)
     fit = fit_delta_l(lam, intensity, scn.modulator.n_1)
-    write("", (("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned"),
-               _slices([[fit.delta_l], [fit.contrast], [fit.phase], [fit.residual_rms], [fit.periods_spanned]])))
+    _write_rows(open_output("", ("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned")),
+                [[fit.delta_l], [fit.contrast], [fit.phase], [fit.residual_rms], [fit.periods_spanned]])
     summary = f"fitdl: delta_l = {fit.delta_l:.9g} m (residual rms {fit.residual_rms:.9g}) -> {args.out}"
     return summary, {"input": str(args.infile) if args.infile else None}
 
 
-def _cmd_polarimetry(args, scn: Scenario, write) -> tuple[str, dict]:
+def _cmd_polarimetry(args, scn: Scenario, open_output) -> tuple[str, dict]:
     stokes = extract_stokes(*_read_csv(args.infile, 4).T)
-    write("", (("S0", "S1", "S2", "S3", "DOP"), _slices((*stokes.T, degree_of_polarization(stokes)))))
+    _write_rows(open_output("", ("S0", "S1", "S2", "S3", "DOP")), (*stokes.T, degree_of_polarization(stokes)))
     return f"polarimetry: extracted {len(stokes)} states to {args.out}", {"input": str(args.infile)}
 
 
-def _cmd_keyrate(args, scn: Scenario, write) -> tuple[str, dict]:
+def _cmd_keyrate(args, scn: Scenario, open_output) -> tuple[str, dict]:
     point = secure_rate(scn.protocol, scn.channel)
-    write("", (RATE_COLUMNS, _slices([[getattr(point, f)] for f in RATE_COLUMNS.values()])))
+    _write_rows(open_output("", RATE_COLUMNS), [[getattr(point, f)] for f in RATE_COLUMNS.values()])
     summary = (f"keyrate: R = {point.rate_per_pulse:.9g}/pulse "
                f"({point.rate_per_second:.9g} bit/s) at {point.loss_db:.9g} dB -> {args.out}")
     return summary, {}
 
 
-def _cmd_sweep(args, scn: Scenario, write) -> tuple[str, dict]:
+def _cmd_sweep(args, scn: Scenario, open_output) -> tuple[str, dict]:
     grid_spec = args.grid if args.grid is not None else scn.sweep
-
-    def rate_blocks(emit):   # the engine hands each block of the curve on as soon as it is computed
-        return sweep_loss(scn.protocol, scn.channel, grid_spec.blocks(_WRITE_ROWS),
-                          lambda columns, _: emit([columns[f] for f in RATE_COLUMNS.values()]))
-
-    result = write("", (RATE_COLUMNS, rate_blocks))
+    f = open_output("", RATE_COLUMNS)
+    # the engine hands each block of the curve on to the file as soon as it is computed
+    result = sweep_loss(scn.protocol, scn.channel, grid_spec.blocks(_WRITE_ROWS),
+                        lambda columns, _: _write_rows(f, [columns[c] for c in RATE_COLUMNS.values()]))
     summary = (f"sweep: {len(grid_spec)} points, positive-rate threshold "
                f"{result.threshold_db:.9g} dB -> {args.out}")
     extra = {
@@ -324,7 +316,7 @@ def _null_z(est: RateEstimate, analytic: float) -> float:
     return float(np.copysign(np.inf, diff)) if diff else 0.0
 
 
-def _cmd_mc(args, scn: Scenario, write) -> tuple[str, dict]:
+def _cmd_mc(args, scn: Scenario, open_output) -> tuple[str, dict]:
     seed = args.seed if args.seed is not None else scn.sim.seed
     cfg = SimConfig(n_pulses=scn.sim.n_pulses, seed=seed, protocol=scn.protocol,
                     channel=scn.channel)
@@ -336,9 +328,10 @@ def _cmd_mc(args, scn: Scenario, write) -> tuple[str, dict]:
         est, analytic = getattr(emp, name.lower()), getattr(ge, name.lower())
         report_rows.append((name, est.value, est.stderr, analytic, _null_z(est, analytic)))
     header, columns = tally.table()
-    write("", tally.to_json() + "\n")
-    write(".csv", (header, _slices(columns)))
-    write(".report.csv", (("quantity", "empirical", "stderr", "analytic", "z_score"), _slices(zip(*report_rows))))
+    open_output("").write(tally.to_json() + "\n")
+    _write_rows(open_output(".csv", header), columns)
+    _write_rows(open_output(".report.csv", ("quantity", "empirical", "stderr", "analytic", "z_score")),
+                zip(*report_rows))
     summary_flags = f" flags={';'.join(emp.flags)}" if emp.flags else ""
     summary = (f"mc: {cfg.n_pulses} pulses, Q_mu = {emp.q_mu.value:.9g} "
                f"(analytic {ge.q_mu:.9g}) -> {args.out}{summary_flags}")
@@ -346,9 +339,10 @@ def _cmd_mc(args, scn: Scenario, write) -> tuple[str, dict]:
 
 
 # command -> (handler, help text, the scenario sections it reads).  A handler
-# hands each of its files to the ``write`` of ``_write_outputs``, keyed by its
-# suffix on --out ("" for the data file), and returns its stdout summary and
-# its sidecar's extra keys; main writes the sidecar.
+# writes each of its files into one that the ``open_output`` of
+# ``_write_outputs`` opens, keyed by its suffix on --out ("" for the data
+# file), and returns its stdout summary and its sidecar's extra keys; main
+# writes the sidecar.
 _COMMANDS = {
     "states": (_cmd_states, "BB84 drive-voltage table and output Stokes vectors", ("modulator",)),
     "trace": (_cmd_trace, "Poincare trace under triangular differential drive", ("modulator",)),
@@ -451,10 +445,11 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             scn = load_scenario(getattr(args, "scenario", None))
             handler, _, sections = _COMMANDS[args.command]
-            with _write_outputs(args.out) as write:
-                summary, extra = handler(args, scn, write)
+            with _write_outputs(args.out) as open_output:
+                summary, extra = handler(args, scn, open_output)
                 record = {"command": args.command, "parameters": resolved_dict(scn, sections), **extra}
-                write(".params.json", json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
+                sidecar = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+                open_output(".params.json").write(sidecar + "\n")
         except (argparse.ArgumentError, OSError) as exc:
             print(json.dumps({"error": str(exc), "field": None}), file=sys.stderr)
             return 2

@@ -219,8 +219,9 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
     ValueError
         If the arrays are malformed, a wavelength is not finite and
         positive, an intensity is not finite, the grid is not monotone,
-        the scan shows no oscillation or under two periods, the fit is not
-        finite, or its offset c0 is not positive.
+        the scan shows no oscillation, both the frequency seed and the
+        fitted frequency span under two periods, the fit is not finite, or
+        its offset c0 is not positive.
     """
     lam = np.asarray(wavelengths, dtype=float)
     y = np.asarray(intensities, dtype=float)
@@ -264,11 +265,7 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
     # k (n_fft-1) / (n_fft span) cycles per unit m
     freq = (peak + shift) * (n_fft - 1) / (n_fft * span)
 
-    periods = freq * span
-    if periods < 2.0:
-        raise ValueError(
-            f"only {periods:.2f} oscillation periods spanned; need at least 2 to identify the frequency"
-        )
+    seed_periods = freq * span
 
     m_c, h = 0.5 * (m[0] + m[-1]), 0.5 * span
     u = (m - m_c) / h
@@ -309,13 +306,18 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
         if abs(step) <= 1e-12 * (1.0 + abs(w)):
             break
 
+    freq = w / (2 * np.pi * h)
+    # the seed alone undercounts coarse noisy scans: 2.5 periods on 8 points can seed below 2
+    if seed_periods < 2.0 and not freq * span >= 2.0:
+        raise ValueError(
+            f"only {seed_periods:.2f} oscillation periods spanned; need at least 2 to identify the frequency"
+        )
     if c[0] <= 0:  # before the visibility divides by it (a nan offset fails the finite check)
         raise ValueError(f"fitted fringe offset {np.ldexp(c[0], e):.3g} must be positive")
     contrast = float(np.hypot(c[1], c[2]) / c[0])
     residual_rms = float(np.ldexp(np.sqrt(cost / n), e))
     if not (np.isfinite(contrast) and np.isfinite(residual_rms)):
         raise ValueError(f"fit is not finite (contrast {contrast:.3g}, residual rms {residual_rms:.3g})")
-    freq = w / (2 * np.pi * h)
     psi = np.arctan2(-c[2], c[1]) - w * (m_c / h)
     return ScanFit(delta_l=float(freq / n_1), contrast=contrast,
                    phase=float(np.mod(psi, 2 * np.pi)), residual_rms=residual_rms,

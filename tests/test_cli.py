@@ -20,7 +20,16 @@ from hypothesis import strategies as st
 import ipmsim
 from ipmsim import cli, decoy
 from ipmsim.bounds import BoundError
-from ipmsim.cli import _COMMANDS, RATE_COLUMNS, _null_z, _read_csv, _slices, _write_csv, build_parser, main
+from ipmsim.cli import (
+    _COMMANDS,
+    RATE_COLUMNS,
+    _null_z,
+    _read_csv,
+    _write_outputs,
+    _write_rows,
+    build_parser,
+    main,
+)
 from ipmsim.decoy import ChannelParams, ProtocolParams
 from ipmsim.modulator import BB84_DRIVE_FRACTIONS, RECEIVER_FRAME, modulator_mueller
 from ipmsim.montecarlo import STATES, RateEstimate
@@ -39,6 +48,12 @@ from ipmsim.scenario import (
 
 from helpers import BB84_TARGET_STOKES, _rate_row, oracle_read_csv, sweep_points
 from helpers import _write_csv as rowwise_write_csv
+
+
+def write_table(path, header, columns):
+    """A CSV table written as every command writes one: through ``open_output`` and ``_write_rows``."""
+    with _write_outputs(path) as open_output:
+        _write_rows(open_output("", header), columns)
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -593,11 +608,11 @@ class TestSidecars:
         # the handler writes only through the writer it is given, and main writes the sidecar
         written = []
 
-        def write(suffix, content):   # records the file and runs a table's source into no file
+        def open_output(suffix, header=()):   # records the file and writes it to memory
             written.append(suffix)
-            return None if isinstance(content, str) else content[1](lambda block: None)
+            return io.StringIO()
 
-        _COMMANDS[command][0](build_parser().parse_args(argv), Scenario(), write)
+        _COMMANDS[command][0](build_parser().parse_args(argv), Scenario(), open_output)
         assert not any(run.iterdir())
         assert main(argv) == 0
         # the data file, mc's two tables, and the sidecar: nothing else
@@ -683,7 +698,7 @@ class TestScanAndFit:
         assert main(["scan", "--out", str(scan)]) == 0
         data = _read_csv(scan, 2)
         data[:, column] = edit(data[:, column])
-        _write_csv(scan, ("wavelength_nm", "intensity"), _slices(data.T))
+        write_table(scan, ("wavelength_nm", "intensity"), data.T)
         capsys.readouterr()
         assert main(["fitdl", "--in", str(scan), "--out", str(tmp_path / "fit.csv")]) == 3
         records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
@@ -700,7 +715,7 @@ class TestScanAndFit:
         scan = tmp_path / "scan.csv"
         assert main(["scan", "--out", str(scan)]) == 0
         data = _read_csv(scan, 2)
-        _write_csv(scan, ("wavelength_nm", "intensity"), _slices([data[:, 0], edit(data[:, 1])]))
+        write_table(scan, ("wavelength_nm", "intensity"), [data[:, 0], edit(data[:, 1])])
         capsys.readouterr()
         out = tmp_path / "fit.csv"
         assert main(["fitdl", "--in", str(scan), "--out", str(out)]) == 0
@@ -745,6 +760,20 @@ class TestScanAndFit:
         _, rows = read_csv(out)
         assert len(rows) == 201
         assert float(rows[0][0]) == pytest.approx(1549.0)
+
+    @pytest.mark.parametrize("command", ["scan", "fitdl"])
+    @pytest.mark.parametrize("start", ["0", "1e-320"], ids=["0-nm", "underflowing-to-0-m"])
+    def test_grid_starting_at_0_m_is_a_usage_error(self, command, start, tmp_path, capsys, monkeypatch):
+        # refused before the scan runs, where the 0 m wavelength exited 3
+        monkeypatch.setattr(cli, "wavelength_scan", failing_on_call(1, cli.wavelength_scan, "the scan ran"))
+        assert main([command, "--grid", f"{start}:1:0.5", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": f"ipmsim {command}: argument --grid: must start above 0 nm, got {float(start)!r}",
+            "field": None,
+        }
+        assert not any(tmp_path.iterdir())
 
 
 # cells of --in tables: floats as repr and %.9g, ints, and spellings float()
@@ -1134,6 +1163,21 @@ class TestOutputsAppearTogether:
             assert [name for name, size in streamed if size > 0] == [f".{out}.{os.getpid()}.tmp"]
             assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    def test_a_directory_at_an_output_path_moves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        (tmp_path / "s.csv.params.json").unlink()
+        (tmp_path / "s.csv.params.json").mkdir()
+        capsys.readouterr()
+        assert main(["sweep", "--grid", "0:1:0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["field"] is None
+        assert out.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.csv", "s.csv.params.json"]
+        assert not any((tmp_path / "s.csv.params.json").iterdir())
+
     def test_mc_failing_before_its_sidecar_writes_none_of_its_files(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "resolved_dict", failing_on_call(1, cli.resolved_dict, "no sidecar"))
         assert main(["mc", "--out", str(tmp_path / "mc.json")]) == 3
@@ -1353,7 +1397,7 @@ def rowwise_bytes(header, rows):
 def columnar_bytes(header, columns):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
-        _write_csv(path, header, _slices(columns))
+        write_table(path, header, columns)
         return path.read_bytes()
 
 
@@ -1408,7 +1452,7 @@ class TestColumnarWriter:
         columns = np.random.default_rng(18).standard_normal((5, 50000))
         tracemalloc.start()
         try:
-            _write_csv(tmp_path / "table.csv", [f"c{k}" for k in range(5)], _slices(columns))
+            write_table(tmp_path / "table.csv", [f"c{k}" for k in range(5)], columns)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

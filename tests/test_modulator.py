@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
@@ -542,6 +542,13 @@ class TestFitAgainstOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(fringe_scans())
+    # 2.5 periods on 8 points, whose frequency seed reads 1.995 periods: refused before
+    # the fit judged the period count on its fitted frequency as well
+    @example((np.array([1.501151473031263e-06, 1.5008224807366164e-06, 1.50049348844197e-06,
+                        1.5001644961473234e-06, 1.499835503852677e-06, 1.4995065115580302e-06,
+                        1.4991775192633837e-06, 1.498848526968737e-06]),
+              np.array([0.5949666257756546, 0.3234415109432559, 0.5260673497924453, 0.6296909210418047,
+                        0.38914600741763755, 0.6264279706712308, 0.5870698291663551, 0.4002407196928689])))
     def test_agrees_with_oracle_at_no_higher_cost(self, scan):
         lam, y = scan
         fit, oracle = fit_delta_l(lam, y, N_1), scipy_fit_delta_l(lam, y, N_1)
