@@ -128,24 +128,31 @@ def _write_outputs(out: Path):
 
 
 def _synthetic_scan(args, scn: Scenario):
-    """Wavelengths in meters and the scan's intensities; --grid (in nm) overrides the default span.
+    """The scan as (wavelengths in meters, intensities) blocks; --grid (in nm) overrides the default span.
 
-    A --grid whose first wavelength is not above 0 m is a usage error, and
-    a scan phase past the float range names ``modulator.delta_l``.
+    A --grid comes in blocks of ``_WRITE_ROWS`` points (the default 1201-point scan is one block),
+    and is a usage error if its first wavelength is not above 0 m.  A scan phase past the float
+    range names ``modulator.delta_l``.
     """
     if args.grid is not None:
-        lam = args.grid.grid() * 1e-9
-        if not lam[0] > 0:   # a start of 0 nm, or one that underflows to 0 m
+        if not args.grid.start_db * 1e-9 > 0:   # a start of 0 nm, or one that underflows to 0 m
             raise argparse.ArgumentError(None, f"ipmsim {args.command}: argument --grid: must start above "
                                                f"0 nm, got {args.grid.start_db!r}")
+        blocks = (nm * 1e-9 for nm in args.grid.blocks(_WRITE_ROWS))
     else:
         # default: 1201 points, +-1.2 nm around the operating wavelength, which
         # ModulatorConfig bounds above 1.2 nm so that the scan stays above 0 nm
-        lam = (scn.modulator.wavelength * 1e9 - 1.2 + np.arange(1201) * 0.002) * 1e-9
-    try:
-        return lam, wavelength_scan(scn.modulator, lam)
-    except BoundError as exc:
-        raise section_error(exc, "modulator") from exc
+        blocks = [(scn.modulator.wavelength * 1e9 - 1.2 + np.arange(1201) * 0.002) * 1e-9]
+    for lam in blocks:
+        try:
+            yield lam, wavelength_scan(scn.modulator, lam)
+        except BoundError as exc:
+            raise section_error(exc, "modulator") from exc
+
+
+def _grid_text(grid: SweepSpec | None) -> str | None:
+    """A scan's --grid for its sidecar, as --grid accepts it (in nm); None without one."""
+    return None if grid is None else f"{grid.start_db!r}:{grid.stop_db!r}:{grid.step_db!r}"
 
 
 def _cmd_states(args, scn: Scenario, open_output) -> tuple[str, dict]:
@@ -167,9 +174,11 @@ def _cmd_trace(args, scn: Scenario, open_output) -> tuple[str, dict]:
 
 
 def _cmd_scan(args, scn: Scenario, open_output) -> tuple[str, dict]:
-    lam, intensities = _synthetic_scan(args, scn)
-    _write_rows(open_output("", ("wavelength_nm", "intensity")), (lam * 1e9, intensities))
-    return f"scan: wrote {len(lam)} points to {args.out}", {"polarizer_angle": 0.0}
+    f, points = open_output("", ("wavelength_nm", "intensity")), 0
+    for lam, intensities in _synthetic_scan(args, scn):
+        _write_rows(f, (lam * 1e9, intensities))
+        points += len(lam)
+    return f"scan: wrote {points} points to {args.out}", {"grid": _grid_text(args.grid)}
 
 
 class _TextLines:
@@ -260,13 +269,13 @@ def _cmd_fitdl(args, scn: Scenario, open_output) -> tuple[str, dict]:
     if args.infile is not None:
         data = _read_csv(args.infile, 2)
         lam, intensity = data[:, 0] * 1e-9, data[:, 1]
-    else:
-        lam, intensity = _synthetic_scan(args, scn)
+    else:   # the fit needs the whole scan
+        lam, intensity = map(np.concatenate, zip(*_synthetic_scan(args, scn)))
     fit = fit_delta_l(lam, intensity, scn.modulator.n_1)
     _write_rows(open_output("", ("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned")),
                 [[fit.delta_l], [fit.contrast], [fit.phase], [fit.residual_rms], [fit.periods_spanned]])
     summary = f"fitdl: delta_l = {fit.delta_l:.9g} m (residual rms {fit.residual_rms:.9g}) -> {args.out}"
-    return summary, {"input": str(args.infile) if args.infile else None}
+    return summary, {"input": str(args.infile) if args.infile else None, "grid": _grid_text(args.grid)}
 
 
 def _cmd_polarimetry(args, scn: Scenario, open_output) -> tuple[str, dict]:
@@ -324,12 +333,11 @@ def _cmd_mc(args, scn: Scenario, open_output) -> tuple[str, dict]:
     emp = estimate(tally, cfg)
     ge = gains_and_errors(scn.protocol, scn.channel)
     report_rows = []
-    for name in ("Q_mu", "Q_nu", "E_mu", "E_nu", "Y0"):
-        est, analytic = getattr(emp, name.lower()), getattr(ge, name.lower())
-        report_rows.append((name, est.value, est.stderr, analytic, _null_z(est, analytic)))
-    header, columns = tally.table()
+    # literal names: a name built per run would stay referenced from the interpreter's type cache
+    for name in ("q_mu", "q_nu", "e_mu", "e_nu", "y0"):
+        est, analytic = getattr(emp, name), getattr(ge, name)
+        report_rows.append((name.capitalize(), est.value, est.stderr, analytic, _null_z(est, analytic)))
     open_output("").write(tally.to_json() + "\n")
-    _write_rows(open_output(".csv", header), columns)
     _write_rows(open_output(".report.csv", ("quantity", "empirical", "stderr", "analytic", "z_score")),
                 zip(*report_rows))
     summary_flags = f" flags={';'.join(emp.flags)}" if emp.flags else ""

@@ -18,7 +18,7 @@ does not grow with the pulse count.  The draws read one counter-based
 (config, seed).
 
 A ``PulseTally`` lists its per-cell counters once, in ``COUNTERS``; its
-JSON form (``to_dict``) and its flat table (``table``) follow that list.
+one written form, the nested JSON of ``to_dict``, follows that list.
 """
 
 from __future__ import annotations
@@ -97,18 +97,6 @@ class PulseTally:
                     for name in COUNTERS}
         return cls(**counters, dark_only=int(data["dark_only"]), double_click=int(data["double_click"]))
 
-    def table(self) -> tuple[tuple[str, ...], list]:
-        """Header and columns of the flat CSV table.
-
-        One row per (class, state) cell, states varying fastest: the class,
-        the state, then one column per counter.
-        """
-        return (
-            ("class", "state", *COUNTERS),
-            [np.repeat(PULSE_CLASSES, len(STATES)), np.tile(STATES, len(PULSE_CLASSES)),
-             *(getattr(self, name).ravel() for name in COUNTERS)],
-        )
-
 
 _CELLS = (len(PULSE_CLASSES), len(STATES), _NO_CLICK + 1)
 
@@ -165,7 +153,6 @@ class EmpiricalRates:
     e_mu: RateEstimate
     e_nu: RateEstimate
     y0: RateEstimate
-    sifted_rate: RateEstimate
     flags: tuple[str, ...] = ()
 
 
@@ -181,7 +168,7 @@ def _ratio(num: int, den: int) -> RateEstimate:
 
 
 def estimate(tally: PulseTally, cfg: SimConfig) -> EmpiricalRates:
-    """Empirical Q_mu, Q_nu, E_mu, E_nu, Y0 and sifted rate with standard errors.
+    """Empirical Q_mu, Q_nu, E_mu, E_nu and Y0 with standard errors.
 
     Gains divide detections by pulses sent per class; error rates divide
     errors by sifted counts; Y0 comes from the vacuum class.  Estimates
@@ -195,7 +182,6 @@ def estimate(tally: PulseTally, cfg: SimConfig) -> EmpiricalRates:
         "e_mu": _ratio(int(errors[0]), int(sifted[0])),
         "e_nu": _ratio(int(errors[1]), int(sifted[1])),
         "y0": _ratio(int(detected[2]), int(sent[2])),
-        "sifted_rate": _ratio(int(sifted.sum()), int(sent.sum())),
     }
     flags = tuple(
         f"low_statistics:{name}" for name, est in rates.items() if est.denominator < MIN_EVENTS

@@ -16,7 +16,7 @@ non-boolean integer, ``float``: any number, ``| None``: also null) is a
 - a NaN, an infinity, an int past the float range, or a value outside the
   bound its field declares (``bounds``; ``n_pulses`` < 2**63 included):
   ``section.key``;
-- the decoy order, nu < mu with a positive ``mu*nu - nu^2`` and a finite
+- the decoy order, nu <= mu (1 - 1e-5) with a positive ``mu*nu - nu^2`` and a finite
   ``mu^2 e^-mu / (mu nu - nu^2)``: ``protocol.nu``;
 - a finite operating phase: ``modulator.phi0_operating``;
 - a step that takes the grid's last point past the float range, or that

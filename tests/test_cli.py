@@ -22,6 +22,7 @@ from ipmsim import cli, decoy
 from ipmsim.bounds import BoundError
 from ipmsim.cli import (
     _COMMANDS,
+    _WRITE_ROWS,
     RATE_COLUMNS,
     _null_z,
     _read_csv,
@@ -30,8 +31,8 @@ from ipmsim.cli import (
     build_parser,
     main,
 )
-from ipmsim.decoy import ChannelParams, ProtocolParams
-from ipmsim.modulator import BB84_DRIVE_FRACTIONS, RECEIVER_FRAME, modulator_mueller
+from ipmsim.decoy import DECOY_GAP, ChannelParams, ProtocolParams
+from ipmsim.modulator import BB84_DRIVE_FRACTIONS, RECEIVER_FRAME, ModulatorConfig, modulator_mueller, wavelength_scan
 from ipmsim.montecarlo import STATES, RateEstimate
 from ipmsim.polarimetry import InconsistentProjectionsWarning
 from ipmsim.polarization import apply_mueller
@@ -46,7 +47,7 @@ from ipmsim.scenario import (
     scenario_from_dict,
 )
 
-from helpers import BB84_TARGET_STOKES, _rate_row, oracle_read_csv, sweep_points
+from helpers import BB84_TARGET_STOKES, _rate_row, bitwise_equal, oracle_read_csv, sweep_points
 from helpers import _write_csv as rowwise_write_csv
 
 
@@ -71,9 +72,12 @@ def strict_json(text):
 
 @st.composite
 def decoy_pairs(draw):
-    """(mu, nu) at the edges of the decoy order: nu = mu, its float neighbours, subnormal or huge nu."""
+    """(mu, nu) at the edges of the decoy order: nu = mu, nu at the least gap and their float
+    neighbours, or a subnormal or huge nu."""
     mu = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    near = st.sampled_from([mu, math.nextafter(mu, 0.0), math.nextafter(mu, 1.0), 1e200])
+    edge = mu * (1 - DECOY_GAP)
+    near = st.sampled_from([mu, math.nextafter(mu, 0.0), math.nextafter(mu, 1.0), edge,
+                            math.nextafter(edge, 0.0), math.nextafter(edge, 1.0), 1e200])
     return mu, draw(near | st.floats(5e-324, 2.2e-308) | st.floats(5e-324, 1e200))
 
 
@@ -119,10 +123,14 @@ class TestScenario:
     @example((1e-300, 1e-301))    # mu nu underflows to 0
     @example((0.6, 1e200))        # nu**2 would overflow
     @example((0.4925396286408898, 0.4925396286408898))   # mu nu - nu**2 is 2.8e-17 here
+    @example((0.6, 0.6 * (1 - DECOY_GAP)))                 # the least accepted gap
+    @example((0.6, math.nextafter(0.6 * (1 - DECOY_GAP), 1.0)))
     def test_decoy_order_is_one_rule_naming_nu(self, pair):
         mu, nu = pair
-        # the order in floating point, and q1_lower's factor finite (a subnormal nu overflows it)
-        accepted = nu < mu and mu * nu - nu**2 > 0 and math.isfinite(mu**2 * math.exp(-mu) / (mu * nu - nu**2))
+        # the least relative gap in floating point (it implies nu < mu), mu nu - nu^2 not
+        # underflowing, and q1_lower's factor finite (a subnormal nu overflows it)
+        accepted = (nu <= mu * (1 - DECOY_GAP) and mu * nu - nu**2 > 0
+                    and math.isfinite(mu**2 * math.exp(-mu) / (mu * nu - nu**2)))
         try:
             ProtocolParams(mu=mu, nu=nu)
             assert accepted
@@ -615,8 +623,8 @@ class TestSidecars:
         _COMMANDS[command][0](build_parser().parse_args(argv), Scenario(), open_output)
         assert not any(run.iterdir())
         assert main(argv) == 0
-        # the data file, mc's two tables, and the sidecar: nothing else
-        suffixes = ["", ".csv", ".report.csv"] if command == "mc" else [""]
+        # the data file, mc's report, and the sidecar: nothing else
+        suffixes = ["", ".report.csv"] if command == "mc" else [""]
         assert written == suffixes
         assert sorted(p.name for p in run.iterdir()) == sorted(f"out{s}" for s in [*suffixes, ".params.json"])
         sidecar = strict_json((run / "out.params.json").read_text())
@@ -773,6 +781,58 @@ class TestScanAndFit:
             "error": f"ipmsim {command}: argument --grid: must start above 0 nm, got {float(start)!r}",
             "field": None,
         }
+        assert not any(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("command", ["scan", "fitdl"])
+    @pytest.mark.parametrize("grid", ["1549.3:1551.1:0.0007", None], ids=["grid", "default"])
+    def test_a_rerun_from_the_sidecar_writes_the_same_bytes(self, command, grid, tmp_path):
+        scn = write_scenario(tmp_path, {"modulator": {"delta_l": 6.1e-3, "n_1": 1.47}})
+        first, rerun = tmp_path / "first.csv", tmp_path / "rerun.csv"
+        grid_argv = ["--grid", grid] if grid else []
+        assert main([command, "--scenario", str(scn), *grid_argv, "--out", str(first)]) == 0
+        sidecar = strict_json((tmp_path / "first.csv.params.json").read_text())
+        assert set(sidecar) == {"command", "parameters", "grid", *(["input"] if command == "fitdl" else [])}
+        assert sidecar["grid"] == (None if grid is None else "1549.3:1551.1:0.0007")
+        again = write_scenario(tmp_path, sidecar["parameters"], name="again.json")
+        grid_argv = ["--grid", sidecar["grid"]] if sidecar["grid"] is not None else []
+        assert main([command, "--scenario", str(again), *grid_argv, "--out", str(rerun)]) == 0
+        assert rerun.read_bytes() == first.read_bytes()
+        assert (tmp_path / "rerun.csv.params.json").read_bytes() == (tmp_path / "first.csv.params.json").read_bytes()
+
+
+class TestScanBlocks:
+    """scan --grid in the CLI's blocks against one whole-grid scan, at block edges."""
+
+    B = _WRITE_ROWS
+
+    @pytest.mark.parametrize("points", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_blocks_give_the_bytes_of_one_whole_grid_scan(self, points, tmp_path):
+        spec = SweepSpec(1549.0, 1549.0 + (points - 1) * 0.001, 0.001)
+        assert len(spec) == points
+        lam = spec.grid() * 1e-9
+        intensities = wavelength_scan(ModulatorConfig(), lam)
+        grid = f"{spec.start_db!r}:{spec.stop_db!r}:{spec.step_db!r}"
+        blocks = list(cli._synthetic_scan(build_parser().parse_args(["scan", "--grid", grid]), Scenario()))
+        assert [len(block) for block, _ in blocks] == [min(self.B, points - i) for i in range(0, points, self.B)]
+        assert bitwise_equal(np.concatenate([block for block, _ in blocks]), lam)
+        assert bitwise_equal(np.concatenate([block for _, block in blocks]), intensities)
+        out, whole = tmp_path / "scan.csv", tmp_path / "whole.csv"
+        assert main(["scan", "--grid", grid, "--out", str(out)]) == 0
+        rowwise_write_csv(whole, ("wavelength_nm", "intensity"), zip(lam * 1e9, intensities))
+        assert out.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("command", ["scan", "fitdl"])
+    def test_a_phase_overflow_in_a_later_block_names_delta_l(self, command, tmp_path, capsys, monkeypatch):
+        # the phase falls with the wavelength, so a real overflow starts in the first block: fake one in the second
+        def scan(cfg, lam):
+            if lam[0] > 1550e-9:
+                raise BoundError("delta_l", "must keep the scan phase within the float range")
+            return wavelength_scan(cfg, lam)
+
+        monkeypatch.setattr(cli, "wavelength_scan", scan)
+        assert main([command, "--grid", "1549:1551:0.0001", "--out", str(tmp_path / "x.csv")]) == 3
+        assert json.loads(capsys.readouterr().err)["field"] == "modulator.delta_l"
         assert not any(tmp_path.iterdir())
 
 
@@ -1201,9 +1261,6 @@ class TestMcCommand:
         assert main(["mc", "--scenario", str(scn), "--out", str(out)]) == 0
         tally = json.loads(out.read_text())
         assert tally["signal"]["H"]["sent"] > 0
-        header, rows = read_csv(tmp_path / "mc.json.csv")
-        assert header == ["class", "state", "sent", "detected", "sifted", "errors"]
-        assert len(rows) == 12
         header, rows = read_csv(tmp_path / "mc.json.report.csv")
         assert header == ["quantity", "empirical", "stderr", "analytic", "z_score"]
         assert [r[0] for r in rows] == ["Q_mu", "Q_nu", "E_mu", "E_nu", "Y0"]

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from ipmsim import decoy
 from ipmsim.bounds import BoundError
 from ipmsim.decoy import (
+    DECOY_GAP,
     ChannelParams,
     ProtocolParams,
     RatePoint,
@@ -77,6 +79,13 @@ class TestParams:
             ProtocolParams(mu=0.1, nu=0.2)
         with pytest.raises(ValueError, match="nu < mu"):
             ProtocolParams(mu=0.2, nu=0.2)
+
+    def test_refuses_a_decoy_within_the_least_gap_of_the_signal(self):
+        edge = 0.6 * (1 - DECOY_GAP)
+        assert ProtocolParams(mu=0.6, nu=edge).nu == edge
+        with pytest.raises(BoundError, match="nu < mu") as exc:
+            ProtocolParams(mu=0.6, nu=math.nextafter(edge, 1.0))
+        assert exc.value.field == "nu"
 
     def test_rejects_bad_allocation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -173,7 +182,29 @@ class TestGainsAndErrors:
             assert ge.e_nu == pytest.approx(e_nu, rel=1e-12, abs=1e-15)
 
 
+def decimal_q1_lower(p, ch, digits=60):
+    """Q1_L of the engine's channel law, from the exact values of its float inputs, to ``digits`` digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        mu, nu = Decimal(p.mu), Decimal(p.nu)
+        eta = Decimal(10) ** (-Decimal(ch.total_loss_db) / 10) * Decimal(ch.detector_efficiency)
+        dark = min(Decimal(ch.dark_rate) * Decimal(ch.gate_window), Decimal(1))
+        y0 = 1 - (1 - dark) ** ch.num_detectors
+        # a photon click always clicks; without one a pulse clicks on any dark, Y0
+        q_mu, q_nu = (1 - (-eta * x).exp() * (1 - y0) for x in (mu, nu))
+        return mu**2 * (-mu).exp() / (mu * nu - nu**2) * (
+            q_nu * nu.exp() - q_mu * mu.exp() * nu**2 / mu**2 - (mu**2 - nu**2) / mu**2 * y0)
+
+
 class TestQ1Lower:
+    @pytest.mark.parametrize("gap", [DECOY_GAP, 2e-5, 1e-3, 0.5])
+    @pytest.mark.parametrize("loss_db", [0.0, 30.0, 60.0])
+    def test_matches_a_decimal_oracle_down_to_the_least_gap(self, gap, loss_db):
+        # the bracket and mu nu - nu^2 cancel as nu nears mu; the least gap keeps 1e-10
+        p, ch = ProtocolParams(mu=0.6, nu=0.6 * (1 - gap)), ChannelParams(total_loss_db=loss_db)
+        want = decimal_q1_lower(p, ch)
+        assert abs(Decimal(secure_rate(p, ch).q1_lower) - want) <= Decimal("1e-10") * want
+
     def test_frozen_lossless_value(self):
         p = ProtocolParams()
         ch = ChannelParams(total_loss_db=0.0, detector_efficiency=1.0, dark_rate=0.0)

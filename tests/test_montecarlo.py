@@ -14,7 +14,6 @@ from ipmsim.decoy import (
     transmittance,
 )
 from ipmsim.montecarlo import (
-    COUNTERS,
     PULSE_CLASSES,
     STATES,
     EmpiricalRates,
@@ -378,17 +377,6 @@ class TestTallySerialization:
         assert set(data) == set(PULSE_CLASSES) | {"dark_only", "double_click"}
         assert set(data["signal"]) == set(STATES)
         assert set(data["signal"]["H"]) == {"sent", "detected", "sifted", "errors"}
-
-    def test_table_rows_match_the_nested_layout(self):
-        tally = simulate(make_cfg(n_pulses=100_000, total_loss_db=15.0))
-        header, columns = tally.table()
-        assert header == ("class", "state", *COUNTERS)
-        rows = list(zip(*(np.asarray(c).tolist() for c in columns)))
-        data = tally.to_dict()
-        # states vary fastest
-        expected = [(cls_name, state, *(data[cls_name][state][name] for name in COUNTERS))
-                    for cls_name in PULSE_CLASSES for state in STATES]
-        assert rows == expected
 
 
 class TestEstimate:
