@@ -19,7 +19,7 @@ so identical scenario + seed produces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import collections
+import codecs
 import contextlib
 import dataclasses
 import errno
@@ -37,7 +37,7 @@ from .bounds import BoundError
 from .decoy import gains_and_errors, secure_rate, sweep_loss
 from .modulator import bb84_table, fit_delta_l, poincare_trace, wavelength_scan
 from .montecarlo import STATES, RateEstimate, SimConfig, SimSpec, estimate, simulate
-from .polarimetry import extract_stokes, measure_stokes
+from .polarimetry import InconsistentProjectionsWarning, extract_stokes, measure_stokes, warn_inconsistent
 from .polarization import degree_of_polarization
 from .scenario import (
     Scenario,
@@ -67,11 +67,11 @@ RATE_COLUMNS = {
 # printf conversion for each column's numpy dtype kind
 _CONVERSIONS = {"U": "%s", "i": "%d", "f": "%.9g"}
 
-# rows a table block holds (the rows _write_rows formats at a time, and the
-# sweep's grid points per engine pass), and characters _read_csv decodes at
-# a time: each bounds what a table costs beyond its own arrays
+# rows a table block holds (rows _write_rows formats and _read_blocks yields at a time, and the sweep's
+# grid points per engine pass), and bytes _text_lines reads at a time: each bounds what a table costs
+# beyond its own arrays
 _WRITE_ROWS = 4096
-_READ_CHARS = 1 << 16
+_READ_BYTES = 1 << 16
 
 
 def _write_rows(f, columns):
@@ -140,8 +140,8 @@ def _synthetic_scan(args, scn: Scenario):
                                                f"0 nm, got {args.grid.start_db!r}")
         blocks = (nm * 1e-9 for nm in args.grid.blocks(_WRITE_ROWS))
     else:
-        # default: 1201 points, +-1.2 nm around the operating wavelength, which
-        # ModulatorConfig bounds above 1.2 nm so that the scan stays above 0 nm
+        # default: 1201 points, +-1.2 nm around the operating wavelength, which ModulatorConfig
+        # bounds to (1.2 nm, 0.1 mm] so that the scan stays above 0 nm and prints distinct points
         blocks = [(scn.modulator.wavelength * 1e9 - 1.2 + np.arange(1201) * 0.002) * 1e-9]
     for lam in blocks:
         try:
@@ -181,95 +181,72 @@ def _cmd_scan(args, scn: Scenario, open_output) -> tuple[str, dict]:
     return f"scan: wrote {points} points to {args.out}", {"grid": _grid_text(args.grid)}
 
 
-class _TextLines:
-    """Iterates the lines of ``f.read().rstrip().splitlines()``, read a block at a time.
+def _text_lines(f, path: Path, bad: list):
+    """Yield the lines of ``text.rstrip().splitlines()`` for the UTF-8 text of the binary file ``f``.
 
-    A block's last non-blank line may run on into the next block, or be the
-    text's last line, which loses its trailing whitespace: it is held back
-    with the blank lines after it.  Each read takes _READ_CHARS characters
-    more than are held, so a line of any length costs linear time.
-    ``count`` is the number of lines in the blocks read so far.
+    A read's last non-blank line, which may run on into the next read, is held back with the blank lines
+    after it; each read takes _READ_BYTES bytes more than are held, so a line of any length costs linear
+    time.  At a byte that is not UTF-8, the lines before it are yielded and ``bad`` gets its error message.
     """
-
-    def __init__(self, f):
-        self.count = 0
-        self._lines = itertools.chain.from_iterable(self._blocks(f))
-
-    def __iter__(self):
-        return self._lines
-
-    def _blocks(self, f):
-        held = ""
-        while chunk := f.read(_READ_CHARS + len(held)):
-            text = held + chunk
-            body = text.rstrip()
-            lines = body.splitlines()
-            held = text[len(body) - len(lines.pop()) :] if lines else text
-            self.count += len(lines)
-            yield lines
-        lines = held.rstrip().splitlines()
-        self.count += len(lines)
-        yield lines
+    held, data, chunk = "", b"", True
+    while chunk:   # the last pass, on an empty read, decodes the end of the file
+        data += (chunk := f.read(_READ_BYTES + len(held)))
+        try:
+            text, used = codecs.utf_8_decode(data, None, not chunk)
+        except UnicodeDecodeError as exc:   # named by its offset in the file, as decoding it whole names it
+            yield from (held + data[: exc.start].decode() + "\0").splitlines()[:-1]
+            at, last = (f.tell() - len(data) + k for k in (exc.start, exc.end - 1))
+            what = f"byte 0x{data[exc.start]:02x} in position {at}" if at == last else f"bytes in position {at}-{last}"
+            bad.append(f"input file {path} is not UTF-8: 'utf-8' codec can't decode {what}: {exc.reason}")
+            return
+        text, data = held + text, data[used:]
+        lines = (body := text.rstrip()).splitlines()
+        held = text[len(body) - len(lines.pop()) :] if chunk and lines else text
+        yield from lines
 
 
-def _read_csv(path: Path, expected_columns: int) -> np.ndarray:
-    """The data rows below the header as a (rows, expected_columns) float array.
+def _read_blocks(path: Path, expected_columns: int):
+    """Yield the rows below the header as float arrays of up to ``_WRITE_ROWS`` rows, reading the file once.
 
-    The first non-blank line is the header.  Lines end where
-    ``str.splitlines`` ends them, cells follow Python ``float()`` syntax,
-    and errors name lines counted from the top of the file.  The file is
-    read as a stream, but decoded in full before any error is raised.
+    The first non-blank line is the header, lines end where ``str.splitlines`` ends them, and cells follow
+    ``float()`` syntax.  An error names its line from the top of the file, after the rows before it are yielded.
     """
-    try:
-        with path.open() as f:
-            source = _TextLines(f)
-            lines = iter(source)
-            header = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)
-            # numpy's C reader parses with the same PyOS_string_to_double as
-            # float(), but skips empty lines and rejects spellings such as 1_000
+    bad, rows = [], 0
+    with path.open("rb") as f:
+        lines = _text_lines(f, path, bad)
+        header = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)
+        while block := list(itertools.islice(lines, _WRITE_ROWS)):
+            # numpy's C reader parses as float() does, but skips empty lines and rejects spellings such as 1_000
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            except UnicodeDecodeError:
-                raise
+                    values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
             except ValueError:
                 values = None
-                collections.deque(lines, maxlen=0)   # decode and count the rest of the file
-        rows = source.count - header
-        if rows == 0:
-            raise ScenarioError(f"input file {path} has no data rows")
-        if values is not None and values.shape == (rows, expected_columns):
-            return values
-        # the C reader rejected or reshaped the table: walk it into the result,
-        # naming the first offending line
-        values = np.empty((rows, expected_columns))
-        with path.open() as f:
-            lines = itertools.islice(enumerate(_TextLines(f), start=1), header, None)
-            for row, (lineno, line) in zip(values, lines):
-                parts = line.split(",")
-                if len(parts) != expected_columns:
-                    raise ScenarioError(f"{path}:{lineno}: expected {expected_columns} columns, got {len(parts)}")
-                try:
-                    row[:] = [float(x) for x in parts]
-                except ValueError as exc:
-                    raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
-        return values
-    except UnicodeDecodeError:
-        # a block's decode error counts bytes from that block: decoding the
-        # whole file names the byte by its offset in the file
-        try:
-            path.read_text()
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"input file {path} is not UTF-8: {exc}") from exc
-        raise
+            if values is None or values.shape != (len(block), expected_columns):
+                # the C reader rejected or reshaped the block: walk it, yielding the rows before a bad line
+                values = np.empty((len(block), expected_columns))
+                for k, line in enumerate(block):
+                    try:
+                        parts = line.split(",")
+                        if len(parts) != expected_columns:
+                            raise ValueError(f"expected {expected_columns} columns, got {len(parts)}")
+                        values[k] = [float(x) for x in parts]
+                    except ValueError as exc:
+                        if k:
+                            yield values[:k]
+                        raise ScenarioError(f"{path}:{header + rows + k + 1}: {exc}") from exc
+            rows += len(block)
+            yield values
+    if bad or not rows:
+        raise ScenarioError(bad[0] if bad else f"input file {path} has no data rows")
 
 
 def _cmd_fitdl(args, scn: Scenario, open_output) -> tuple[str, dict]:
-    if args.infile is not None:
-        data = _read_csv(args.infile, 2)
+    if args.infile is not None:   # the fit needs the whole scan
+        data = np.concatenate(list(_read_blocks(args.infile, 2)))
         lam, intensity = data[:, 0] * 1e-9, data[:, 1]
-    else:   # the fit needs the whole scan
+    else:
         lam, intensity = map(np.concatenate, zip(*_synthetic_scan(args, scn)))
     fit = fit_delta_l(lam, intensity, scn.modulator.n_1)
     _write_rows(open_output("", ("delta_l_m", "contrast", "phase_rad", "residual_rms", "periods_spanned")),
@@ -279,9 +256,16 @@ def _cmd_fitdl(args, scn: Scenario, open_output) -> tuple[str, dict]:
 
 
 def _cmd_polarimetry(args, scn: Scenario, open_output) -> tuple[str, dict]:
-    stokes = extract_stokes(*_read_csv(args.infile, 4).T)
-    _write_rows(open_output("", ("S0", "S1", "S2", "S3", "DOP")), (*stokes.T, degree_of_polarization(stokes)))
-    return f"polarimetry: extracted {len(stokes)} states to {args.out}", {"input": str(args.infile)}
+    f, rows, dop_max = open_output("", ("S0", "S1", "S2", "S3", "DOP")), 0, 0.0
+    with warnings.catch_warnings():   # one warning below names the file's largest DOP
+        warnings.simplefilter("ignore", InconsistentProjectionsWarning)
+        for projections in _read_blocks(args.infile, 4):
+            stokes = extract_stokes(*projections.T)
+            dop = degree_of_polarization(stokes)
+            _write_rows(f, (*stokes.T, dop))
+            rows, dop_max = rows + len(stokes), max(dop_max, dop.max())
+    warn_inconsistent(dop_max)
+    return f"polarimetry: extracted {rows} states to {args.out}", {"input": str(args.infile)}
 
 
 def _cmd_keyrate(args, scn: Scenario, open_output) -> tuple[str, dict]:

@@ -44,18 +44,19 @@ class ModulatorConfig:
     phi0 = pi/4, which minimizes drive voltages); set it to None to derive
     phi0 from the geometry (n_1, delta_l, wavelength) instead.
     Temperature drift enters as ``temp_coeff * temp_delta`` added to the
-    operating phase.  ``v_pi_pm`` is capped at 1e307 so that the drive
-    swing (v1 - v2) pi stays finite, and ``wavelength`` must exceed 1.2 nm
-    so that the CLI's default +-1.2 nm scan stays above 0 nm.  A rule
-    across fields raises a ``BoundError`` naming ``phi0_operating``: the
-    operating phase, drift included, must be finite.
+    operating phase.  ``v_pi_pm`` and ``|delta|`` are capped at 1e307 so
+    that the drive swing (v1 - v2) pi and the splitter rotation 2 delta stay
+    finite, and ``wavelength`` lies in (1.2 nm, 0.1 mm] so that the CLI's
+    default +-1.2 nm scan stays above 0 nm and prints 1201 distinct
+    wavelengths.  A rule across fields raises a ``BoundError`` naming
+    ``phi0_operating``: the operating phase, drift included, must be finite.
     """
 
     v_pi_pm: float = field(default=4.0, metadata={"gt": 0, "le": 1e307})   # PM half-wave voltage [V]
-    delta: float = 0.0            # splitter rotation offset [rad]
+    delta: float = field(default=0.0, metadata={"ge": -1e307, "le": 1e307})   # splitter rotation offset [rad]
     delta_l: float = field(default=6.0e-3, metadata={"ge": 0})   # MZI arm length imbalance [m]
     n_1: float = field(default=1.468, metadata={"gt": 1})        # effective fiber index
-    wavelength: float = field(default=1550e-9, metadata={"gt": 1.2e-9})   # operating wavelength [m]
+    wavelength: float = field(default=1550e-9, metadata={"gt": 1.2e-9, "le": 1e-4})   # operating wavelength [m]
     qwp_retardance: float = DEFAULT_QWP_RETARDANCE  # receiver QWP actual retardance
     phi0_operating: float | None = np.pi / 4
     temp_coeff: float = 0.0       # d(phi0)/dT [rad/K]
@@ -115,12 +116,12 @@ def modulator_mueller(v1: float, v2: float, cfg: ModulatorConfig) -> np.ndarray:
     retardance T = (v1 - v2) pi / v_pi_pm + phi0, and the rotator a Mueller
     rotation by a = pi/2 + 2 delta; their product is one real 4x4 literal.
     The output stage enters as its Mueller matrix, converted once at import.
-    Raises ValueError ("non-physical drive") if T or a is not finite.
+    Raises ValueError ("non-physical drive") if T is not finite.
     """
     t = (v1 - v2) * math.pi / cfg.v_pi_pm + operating_phi0(cfg)
+    if not math.isfinite(t):
+        raise ValueError(f"non-physical drive: angle T = {t} must be finite")
     a = math.pi / 2 + 2.0 * cfg.delta
-    if not (math.isfinite(t) and math.isfinite(a)):
-        raise ValueError(f"non-physical drive: angles T = {t} and a = {a} must be finite")
     ct, st, ca, sa = math.cos(t), math.sin(t), math.cos(a), math.sin(a)
     return _OUTPUT_MUELLER @ np.array([[1.0, 0.0, 0.0, 0.0], [0.0, ca, sa, 0.0],
                                        [0.0, -ct * sa, ct * ca, st], [0.0, st * sa, -st * ca, ct]])

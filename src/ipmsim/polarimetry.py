@@ -63,15 +63,15 @@ def extract_stokes(i1, i2, i3, s0) -> np.ndarray:
     bad = s0[s0 <= 0]
     if bad.size:
         raise ValueError(f"total intensity S0 must be positive, got {bad[0]}")
-    dop = np.asarray(degree_of_polarization(s))
-    over = dop[dop > 1.0 + DOP_WARN_MARGIN]
-    if over.size:
-        warnings.warn(
-            f"recovered DOP {over.max():.4f} exceeds 1: projections are inconsistent",
-            InconsistentProjectionsWarning,
-            stacklevel=2,
-        )
+    warn_inconsistent(np.max(degree_of_polarization(s), initial=0.0))
     return s
+
+
+def warn_inconsistent(dop: float) -> None:
+    """Warn (without failing) that projections are inconsistent when ``dop`` exceeds 1 by more than 5%."""
+    if dop > 1.0 + DOP_WARN_MARGIN:
+        warnings.warn(f"recovered DOP {dop:.4f} exceeds 1: projections are inconsistent",
+                      InconsistentProjectionsWarning, stacklevel=3)
 
 
 def measure_stokes(s, retardance: float = IDEAL_RETARDANCE) -> np.ndarray:

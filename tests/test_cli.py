@@ -25,7 +25,7 @@ from ipmsim.cli import (
     _WRITE_ROWS,
     RATE_COLUMNS,
     _null_z,
-    _read_csv,
+    _read_blocks,
     _write_outputs,
     _write_rows,
     build_parser,
@@ -34,8 +34,8 @@ from ipmsim.cli import (
 from ipmsim.decoy import DECOY_GAP, ChannelParams, ProtocolParams
 from ipmsim.modulator import BB84_DRIVE_FRACTIONS, RECEIVER_FRAME, ModulatorConfig, modulator_mueller, wavelength_scan
 from ipmsim.montecarlo import STATES, RateEstimate
-from ipmsim.polarimetry import InconsistentProjectionsWarning
-from ipmsim.polarization import apply_mueller
+from ipmsim.polarimetry import InconsistentProjectionsWarning, extract_stokes
+from ipmsim.polarization import apply_mueller, degree_of_polarization
 from ipmsim.scenario import (
     _SECTIONS,
     ParameterError,
@@ -79,6 +79,11 @@ def decoy_pairs(draw):
     near = st.sampled_from([mu, math.nextafter(mu, 0.0), math.nextafter(mu, 1.0), edge,
                             math.nextafter(edge, 0.0), math.nextafter(edge, 1.0), 1e200])
     return mu, draw(near | st.floats(5e-324, 2.2e-308) | st.floats(5e-324, 1e200))
+
+
+def read_table(path, columns):
+    """The blocks ``_read_blocks`` yields, concatenated: the whole table."""
+    return np.concatenate(list(_read_blocks(path, columns)))
 
 
 def read_csv(path):
@@ -268,6 +273,12 @@ PROBES = [
     # a subnormal nu overflowed q1_lower's factor: keyrate and sweep wrote a nan Q1L with exit 0
     *((command, {"protocol": {"nu": nu}}, 3, "protocol.nu") for nu in (5e-324, 1e-310)
       for command in ("keyrate", "sweep", "mc")),
+    # a splitter offset whose 2 delta overflows: trace wrote nan rows with exit 0, states named no field
+    ("trace", {"modulator": {"delta": 1e308}}, 3, "modulator.delta"),
+    ("states", {"modulator": {"delta": -1e308}}, 3, "modulator.delta"),
+    # a wavelength whose default scan prints fewer than 1201 distinct points, or inf: scan exited 0
+    ("scan", {"modulator": {"wavelength": 1e-3}}, 3, "modulator.wavelength"),
+    ("fitdl", {"modulator": {"wavelength": 1e300}}, 3, "modulator.wavelength"),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -681,6 +692,16 @@ class TestScanAndFit:
         _, rows = read_csv(out)
         assert float(rows[0][0]) > 0
 
+    def test_default_scan_at_the_largest_wavelength_prints_distinct_points(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        scn = write_scenario(tmp_path, {"modulator": {"wavelength": 1e-4}})
+        assert main(["scan", "--scenario", str(scn), "--out", str(out)]) == 0
+        printed = [float(row[0]) for row in read_csv(out)[1]]
+        assert len(printed) == 1201 and all(a < b for a, b in zip(printed, printed[1:]))
+        scn = write_scenario(tmp_path, {"modulator": {"wavelength": float(np.nextafter(1e-4, 1.0))}})
+        assert main(["scan", "--scenario", str(scn), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["field"] == "modulator.wavelength"
+
     def test_fit_failure_is_numerical_exit(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, {"modulator": {"delta_l": 1.5e-4}})
         out = tmp_path / "fit.csv"
@@ -704,7 +725,7 @@ class TestScanAndFit:
     def test_bad_scan_is_named_numerical_exit(self, tmp_path, capsys, column, edit, error):
         scan = tmp_path / "scan.csv"
         assert main(["scan", "--out", str(scan)]) == 0
-        data = _read_csv(scan, 2)
+        data = read_table(scan, 2)
         data[:, column] = edit(data[:, column])
         write_table(scan, ("wavelength_nm", "intensity"), data.T)
         capsys.readouterr()
@@ -722,7 +743,7 @@ class TestScanAndFit:
     def test_scaled_or_offset_scan_fits_delta_l(self, tmp_path, capsys, edit):
         scan = tmp_path / "scan.csv"
         assert main(["scan", "--out", str(scan)]) == 0
-        data = _read_csv(scan, 2)
+        data = read_table(scan, 2)
         write_table(scan, ("wavelength_nm", "intensity"), [data[:, 0], edit(data[:, 1])])
         capsys.readouterr()
         out = tmp_path / "fit.csv"
@@ -919,7 +940,7 @@ class TestCsvInput:
         infile = tmp_path / "in.csv"
         infile.write_text("a,b\n1_000, 2.5 \nnan,inf\n-Infinity,1e-3\n")
         np.testing.assert_array_equal(
-            _read_csv(infile, 2), [[1000.0, 2.5], [np.nan, np.inf], [-np.inf, 1e-3]]
+            read_table(infile, 2), [[1000.0, 2.5], [np.nan, np.inf], [-np.inf, 1e-3]]
         )
 
     @settings(max_examples=400, deadline=None)
@@ -949,7 +970,7 @@ class TestCsvInput:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                got = _read_csv(infile, columns)
+                got = read_table(infile, columns)
             except ScenarioError as exc:
                 got = str(exc)
         if isinstance(expected, str):
@@ -960,13 +981,18 @@ class TestCsvInput:
             assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(csv_tables(), st.sampled_from([1, 2, 3, 7]))
-    def test_block_edges_do_not_change_the_result(self, tmp_path_factory, table, read_chars):
+    @given(csv_tables(), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 3, 7]), st.data())
+    def test_block_edges_do_not_change_the_result(self, tmp_path_factory, table, read_bytes, block_rows, data):
         text, columns, _ = table
+        body = text.encode()
+        # a byte that is not UTF-8, or the tail of a two-byte character, somewhere in the file
+        stray = data.draw(st.sampled_from([b"", b"\xff", b"\xc3", b"\xa9"]))
+        at = data.draw(st.integers(0, len(body)))
         infile = tmp_path_factory.getbasetemp() / "blocks.csv"
-        infile.write_bytes(text.encode())
+        infile.write_bytes(body[:at] + stray + body[at:])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_READ_CHARS", read_chars)
+            mp.setattr(cli, "_READ_BYTES", read_bytes)
+            mp.setattr(cli, "_WRITE_ROWS", block_rows)
             small_blocks = read_outcome(infile, columns)
         assert small_blocks == read_outcome(infile, columns)
 
@@ -974,8 +1000,15 @@ class TestCsvInput:
         "body",
         [
             b"1,2\n" * 30000 + b"\xff\n",
-            # the file is undecodable, whichever line is bad before the byte
+            # errors come in file order: a bad row before the byte is named instead, here line 2
             b"1,x\n" + b"1,2\n" * 30000 + b"1,\xc3\n",
+            # a byte before a bad row is named
+            b"1,2\n" * 30000 + b"1,\xc3\n" + b"1,x\n",
+            # also where both lie in one block and one read
+            b"1,2\n1,x\n1,\xff\n",
+            b"1,2\n1,\xff\n1,x\n",
+            # a truncated character at the end of the file spans two bytes
+            b"1,2\n" * 30000 + b"1,\xe2\x82",
         ],
     )
     def test_undecodable_byte_is_named_by_its_offset_in_the_file(self, tmp_path, body):
@@ -983,9 +1016,14 @@ class TestCsvInput:
         infile.write_bytes(b"wavelength_nm,intensity\n" + body)
         with pytest.raises(UnicodeDecodeError) as decode:
             infile.read_text()
+        expected = f"input file {infile} is not UTF-8: {decode.value}"
+        text = infile.read_bytes()
+        if 0 <= (row := text.find(b"\n1,x\n")) < decode.value.start:
+            lineno = text.count(b"\n", 0, row) + 2
+            expected = f"{infile}:{lineno}: could not convert string to float: 'x'"
         with pytest.raises(ScenarioError) as info:
-            _read_csv(infile, 2)
-        assert str(info.value) == f"input file {infile} is not UTF-8: {decode.value}"
+            read_table(infile, 2)
+        assert str(info.value) == expected
 
     def test_reading_holds_little_beyond_the_result(self, tmp_path):
         infile = tmp_path / "proj.csv"
@@ -994,13 +1032,13 @@ class TestCsvInput:
         del data
         tracemalloc.start()
         try:
-            values = _read_csv(infile, 4)
+            rows = sum(len(block) for block in _read_blocks(infile, 4))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert values.shape == (200000, 4)
-        # reading the whole text and its lines peaked at 56.5 MiB
-        assert peak < values.nbytes + 4 * 2**20
+        assert rows == 200000
+        # reading the whole text and its lines peaked at 56.5 MiB, and the whole table is 6.1 MiB
+        assert peak < 4 * 2**20
 
     def test_walking_holds_little_beyond_the_result(self, tmp_path):
         # numpy's C reader rejects 1_000, so every row takes the Python walk
@@ -1008,13 +1046,13 @@ class TestCsvInput:
         infile.write_text("i1,i2,i3,s0\n" + "1_000,0.5,0.25,2_0\n" * 200000)
         tracemalloc.start()
         try:
-            values = _read_csv(infile, 4)
+            rows = [(len(block), (block == [1000.0, 0.5, 0.25, 20.0]).all()) for block in _read_blocks(infile, 4)]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert values.shape == (200000, 4) and (values == [1000.0, 0.5, 0.25, 20.0]).all()
-        # holding every row as a Python list peaked at about 49 MiB
-        assert peak < values.nbytes + 4 * 2**20
+        assert sum(n for n, _ in rows) == 200000 and all(right for _, right in rows)
+        # holding every row as a Python list peaked at about 49 MiB, and the whole table is 6.1 MiB
+        assert peak < 4 * 2**20
 
     def test_well_formed_table_never_reaches_the_python_walk(self, tmp_path, monkeypatch):
         load, parsed = np.loadtxt, []
@@ -1027,9 +1065,10 @@ class TestCsvInput:
         data = np.random.default_rng(15).uniform(0.0, 2.5, size=(20000, 4))
         infile = tmp_path / "proj.csv"
         np.savetxt(infile, data, fmt="%.17g", delimiter=",", header="i1,i2,i3,s0", comments="")
-        # the walk builds a new array; the C reader's own array means it was not taken
-        assert _read_csv(infile, 4) is parsed[0]
-        assert parsed[0].tobytes() == data.tobytes()
+        # the walk builds a new array; the C reader's own arrays mean it was not taken
+        blocks = list(_read_blocks(infile, 4))
+        assert len(parsed) == 5 and all(block is own for block, own in zip(blocks, parsed, strict=True))
+        assert np.concatenate(blocks).tobytes() == data.tobytes()
 
 
 class TestPolarimetryCommand:
@@ -1088,6 +1127,62 @@ class TestPolarimetryCommand:
         assert main(["polarimetry", "--in", str(infile), "--out", str(out)]) == 0
         assert main(["polarimetry", "--in", str(same), "--out", str(same)]) == 0
         assert same.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("rows", [_WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 2 * _WRITE_ROWS + 1])
+    def test_blocks_write_the_bytes_of_one_extraction(self, tmp_path, capsys, rows):
+        rng = np.random.default_rng(rows)
+        s0 = rng.uniform(0.5, 2.0, size=rows)
+        projections = np.column_stack([rng.uniform(0.0, 1.0, size=(rows, 3)) * s0[:, None], s0])
+        infile, out = tmp_path / "proj.csv", tmp_path / "stokes.csv"
+        np.savetxt(infile, projections, fmt="%.17g", delimiter=",", header="i1,i2,i3,s0", comments="")
+        assert main(["polarimetry", "--in", str(infile), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"polarimetry: extracted {rows} states to {out}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InconsistentProjectionsWarning)
+            stokes = extract_stokes(*projections.T)
+        expected = rowwise_bytes(("S0", "S1", "S2", "S3", "DOP"), zip(*stokes.T, degree_of_polarization(stokes)))
+        assert out.read_bytes() == expected
+
+    def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, capsys):
+        infile = tmp_path / "proj.csv"
+        infile.write_text("i1,i2,i3,s0\n" + "0.5,0.5,0.5,1\n" * (_WRITE_ROWS + 10) + "0.5,0.5,1\n")
+        out = tmp_path / "stokes.csv"
+        assert main(["polarimetry", "--in", str(infile), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == f"{infile}:{_WRITE_ROWS + 12}: expected 4 columns, got 3"
+        assert not out.exists()
+
+    def test_dop_warning_names_the_largest_dop_of_any_block(self, tmp_path, capsys):
+        # DOP sqrt(2) in the first block, sqrt(3) in the third
+        rows = ["0.5,0.5,0.5,1"] * (3 * _WRITE_ROWS)
+        rows[7], rows[2 * _WRITE_ROWS + 5] = "1,1,0.5,1", "1,1,1,1"
+        infile = tmp_path / "proj.csv"
+        infile.write_text("i1,i2,i3,s0\n" + "\n".join(rows) + "\n")
+        assert main(["polarimetry", "--in", str(infile), "--out", str(tmp_path / "stokes.csv")]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert records == [{"warning": "recovered DOP 1.7321 exceeds 1: projections are inconsistent",
+                            "category": InconsistentProjectionsWarning.__name__}]
+
+    @pytest.mark.parametrize(
+        "body, status, error",
+        [
+            # a non-finite projection before the byte is named, in the same block or an earlier one
+            ("0.5,0.5,0.5,1\nnan,0.5,0.5,1\n", 3, "projections must be finite"),
+            ("0.5,0.5,0.5,1\n" * _WRITE_ROWS + "nan,0.5,0.5,1\n", 3, "projections must be finite"),
+            ("0.5,0.5,0.5,1\n1,0.5\n", 2, "{path}:3: expected 4 columns, got 2"),
+            # and before a malformed row in the same block, or after one
+            ("nan,0.5,0.5,1\n1,x,0.5,1\n", 3, "projections must be finite"),
+            ("1,x,0.5,1\nnan,0.5,0.5,1\n", 2, "{path}:2: could not convert string to float: 'x'"),
+            # with no error before it, the byte is named
+            ("0.5,0.5,0.5,1\n", 2, "input file {path} is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 26: invalid start byte"),
+        ],
+    )
+    def test_errors_come_in_file_order(self, tmp_path, capsys, body, status, error):
+        infile = tmp_path / "proj.csv"
+        infile.write_bytes(("i1,i2,i3,s0\n" + body).encode() + b"\xff\nnan,0.5,0.5,1\n")
+        assert main(["polarimetry", "--in", str(infile), "--out", str(tmp_path / "stokes.csv")]) == status
+        assert json.loads(capsys.readouterr().err) == {"error": error.format(path=infile), "field": None}
 
     def test_missing_input_is_scenario_error(self, tmp_path, capsys):
         assert main(["polarimetry", "--out", str(tmp_path / "x.csv")]) == 2
@@ -1436,9 +1531,9 @@ def test_cli_import_loads_no_process_pool():
 
 
 def read_outcome(path, columns):
-    """What ``_read_csv`` gives: the array's dtype, shape and bytes, or the error text."""
+    """What ``read_table`` gives: the array's dtype, shape and bytes, or the error text."""
     try:
-        values = _read_csv(path, columns)
+        values = read_table(path, columns)
     except ScenarioError as exc:
         return str(exc)
     return values.dtype, values.shape, values.tobytes()

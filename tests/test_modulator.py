@@ -269,11 +269,23 @@ class TestModulatorMueller:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["v1", "v2", "delta"])
     def test_non_finite_drive_is_non_physical(self, where, value):
-        args = {"v1": 0.5, "v2": -0.5, "delta": 0.0} | {where: value}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if where == "delta":   # a non-finite splitter offset is refused where it is declared
+                with pytest.raises(BoundError) as info:
+                    cfg_with(delta=value)
+                assert info.value.field == "delta"
+                return
+            args = {"v1": 0.5, "v2": -0.5} | {where: value}
             with pytest.raises(ValueError, match="^non-physical drive"):
-                modulator_mueller(args["v1"], args["v2"], cfg_with(delta=args["delta"]))
+                modulator_mueller(args["v1"], args["v2"], cfg_with())
+
+    @pytest.mark.parametrize("delta", [-1e307, 1e307])
+    def test_largest_splitter_offset_gives_a_finite_matrix(self, delta):
+        assert np.isfinite(modulator_mueller(0.5, -0.5, cfg_with(delta=delta))).all()
+        with pytest.raises(BoundError) as info:
+            cfg_with(delta=float(np.nextafter(delta, 2 * delta)))
+        assert info.value.field == "delta"
 
 
 class TestBb84Drive:
