@@ -37,7 +37,7 @@ from .bounds import BoundError
 from .decoy import gains_and_errors, secure_rate, sweep_loss
 from .modulator import bb84_table, fit_delta_l, poincare_trace, wavelength_scan
 from .montecarlo import STATES, RateEstimate, SimConfig, SimSpec, estimate, simulate
-from .polarimetry import InconsistentProjectionsWarning, extract_stokes, measure_stokes, warn_inconsistent
+from .polarimetry import extract_stokes, measure_stokes, warn_inconsistent
 from .polarization import degree_of_polarization
 from .scenario import (
     Scenario,
@@ -128,22 +128,15 @@ def _write_outputs(out: Path):
 
 
 def _synthetic_scan(args, scn: Scenario):
-    """The scan as (wavelengths in meters, intensities) blocks; --grid (in nm) overrides the default span.
+    """The scan as (wavelengths in meters, intensities) blocks of ``_WRITE_ROWS`` points over the --grid (nm).
 
-    A --grid comes in blocks of ``_WRITE_ROWS`` points (the default 1201-point scan is one block),
-    and is a usage error if its first wavelength is not above 0 m.  A scan phase past the float
-    range names ``modulator.delta_l``.
+    The default grid, 1201 points +-1.2 nm around the operating wavelength, stays above 0 nm and prints distinct
+    points, as ModulatorConfig bounds that to (1.2 nm, 0.1 mm].  A scan phase past the float range names
+    ``modulator.delta_l``.
     """
-    if args.grid is not None:
-        if not args.grid.start_db * 1e-9 > 0:   # a start of 0 nm, or one that underflows to 0 m
-            raise argparse.ArgumentError(None, f"ipmsim {args.command}: argument --grid: must start above "
-                                               f"0 nm, got {args.grid.start_db!r}")
-        blocks = (nm * 1e-9 for nm in args.grid.blocks(_WRITE_ROWS))
-    else:
-        # default: 1201 points, +-1.2 nm around the operating wavelength, which ModulatorConfig
-        # bounds to (1.2 nm, 0.1 mm] so that the scan stays above 0 nm and prints distinct points
-        blocks = [(scn.modulator.wavelength * 1e9 - 1.2 + np.arange(1201) * 0.002) * 1e-9]
-    for lam in blocks:
+    nm = scn.modulator.wavelength * 1e9
+    grid = args.grid if args.grid is not None else SweepSpec(nm - 1.2, nm + 1.2, 0.002)
+    for lam in (block * 1e-9 for block in grid.blocks(_WRITE_ROWS)):
         try:
             yield lam, wavelength_scan(scn.modulator, lam)
         except BoundError as exc:
@@ -216,15 +209,16 @@ def _read_blocks(path: Path, expected_columns: int):
         lines = _text_lines(f, path, bad)
         header = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)
         while block := list(itertools.islice(lines, _WRITE_ROWS)):
-            # numpy's C reader parses as float() does, but skips empty lines and rejects spellings such as 1_000
+            # numpy's C reader parses as float() does, but skips empty lines, rejects spellings such as 1_000
+            # and strips a \x1f beside a cell, which float() refuses
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                     values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
             except ValueError:
                 values = None
-            if values is None or values.shape != (len(block), expected_columns):
-                # the C reader rejected or reshaped the block: walk it, yielding the rows before a bad line
+            if values is None or values.shape != (len(block), expected_columns) or "\x1f" in "".join(block):
+                # the C reader rejected, reshaped or misread the block: walk it, yielding the rows before a bad line
                 values = np.empty((len(block), expected_columns))
                 for k, line in enumerate(block):
                     try:
@@ -257,14 +251,12 @@ def _cmd_fitdl(args, scn: Scenario, open_output) -> tuple[str, dict]:
 
 def _cmd_polarimetry(args, scn: Scenario, open_output) -> tuple[str, dict]:
     f, rows, dop_max = open_output("", ("S0", "S1", "S2", "S3", "DOP")), 0, 0.0
-    with warnings.catch_warnings():   # one warning below names the file's largest DOP
-        warnings.simplefilter("ignore", InconsistentProjectionsWarning)
-        for projections in _read_blocks(args.infile, 4):
-            stokes = extract_stokes(*projections.T)
-            dop = degree_of_polarization(stokes)
-            _write_rows(f, (*stokes.T, dop))
-            rows, dop_max = rows + len(stokes), max(dop_max, dop.max())
-    warn_inconsistent(dop_max)
+    for projections in _read_blocks(args.infile, 4):
+        stokes = extract_stokes(*projections.T)
+        dop = degree_of_polarization(stokes)
+        _write_rows(f, (*stokes.T, dop))
+        rows, dop_max = rows + len(stokes), max(dop_max, dop.max())
+    warn_inconsistent(dop_max)   # once, naming the file's largest DOP
     return f"polarimetry: extracted {rows} states to {args.out}", {"input": str(args.infile)}
 
 
@@ -348,34 +340,35 @@ _COMMANDS = {
 }
 
 
-def _parse_grid(text: str) -> SweepSpec:
+def _flag_type(parse, *bound):
+    """The argparse type ``parse(text, *bound)``, whose ValueError is the flag's usage error, with its message."""
+    def flag_type(text: str):
+        try:
+            return parse(text, *bound)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return flag_type
+
+
+def _parse_grid(text: str, unit: str) -> SweepSpec:
+    """A start:stop:step grid in ``unit``; a wavelength grid ("nm") must start above 0 m."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be start:stop:step")
-    try:
-        values = dict(zip(("start_db", "stop_db", "step_db"), map(float, parts)))
-        for key, value in values.items():
-            _check_value(value, "float", key)
-        return SweepSpec(**values)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_seed(text: str) -> int:
-    try:
-        return SimSpec(seed=int(text)).seed
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise ValueError("grid must be start:stop:step")
+    values = dict(zip(("start_db", "stop_db", "step_db"), map(float, parts)))
+    for key, value in values.items():
+        _check_value(value, "float", key)
+    grid = SweepSpec(**values)
+    if unit == "nm" and not grid.start_db * 1e-9 > 0:   # a start of 0 nm, or one that underflows to 0 m
+        raise ValueError(f"must start above 0 nm, got {grid.start_db!r}")
+    return grid
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 1:
+            return value
+    raise ValueError(f"must be a positive integer, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -401,28 +394,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, sections) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         if sections:
-            cmd.add_argument("--scenario", type=Path, default=None, help="scenario JSON file")
-        cmd.add_argument(
-            "--out", type=Path, default=Path(f"{name}.csv" if name != "mc" else "mc.json"),
-            help="output file path",
-        )
+            cmd.add_argument("--scenario", type=Path, help="scenario JSON file")
+        cmd.add_argument("--out", type=Path, default=Path(f"{name}.csv" if name != "mc" else "mc.json"),
+                         help="output file path")
         inputs = cmd.add_mutually_exclusive_group() if name == "fitdl" else cmd   # --in or --grid
         if name in ("sweep", "scan", "fitdl"):
-            inputs.add_argument(
-                "--grid",
-                type=_parse_grid,
-                default=None,
-                help="override grid as start:stop:step (dB for sweep, nm for scan/fitdl)",
-            )
-        if name == "fitdl":
-            inputs.add_argument("--in", dest="infile", type=Path, default=None,
-                                help="scan CSV wavelength_nm,intensity (a scan is synthesized when omitted)")
-        if name == "polarimetry":
-            cmd.add_argument("--in", dest="infile", type=Path, required=True,
-                             help="projection CSV with columns i1,i2,i3,s0")
+            inputs.add_argument("--grid", type=_flag_type(_parse_grid, "dB" if name == "sweep" else "nm"),
+                                help="override grid as start:stop:step (dB for sweep, nm for scan/fitdl)")
+        if name in ("fitdl", "polarimetry"):   # polarimetry reads its table; fitdl synthesizes a scan without one
+            inputs.add_argument("--in", dest="infile", type=Path, required=name == "polarimetry",
+                                help="scan CSV wavelength_nm,intensity (a scan is synthesized when omitted)"
+                                if name == "fitdl" else "projection CSV with columns i1,i2,i3,s0")
         if name == "mc":
-            cmd.add_argument("--seed", type=_parse_seed, default=None, help="override the scenario seed")
-            cmd.add_argument("--workers", type=_positive_int, default=1,
+            cmd.add_argument("--seed", type=_flag_type(lambda text: SimSpec(seed=int(text)).seed),
+                             help="override the scenario seed")
+            cmd.add_argument("--workers", type=_flag_type(_positive_int), default=1,
                              help="accepted and ignored; the MC runs in one process")
     return parser
 

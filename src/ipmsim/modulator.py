@@ -221,8 +221,8 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
         If the arrays are malformed, a wavelength is not finite and
         positive, an intensity is not finite, the grid is not monotone,
         the scan shows no oscillation, both the frequency seed and the
-        fitted frequency span under two periods, the fit is not finite, or
-        its offset c0 is not positive.
+        fitted frequency span under two periods, the fit's normal equations
+        are singular or the fit is not finite, or its offset c0 is not positive.
     """
     lam = np.asarray(wavelengths, dtype=float)
     y = np.asarray(intensities, dtype=float)
@@ -275,7 +275,10 @@ def fit_delta_l(wavelengths, intensities, n_1: float) -> ScanFit:
         arg = w * u
         cos, sin = np.cos(arg), np.sin(arg)
         sc, ss, cs = cos.sum(), sin.sum(), cos @ sin
-        gram_inv = np.linalg.inv([[n, sc, ss], [sc, cos @ cos, cs], [ss, cs, sin @ sin]])
+        try:
+            gram_inv = np.linalg.inv([[n, sc, ss], [sc, cos @ cos, cs], [ss, cs, sin @ sin]])
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("the fit's normal equations are singular: the scan does not identify a fringe") from exc
         c = gram_inv @ [y.sum(), cos @ y, sin @ y]
         r = c[1] * cos
         r += c[2] * sin

@@ -51,8 +51,7 @@ def extract_stokes(i1, i2, i3, s0) -> np.ndarray:
     Uses the ideal relations S_j = 2 I_j - S0 and broadcasts over arrays
     of projections, giving shape (..., 4).  Raises ValueError when an
     input or a recovered component is not finite (2 I_j may overflow).
-    Warns once (without failing) when a recovered DOP exceeds 1 by more
-    than 5%, naming the largest, which signals mutually inconsistent inputs.
+    Its callers judge the recovered DOP, once each (``warn_inconsistent``).
     """
     i1, i2, i3, s0 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (i1, i2, i3, s0)))
     # a non-finite input always gives a non-finite component (S0 is one)
@@ -63,7 +62,6 @@ def extract_stokes(i1, i2, i3, s0) -> np.ndarray:
     bad = s0[s0 <= 0]
     if bad.size:
         raise ValueError(f"total intensity S0 must be positive, got {bad[0]}")
-    warn_inconsistent(np.max(degree_of_polarization(s), initial=0.0))
     return s
 
 
@@ -81,9 +79,13 @@ def measure_stokes(s, retardance: float = IDEAL_RETARDANCE) -> np.ndarray:
     S3 channel picks up the sin/cos bias documented in the module
     docstring.  Useful for studying waveplate imperfection.  The three
     analyzers are built and converted once per call, as one (3, 2, 2) stack.
+    Warns once (without failing) when a recovered DOP exceeds 1 by more
+    than 5%, naming the largest: the bias, or an input past DOP 1, shows.
     """
     s = np.asarray(s, dtype=float)
     analyzers = jones_to_mueller(polarizer(_POLARIZER_ANGLES) @ retarder(_QWP_ANGLES, retardance))
     # a stack of (1, 4) @ (4, 1) products gives each intensity the bits of row @ vector
     i = (s[..., None, None, :] @ analyzers[:, 0, :, None])[..., 0, 0]
-    return extract_stokes(*np.moveaxis(i, -1, 0), s[..., 0])
+    measured = extract_stokes(*np.moveaxis(i, -1, 0), s[..., 0])
+    warn_inconsistent(np.max(degree_of_polarization(measured), initial=0.0))
+    return measured

@@ -157,6 +157,12 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="not valid JSON"):
             load_scenario(path)
 
+    def test_root_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, [])
+        assert main(["keyrate", "--scenario", str(scn), "--out", str(tmp_path / "rate.csv")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "scenario root must be an object", "field": None}
+        assert not (tmp_path / "rate.csv").exists()
+
     def test_resolved_dict_expands_all_defaults(self):
         resolved = resolved_dict(Scenario())
         assert set(resolved) == {"modulator", "protocol", "channel", "sim", "sweep"}
@@ -702,6 +708,33 @@ class TestScanAndFit:
         assert main(["scan", "--scenario", str(scn), "--out", str(out)]) == 3
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["field"] == "modulator.wavelength"
 
+    @pytest.mark.parametrize("wavelength", [1550e-9, 632.8e-9, 1.2000000000000002e-9, 5e-5, 1e-4])
+    def test_default_scan_is_the_grid_around_the_wavelength(self, wavelength, tmp_path):
+        scn = write_scenario(tmp_path, {"modulator": {"wavelength": wavelength}})
+        nm = wavelength * 1e9
+        default, grid = tmp_path / "default.csv", tmp_path / "grid.csv"
+        assert main(["scan", "--scenario", str(scn), "--out", str(default)]) == 0
+        assert main(["scan", "--scenario", str(scn), f"--grid={nm - 1.2!r}:{nm + 1.2!r}:0.002", "--out", str(grid)]) == 0
+        assert default.read_bytes() == grid.read_bytes()
+
+    def test_singular_normal_equations_are_named(self, tmp_path, capsys):
+        # the scan's first point lies at 2.2e-16 nm, so every other point sits at one end of the fit's axis
+        scn = write_scenario(tmp_path, {"modulator": {"wavelength": 1.2000000000000002e-9}})
+        assert main(["scan", "--scenario", str(scn), "--out", str(tmp_path / "scan.csv")]) == 0
+        capsys.readouterr()
+        assert main(["fitdl", "--scenario", str(scn), "--out", str(tmp_path / "fit.csv")]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "the fit's normal equations are singular: the scan does not identify a fringe", "field": None}
+
+    def test_scan_under_8_points_is_numerical_exit(self, tmp_path, capsys):
+        scan = tmp_path / "scan.csv"
+        assert main(["scan", "--grid", "1549:1549.006:0.001", "--out", str(scan)]) == 0
+        assert len(read_csv(scan)[1]) == 7
+        capsys.readouterr()
+        assert main(["fitdl", "--in", str(scan), "--out", str(tmp_path / "fit.csv")]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "scan must be two equal-length 1-d arrays of at least 8 points", "field": None}
+
     def test_fit_failure_is_numerical_exit(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, {"modulator": {"delta_l": 1.5e-4}})
         out = tmp_path / "fit.csv"
@@ -868,7 +901,8 @@ _SPELLED_CELLS = st.sampled_from([
     "1_000", "-2_5.0_1e1_0", "\u0661\u0662\u0663", "\uff11.\uff15", "\u0663e\u0662",
     "nan", "-NaN", "+nAn", "inf", "-Infinity", "+iNfInItY", "INF", "-0", "-0.0", "1e500", ".5", "5.",
 ])
-_PADS = st.sampled_from(["", " ", "\t", "  ", "\xa0", "\u3000", " \u2003"])
+# \x1f pads a cell for numpy's C reader but not for float()
+_PADS = st.sampled_from(["", " ", "\t", "  ", "\xa0", "\u3000", " \u2003", "\x1f"])
 _TEXT_CELLS = st.sampled_from(
     ["", "x", "1__0", "_1", "1_", "0x10", "1 2", "--1", "infinit", "1e", "1#2", '"1"', "1\x00"]
 )
@@ -954,6 +988,8 @@ class TestCsvInput:
     @example(("a,b\r1,2\r3,4\r", 2, 0))
     @example(("a,b\n1,2\x853,4\n", 2, 0))
     @example(("a,b\u20281,2\n3,4", 2, 0))
+    @example(("a,b\n1\x1f,2\n", 2, 0))
+    @example(("a,b\n1,2\n\x1f3,4\n1_0,2\n", 2, 0))
     def test_random_tables_match_the_oracle(self, tmp_path_factory, table):
         text, columns, leading_lines = table
         infile = tmp_path_factory.getbasetemp() / "table.csv"
@@ -1024,6 +1060,23 @@ class TestCsvInput:
         with pytest.raises(ScenarioError) as info:
             read_table(infile, 2)
         assert str(info.value) == expected
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            ["1_0,0.5,0.5,1"],                                          # the same block is walked anyway
+            ["0.5,0.5,0.5,1"] * (_WRITE_ROWS + 3) + ["1_0,0.5,0.5,1"],  # a later block is walked
+        ],
+        ids=["alone", "walked-block", "later-walked-block"],
+    )
+    @pytest.mark.parametrize("cell", ["0.5\x1f", "\x1f0.5"], ids=["after", "before"])
+    def test_a_1f_beside_a_cell_is_refused_whatever_the_block(self, tmp_path, capsys, cell, rows):
+        infile = tmp_path / "proj.csv"
+        infile.write_text("\n".join(["i1,i2,i3,s0", f"{cell},0.5,0.5,1", *rows]) + "\n")
+        assert main(["polarimetry", "--in", str(infile), "--out", str(tmp_path / "stokes.csv")]) == 2
+        error = f"{infile}:2: could not convert string to float: {cell!r}"
+        assert json.loads(capsys.readouterr().err) == {"error": error, "field": None}
 
     def test_reading_holds_little_beyond_the_result(self, tmp_path):
         infile = tmp_path / "proj.csv"

@@ -151,8 +151,14 @@ class TestExtractStokes:
         assert np.sin(delta) == pytest.approx(0.9939610, abs=1e-7)
 
     def test_warns_on_inconsistent_projections(self):
+        # a state past DOP 1 survives the ideal round trip, and measure_stokes judges what it recovers
         with pytest.warns(InconsistentProjectionsWarning):
-            extract_stokes(1.0, 1.0, 1.0, 1.0)
+            measure_stokes([1.0, 1.0, 1.0, 1.0])
+
+    def test_extraction_leaves_the_dop_to_its_caller(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(extract_stokes(1.0, 1.0, 1.0, 1.0), [1, 1, 1, 1])
 
     def test_no_warning_for_consistent_inputs(self):
         with warnings.catch_warnings():
@@ -196,9 +202,10 @@ class TestExtractStokes:
         assert extract_stokes(1.0, 0.5, 0.5, 1.0).shape == (4,)
 
     def test_warns_once_per_batch_naming_the_worst_dop(self):
-        i = np.array([[0.5, 0.5, 0.5, 1.0], [1.0, 1.0, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0]])
+        # DOPs 0, sqrt(2) and sqrt(3)
+        s = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
         with pytest.warns(InconsistentProjectionsWarning) as record:
-            extract_stokes(*i.T)
+            measure_stokes(s)
         assert len(record) == 1
         assert f"{np.sqrt(3):.4f}" in str(record[0].message)
 
