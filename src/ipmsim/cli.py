@@ -274,8 +274,11 @@ def _cmd_sweep(args, scn: Scenario, open_output) -> tuple[str, dict]:
     # the engine hands each block of the curve on to the file as soon as it is computed
     result = sweep_loss(scn.protocol, scn.channel, grid_spec.blocks(_WRITE_ROWS),
                         lambda columns, _: _write_rows(f, [columns[c] for c in RATE_COLUMNS.values()]))
-    summary = (f"sweep: {len(grid_spec)} points, positive-rate threshold "
-               f"{result.threshold_db:.9g} dB -> {args.out}")
+    threshold = ("no positive-rate point" if np.isnan(result.threshold_db) else
+                 f"positive-rate threshold {result.threshold_db:.9g} dB")
+    if result.threshold_is_grid_edge:
+        threshold = f"positive-rate threshold >= {result.threshold_db:.9g} dB (rate positive at the grid's end)"
+    summary = f"sweep: {len(grid_spec)} points, {threshold} -> {args.out}"
     extra = {
         "grid": dataclasses.asdict(grid_spec),
         # NaN (no grid point is positive) is not JSON: null stands for it

@@ -296,31 +296,6 @@ class SweepResult:
     threshold_is_grid_edge: bool = False
 
 
-def _threshold(p: ProtocolParams, ch: ChannelParams, l1, l2, r1, r2) -> float:
-    """Loss in [l1, l2] where the unclamped rate, r1 > 0 at l1 and r2 <= 0 at l2, reaches 0.
-
-    Secant steps on the one-point engine that keep the bracket (Illinois
-    family, Anderson-Bjorck factor), from the linear interpolation until a
-    step moves less than 1e-9 dB.
-    """
-    x, last = l1 + (l2 - l1) * r1 / (r1 - r2), None
-    for _ in range(100):    # a few steps converge; the cap guards a rate that never does
-        r = float(_rate_curve(p, ch, [x])[2][0])
-        scale = 1.0     # shrinks the kept end's rate when one end is replaced twice running
-        if last is not None and (r > 0.0) == (last > 0.0):
-            scale = 1.0 - r / last if r / last < 1.0 else 0.5
-        if r > 0.0:
-            l1, r1, r2 = x, r, r2 * scale
-        else:
-            l2, r2, r1 = x, r, r1 * scale
-        last = r
-        step = l1 + (l2 - l1) * r1 / (r1 - r2)
-        if not abs(step - x) > 1e-9:   # NaN stops too
-            return step
-        x = step
-    return x
-
-
 def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_blocks, consume) -> SweepResult:
     """Rate points over a loss grid, a block at a time, plus the positive-rate threshold.
 
@@ -329,24 +304,30 @@ def sweep_loss(p: ProtocolParams, ch: ChannelParams, loss_blocks, consume) -> Sw
     columns and flag codes (as ``_rate_curve`` gives them) go to
     ``consume(columns, codes)`` before the next block is evaluated, so no
     array spans the grid.  The threshold is the loss where the unclamped
-    per-pulse rate reaches 0 between the last positive and the first
-    non-positive grid points, which may lie in different blocks, to 1e-9
-    dB.  If the rate is still positive at the end of the grid the last grid
-    loss is returned as a lower bound (``threshold_is_grid_edge`` set).
+    per-pulse rate reaches 0, bracketed by the last positive grid loss and
+    the one after it: each engine pass over the bracket's 255 interior
+    points keeps the step after the last positive one (the first if none
+    is) until the bracket is at most 1e-9 dB wide, and its midpoint is
+    returned.  A rate still positive at the grid's end returns the last
+    grid loss as a lower bound (``threshold_is_grid_edge`` set).
     """
-    last = after = None   # (loss, raw rate) at the last positive point and at the point after it
+    last = after = None   # the last positive grid loss and the grid loss after it
     for loss in loss_blocks:
         columns, codes, raw = _rate_curve(p, ch, loss)
         consume(columns, codes)
         if last is not None and after is None:
-            after = float(loss[0]), float(raw[0])
+            after = float(loss[0])
         positive = np.flatnonzero(raw > 0.0)
         if positive.size:
             k = int(positive[-1])
-            last = float(loss[k]), float(raw[k])
-            after = (float(loss[k + 1]), float(raw[k + 1])) if k + 1 < raw.size else None
+            last, after = float(loss[k]), (float(loss[k + 1]) if k + 1 < raw.size else None)
     if last is None:
         return SweepResult(float("nan"))   # no grid point is positive
     if after is None:
-        return SweepResult(last[0], threshold_is_grid_edge=True)
-    return SweepResult(_threshold(p, ch, last[0], after[0], last[1], after[1]))
+        return SweepResult(last, threshold_is_grid_edge=True)
+    while after - last > 1e-9:   # only interior points: the ends keep the signs the grid gave them
+        steps = np.linspace(last, after, 257)
+        positive = np.flatnonzero(_rate_curve(p, ch, steps[1:-1])[2] > 0.0)
+        k = int(positive[-1]) + 1 if positive.size else 0
+        last, after = float(steps[k]), float(steps[k + 1])
+    return SweepResult(0.5 * (last + after))

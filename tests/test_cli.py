@@ -1191,7 +1191,7 @@ class TestPolarimetryCommand:
         assert main(["polarimetry", "--in", str(infile), "--out", str(out)]) == 0
         assert capsys.readouterr().out == f"polarimetry: extracted {rows} states to {out}\n"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", InconsistentProjectionsWarning)
+            warnings.simplefilter("error")
             stokes = extract_stokes(*projections.T)
         expected = rowwise_bytes(("S0", "S1", "S2", "S3", "DOP"), zip(*stokes.T, degree_of_polarization(stokes)))
         assert out.read_bytes() == expected
@@ -1308,7 +1308,15 @@ class TestKeyrateAndSweep:
         assert main(["sweep", "--out", str(out), "--grid", "80:90:1"]) == 0
         sidecar = strict_json((tmp_path / "s.csv.params.json").read_text())
         assert sidecar["threshold_db"] is None and not sidecar["threshold_is_grid_edge"]
-        assert "threshold nan dB" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"sweep: 11 points, no positive-rate point -> {out}\n"
+
+    def test_positive_grid_end_prints_a_lower_bound(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--out", str(out), "--grid", "0:1:0.5"]) == 0
+        sidecar = strict_json((tmp_path / "s.csv.params.json").read_text())
+        assert sidecar["threshold_db"] == 1.0 and sidecar["threshold_is_grid_edge"]
+        assert capsys.readouterr().out == (
+            f"sweep: 3 points, positive-rate threshold >= 1 dB (rate positive at the grid's end) -> {out}\n")
 
     def test_tiny_normal_nu_runs(self, tmp_path, capsys):
         # q1_lower's factor mu^2 e^-mu / (mu nu - nu^2) is 3.3e299 here, finite

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ipmsim import decoy
 from ipmsim.bounds import BoundError
@@ -410,6 +412,43 @@ class TestSweepLoss:
             # the grid pass (one block), then at most three one-point refinements
             assert len(calls) <= 4
 
+    @pytest.mark.parametrize(
+        "channel, grid",
+        [
+            (ChannelParams(), np.arange(141) * 0.5),
+            (ChannelParams(dark_rate=1e5, gate_window=1e-9), np.arange(7001) * 0.01),
+            # no sign change: the dark-free rate underflows to 0, flickering between 3218 and 3222 dB
+            (ChannelParams(dark_rate=0.0), np.arange(41) * 100.0),
+        ],
+        ids=["default", "1e5-darks", "dark-free"],
+    )
+    def test_each_pass_evaluates_only_inside_the_bracket_and_narrows_it_256_fold(self, channel, grid, monkeypatch):
+        p, calls = ProtocolParams(), []
+        engine = decoy._rate_curve
+
+        def recording_engine(*args):
+            out = engine(*args)
+            calls.append((args[2], out[2]))
+            return out
+
+        monkeypatch.setattr(decoy, "_rate_curve", recording_engine)
+        threshold = sweep_loss(p, channel, [grid], lambda columns, codes: None).threshold_db
+        (_, raw), *passes = calls
+        last = int(np.flatnonzero(raw > 0.0)[-1])
+        lo, hi = grid[last], grid[last + 1]
+        assert passes
+        for loss, raw in passes:
+            assert hi - lo > 1e-9
+            assert np.all((lo < loss) & (loss < hi))
+            positive = np.flatnonzero(raw > 0.0)
+            k = positive[-1] + 1 if positive.size else 0
+            ends = np.concatenate([[lo], loss, [hi]])
+            width = hi - lo
+            lo, hi = ends[k], ends[k + 1]
+            assert hi - lo <= width / 256 + 4 * np.spacing(hi)
+        assert hi - lo <= 1e-9
+        assert threshold == 0.5 * (lo + hi)
+
     def test_all_dead_grid_has_nan_threshold(self):
         p, ch = ProtocolParams(), ChannelParams()
         _, result = sweep_points(p, ch, [68.0, 69.0, 70.0])
@@ -425,8 +464,8 @@ def whole_grid_sweep(p, ch, grid):
     last = int(positive[-1])
     if last == grid.size - 1:
         return columns, codes, float(grid[-1]), True
-    (l1, l2), (r1, r2) = grid[last:last + 2].tolist(), raw[last:last + 2].tolist()
-    return columns, codes, decoy._threshold(p, ch, l1, l2, r1, r2), False
+    # the threshold depends only on the bracket, so a sweep of the bracket alone finds it
+    return columns, codes, sweep_loss(p, ch, [grid[last:last + 2]], lambda *_: None).threshold_db, False
 
 
 class TestSweepBlocks:
@@ -651,14 +690,7 @@ def assert_sweep_matches_oracle(p, ch, grid):
     if not positive or positive[-1] == len(raws) - 1:
         return 0
     last = positive[-1]
-    if raws[last + 1] == 0.0:
-        # no sign change to find (a dark-free rate past eta's underflow):
-        # the first grid loss where the rate reads 0 is where it reaches 0
-        assert result.threshold_db == grid[last + 1]
-    else:
-        assert result.threshold_db == pytest.approx(
-            bisect_threshold(p, ch, grid[last], grid[last + 1]), abs=1e-8
-        )
+    assert result.threshold_db == pytest.approx(bisect_threshold(p, ch, grid[last], grid[last + 1]), abs=1e-8)
     return 1
 
 
@@ -671,6 +703,23 @@ def bisect_threshold(p, ch, positive_db, dead_db, tol_db=1e-10):
         else:
             dead_db = mid
     return 0.5 * (positive_db + dead_db)
+
+
+class TestThresholdPrecision:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.001, 5.0))
+    def test_threshold_is_within_1e_9_db_of_the_oracle_root(self, seed, step):
+        p, ch = random_design(np.random.default_rng(seed))
+        spec = SweepSpec(0.0, 80.0, step)
+        grid = spec.grid()
+        raw = decoy._rate_curve(p, ch, grid)[2]
+        positive = np.flatnonzero(raw > 0.0)
+        # a sign change inside the grid: the grid point after the bracket has a negative rate
+        assume(positive.size and positive[-1] + 1 < grid.size and raw[positive[-1] + 1] < 0.0)
+        last = positive[-1]
+        result = sweep_loss(p, ch, spec.blocks(_WRITE_ROWS), lambda columns, codes: None)
+        exact = bisect_threshold(p, ch, grid[last], grid[last + 1], tol_db=1e-11)
+        assert abs(result.threshold_db - exact) <= 1e-9
 
 
 class TestArrayEngineAgainstScalarOracle:

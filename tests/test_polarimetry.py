@@ -194,7 +194,7 @@ class TestExtractStokes:
         rows = rng.uniform(0.0, 1.0, size=(500, 4))
         rows[:, 3] += 0.5
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", InconsistentProjectionsWarning)
+            warnings.simplefilter("error")
             per_row = np.array([extract_stokes(*row) for row in rows])
             batch = extract_stokes(*rows.T)
         assert batch.shape == (500, 4)
