@@ -23,7 +23,6 @@ import codecs
 import contextlib
 import dataclasses
 import errno
-import itertools
 import json
 import os
 import sys
@@ -67,9 +66,9 @@ RATE_COLUMNS = {
 # printf conversion for each column's numpy dtype kind
 _CONVERSIONS = {"U": "%s", "i": "%d", "f": "%.9g"}
 
-# rows a table block holds (rows _write_rows formats and _read_blocks yields at a time, and the sweep's
-# grid points per engine pass), and bytes _text_lines reads at a time: each bounds what a table costs
-# beyond its own arrays
+# rows a table block holds (rows _write_rows formats at a time, and the sweep's and scan's grid points
+# per engine pass), and bytes _read_blocks reads at a time beyond a held line: each bounds what a table
+# costs beyond its own arrays
 _WRITE_ROWS = 4096
 _READ_BYTES = 1 << 16
 
@@ -174,41 +173,37 @@ def _cmd_scan(args, scn: Scenario, open_output) -> tuple[str, dict]:
     return f"scan: wrote {points} points to {args.out}", {"grid": _grid_text(args.grid)}
 
 
-def _text_lines(f, path: Path, bad: list):
-    """Yield the lines of ``text.rstrip().splitlines()`` for the UTF-8 text of the binary file ``f``.
-
-    A read's last non-blank line, which may run on into the next read, is held back with the blank lines
-    after it; each read takes _READ_BYTES bytes more than are held, so a line of any length costs linear
-    time.  At a byte that is not UTF-8, the lines before it are yielded and ``bad`` gets its error message.
-    """
-    held, data, chunk = "", b"", True
-    while chunk:   # the last pass, on an empty read, decodes the end of the file
-        data += (chunk := f.read(_READ_BYTES + len(held)))
-        try:
-            text, used = codecs.utf_8_decode(data, None, not chunk)
-        except UnicodeDecodeError as exc:   # named by its offset in the file, as decoding it whole names it
-            yield from (held + data[: exc.start].decode() + "\0").splitlines()[:-1]
-            at, last = (f.tell() - len(data) + k for k in (exc.start, exc.end - 1))
-            what = f"byte 0x{data[exc.start]:02x} in position {at}" if at == last else f"bytes in position {at}-{last}"
-            bad.append(f"input file {path} is not UTF-8: 'utf-8' codec can't decode {what}: {exc.reason}")
-            return
-        text, data = held + text, data[used:]
-        lines = (body := text.rstrip()).splitlines()
-        held = text[len(body) - len(lines.pop()) :] if chunk and lines else text
-        yield from lines
-
-
 def _read_blocks(path: Path, expected_columns: int):
-    """Yield the rows below the header as float arrays of up to ``_WRITE_ROWS`` rows, reading the file once.
+    """Yield the rows below the header as float arrays, one per read of the file, reading the file once.
 
     The first non-blank line is the header, lines end where ``str.splitlines`` ends them, and cells follow
-    ``float()`` syntax.  An error names its line from the top of the file, after the rows before it are yielded.
+    ``float()`` syntax.  A read's last non-blank line, which may run on into the next read, is held back with
+    the blank lines after it, so a block holds the whole lines of one read; each read takes _READ_BYTES bytes
+    more than are held, so a line of any length costs linear time.  An error names its line from the top of
+    the file, or a byte that is not UTF-8 its offset in the file, after the rows before it are yielded.
     """
-    bad, rows = [], 0
+    lineno, header, held, data, chunk, error = 0, 0, "", b"", True, None
     with path.open("rb") as f:
-        lines = _text_lines(f, path, bad)
-        header = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)
-        while block := list(itertools.islice(lines, _WRITE_ROWS)):
+        while chunk and not error:   # the last pass, on an empty read, decodes the end of the file
+            data += (chunk := f.read(_READ_BYTES + len(held)))
+            try:
+                text, used = codecs.utf_8_decode(data, None, not chunk)
+                text, data = held + text, data[used:]
+                block = (body := text.rstrip()).splitlines()
+                held = text[len(body) - len(block.pop()) :] if chunk and block else text
+            except UnicodeDecodeError as exc:   # named by its offset in the file, as decoding it whole names it
+                block = (held + data[: exc.start].decode() + "\0").splitlines()[:-1]
+                at, last = (f.tell() - len(data) + k for k in (exc.start, exc.end - 1))
+                what = (f"byte 0x{data[exc.start]:02x} in position {at}" if at == last
+                        else f"bytes in position {at}-{last}")
+                error = ScenarioError(f"input file {path} is not UTF-8: 'utf-8' codec can't decode {what}: "
+                                      f"{exc.reason}")
+            first, lineno = lineno, lineno + len(block)   # block[k] is line first + k + 1
+            if not header:   # blank lines, then the header
+                header = next((first + n for n, line in enumerate(block, start=1) if line.strip()), 0)
+                block, first = block[header - first :] if header else [], header
+            if not block:
+                continue
             # numpy's C reader parses as float() does, but skips empty lines, rejects spellings such as 1_000
             # and strips a \x1f beside a cell, which float() refuses
             try:
@@ -217,7 +212,7 @@ def _read_blocks(path: Path, expected_columns: int):
                     values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
             except ValueError:
                 values = None
-            if values is None or values.shape != (len(block), expected_columns) or "\x1f" in "".join(block):
+            if values is None or values.shape != (len(block), expected_columns) or any("\x1f" in s for s in block):
                 # the C reader rejected, reshaped or misread the block: walk it, yielding the rows before a bad line
                 values = np.empty((len(block), expected_columns))
                 for k, line in enumerate(block):
@@ -229,11 +224,10 @@ def _read_blocks(path: Path, expected_columns: int):
                     except ValueError as exc:
                         if k:
                             yield values[:k]
-                        raise ScenarioError(f"{path}:{header + rows + k + 1}: {exc}") from exc
-            rows += len(block)
+                        raise ScenarioError(f"{path}:{first + k + 1}: {exc}") from exc
             yield values
-    if bad or not rows:
-        raise ScenarioError(bad[0] if bad else f"input file {path} has no data rows")
+    if error or lineno == header:
+        raise error or ScenarioError(f"input file {path} has no data rows")
 
 
 def _cmd_fitdl(args, scn: Scenario, open_output) -> tuple[str, dict]:
@@ -367,6 +361,13 @@ def _parse_grid(text: str, unit: str) -> SweepSpec:
     return grid
 
 
+def _out_path(text: str) -> Path:
+    """An --out path; the sidecar and temporary files are named from its last component, so it needs one."""
+    if not Path(text).name:   # "", "." and "/" have none
+        raise ValueError(f"must name a file, got {text!r}")
+    return Path(text)
+
+
 def _positive_int(text: str) -> int:
     with contextlib.suppress(ValueError):
         if (value := int(text)) >= 1:
@@ -398,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         if sections:
             cmd.add_argument("--scenario", type=Path, help="scenario JSON file")
-        cmd.add_argument("--out", type=Path, default=Path(f"{name}.csv" if name != "mc" else "mc.json"),
-                         help="output file path")
+        cmd.add_argument("--out", type=_flag_type(_out_path), help="output file path",
+                         default=Path(f"{name}.csv" if name != "mc" else "mc.json"))
         inputs = cmd.add_mutually_exclusive_group() if name == "fitdl" else cmd   # --in or --grid
         if name in ("sweep", "scan", "fitdl"):
             inputs.add_argument("--grid", type=_flag_type(_parse_grid, "dB" if name == "sweep" else "nm"),

@@ -105,13 +105,12 @@ def degree_of_polarization(s):
 
     One Stokes vector gives a float, a (..., 4) stack an array of DOPs.
     S1..S3 are scaled by 2^-e, with e the binary exponent of the vector's
-    largest |S_j|, before squaring, and the norm by 2^e after the square
-    root.  The scaling is exact, so a vector whose squares neither overflow
-    nor underflow keeps the bits of the unscaled formula, and one past
-    1e154 gets a finite norm.  Where the norm itself passes the float
-    range, the scaled norm is divided by S0's mantissa and the exponents
-    are subtracted, so the DOP stays finite when it is within range, and an
-    infinite DOP warns of an overflow.
+    largest |S_j|, before squaring; the scaled norm is divided by S0's
+    mantissa and the DOP scaled by 2^(e - e0), with e0 S0's exponent.  The
+    scaling is exact, so a vector whose squares neither overflow nor
+    underflow keeps the bits of the unscaled formula, a subnormal or huge
+    vector gets the norm of its stored values, and the DOP is finite
+    whenever it is within range; an infinite DOP warns of an overflow.
     """
     s = np.asarray(s, dtype=float)
     s0 = s[..., 0]
@@ -120,11 +119,6 @@ def degree_of_polarization(s):
         raise ValueError(f"degree of polarization undefined for S0 = {bad[0]}")
     _, e = np.frexp(np.abs(s[..., 1:]).max(axis=-1))
     v = np.ldexp(s[..., 1:], -e[..., None])
-    scaled = np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
-    with np.errstate(over="ignore"):   # an infinite norm is redone below
-        norm = np.ldexp(scaled, e)
-    dop = np.asarray(norm / s0)
-    big = np.isinf(norm)
-    f0, e0 = np.frexp(s0[big])
-    dop[big] = np.ldexp(scaled[big] / f0, e[big] - e0)   # overflows only where the DOP does
+    f0, e0 = np.frexp(s0)
+    dop = np.ldexp(np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2) / f0, e - e0)
     return float(dop) if dop.ndim == 0 else dop

@@ -165,6 +165,8 @@ def load_scenario(path: str | Path | None) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:   # nesting past the interpreter's recursion limit
+        raise ScenarioError(f"scenario file {path} nests too deeply: {exc}") from exc
     return scenario_from_dict(data)
 
 

@@ -22,6 +22,7 @@ from ipmsim import cli, decoy
 from ipmsim.bounds import BoundError
 from ipmsim.cli import (
     _COMMANDS,
+    _READ_BYTES,
     _WRITE_ROWS,
     RATE_COLUMNS,
     _null_z,
@@ -156,6 +157,17 @@ class TestScenario:
         path.write_text("{not json")
         with pytest.raises(ScenarioError, match="not valid JSON"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("depth", [1000, 100000])
+    def test_nesting_past_the_recursion_limit_exits_2(self, tmp_path, capsys, depth):
+        # valid JSON, but json.loads raised RecursionError here, a traceback and exit status 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth)
+        assert main(["keyrate", "--scenario", str(path), "--out", str(tmp_path / "rate.csv")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["field"] is None and record["error"].startswith(f"scenario file {path} nests too deeply: ")
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_root_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, [])
@@ -1017,8 +1029,8 @@ class TestCsvInput:
             assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(csv_tables(), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 3, 7]), st.data())
-    def test_block_edges_do_not_change_the_result(self, tmp_path_factory, table, read_bytes, block_rows, data):
+    @given(csv_tables(), st.sampled_from([1, 2, 3, 7]), st.data())
+    def test_block_edges_do_not_change_the_result(self, tmp_path_factory, table, read_bytes, data):
         text, columns, _ = table
         body = text.encode()
         # a byte that is not UTF-8, or the tail of a two-byte character, somewhere in the file
@@ -1028,7 +1040,6 @@ class TestCsvInput:
         infile.write_bytes(body[:at] + stray + body[at:])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_READ_BYTES", read_bytes)
-            mp.setattr(cli, "_WRITE_ROWS", block_rows)
             small_blocks = read_outcome(infile, columns)
         assert small_blocks == read_outcome(infile, columns)
 
@@ -1066,7 +1077,7 @@ class TestCsvInput:
         [
             [],
             ["1_0,0.5,0.5,1"],                                          # the same block is walked anyway
-            ["0.5,0.5,0.5,1"] * (_WRITE_ROWS + 3) + ["1_0,0.5,0.5,1"],  # a later block is walked
+            ["0.5,0.5,0.5,1"] * (_READ_BYTES // 14 + 3) + ["1_0,0.5,0.5,1"],  # a later read's block is walked
         ],
         ids=["alone", "walked-block", "later-walked-block"],
     )
@@ -1107,6 +1118,19 @@ class TestCsvInput:
         # holding every row as a Python list peaked at about 49 MiB, and the whole table is 6.1 MiB
         assert peak < 4 * 2**20
 
+    def test_long_lines_hold_one_read(self, tmp_path):
+        # 4096 rows of about 2 KB: a block of 4096 lines held the whole 8 MB text twice, a 16.1 MiB peak
+        infile = tmp_path / "proj.csv"
+        infile.write_text("i1,i2,i3,s0\n" + (" " * 2000 + "0.5,0.5,0.5,1\n") * 4096)
+        tracemalloc.start()
+        try:
+            rows = sum(len(block) for block in _read_blocks(infile, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == 4096
+        assert peak < 2 * 2**20
+
     def test_well_formed_table_never_reaches_the_python_walk(self, tmp_path, monkeypatch):
         load, parsed = np.loadtxt, []
 
@@ -1118,9 +1142,9 @@ class TestCsvInput:
         data = np.random.default_rng(15).uniform(0.0, 2.5, size=(20000, 4))
         infile = tmp_path / "proj.csv"
         np.savetxt(infile, data, fmt="%.17g", delimiter=",", header="i1,i2,i3,s0", comments="")
-        # the walk builds a new array; the C reader's own arrays mean it was not taken
+        # the walk builds a new array; the C reader's own arrays mean it was not taken, in any of the reads
         blocks = list(_read_blocks(infile, 4))
-        assert len(parsed) == 5 and all(block is own for block, own in zip(blocks, parsed, strict=True))
+        assert len(blocks) > 1 and all(block is own for block, own in zip(blocks, parsed, strict=True))
         assert np.concatenate(blocks).tobytes() == data.tobytes()
 
 
@@ -1198,15 +1222,16 @@ class TestPolarimetryCommand:
 
     def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, capsys):
         infile = tmp_path / "proj.csv"
-        infile.write_text("i1,i2,i3,s0\n" + "0.5,0.5,0.5,1\n" * (_WRITE_ROWS + 10) + "0.5,0.5,1\n")
+        rows = _READ_BYTES // 14 + 10   # 14-byte rows: the bad row comes after the first read
+        infile.write_text("i1,i2,i3,s0\n" + "0.5,0.5,0.5,1\n" * rows + "0.5,0.5,1\n")
         out = tmp_path / "stokes.csv"
         assert main(["polarimetry", "--in", str(infile), "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err)
-        assert record["error"] == f"{infile}:{_WRITE_ROWS + 12}: expected 4 columns, got 3"
+        assert record["error"] == f"{infile}:{rows + 2}: expected 4 columns, got 3"
         assert not out.exists()
 
     def test_dop_warning_names_the_largest_dop_of_any_block(self, tmp_path, capsys):
-        # DOP sqrt(2) in the first block, sqrt(3) in the third
+        # DOP sqrt(2) in the first block, sqrt(3) in a later one
         rows = ["0.5,0.5,0.5,1"] * (3 * _WRITE_ROWS)
         rows[7], rows[2 * _WRITE_ROWS + 5] = "1,1,0.5,1", "1,1,1,1"
         infile = tmp_path / "proj.csv"
@@ -1221,7 +1246,7 @@ class TestPolarimetryCommand:
         [
             # a non-finite projection before the byte is named, in the same block or an earlier one
             ("0.5,0.5,0.5,1\nnan,0.5,0.5,1\n", 3, "projections must be finite"),
-            ("0.5,0.5,0.5,1\n" * _WRITE_ROWS + "nan,0.5,0.5,1\n", 3, "projections must be finite"),
+            ("0.5,0.5,0.5,1\n" * (_READ_BYTES // 14 + 1) + "nan,0.5,0.5,1\n", 3, "projections must be finite"),
             ("0.5,0.5,0.5,1\n1,0.5\n", 2, "{path}:3: expected 4 columns, got 2"),
             # and before a malformed row in the same block, or after one
             ("nan,0.5,0.5,1\n1,x,0.5,1\n", 3, "projections must be finite"),
@@ -1571,6 +1596,18 @@ class TestFlags:
         record = json.loads(err)
         assert reason in record["error"] and record["field"] is None
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("out", ["", ".", "/"])
+    @pytest.mark.parametrize("argv", [["keyrate", "--scenario", "absent.json"], ["polarimetry", "--in", "absent.csv"]],
+                             ids=["keyrate", "polarimetry"])
+    def test_out_that_names_no_file_exits_2_before_any_input_is_read(self, argv, out, tmp_path, monkeypatch, capsys):
+        # pathlib's "has an empty name" exited 3 here, as a numerical failure
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", out]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        error = f"ipmsim {argv[0]}: argument --out: must name a file, got {out!r}"
+        assert json.loads(line) == {"error": error, "field": None}
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], *([name, "--help"] for name in _COMMANDS)])
     def test_help_and_version_exit_0(self, argv, capsys):

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,3 +299,14 @@ class TestDegreeOfPolarization:
         with pytest.warns(RuntimeWarning) as record:
             assert degree_of_polarization((1e-300, 1.7e308, 1.7e308, 0)) == np.inf
         assert [str(w.message) for w in record] == ["overflow encountered in ldexp"]
+
+    @pytest.mark.parametrize("s", [[3e-320, 1e-320, 1e-320, 1e-320], [1e-310, 6e-311, 0.0, 8e-311]])
+    def test_subnormal_vectors_give_the_dop_of_their_stored_values(self, s):
+        # rebuilding the norm of subnormal S1..S3 before dividing by S0 rounded it to a few bits
+        with localcontext() as ctx:
+            ctx.prec = 60
+            s0, *rest = map(Decimal, s)
+            exact = float(sum(x * x for x in rest).sqrt() / s0)
+        with np.errstate(all="raise"):
+            assert degree_of_polarization(s) == exact
+            np.testing.assert_array_equal(degree_of_polarization([s, s]), [exact, exact])
