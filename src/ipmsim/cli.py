@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import contextlib
-import dataclasses
 import errno
 import json
 import os
@@ -143,7 +142,7 @@ def _synthetic_scan(args, scn: Scenario):
 
 
 def _grid_text(grid: SweepSpec | None) -> str | None:
-    """A scan's --grid for its sidecar, as --grid accepts it (in nm); None without one."""
+    """A --grid for its command's sidecar, as --grid accepts it; None without one."""
     return None if grid is None else f"{grid.start_db!r}:{grid.stop_db!r}:{grid.step_db!r}"
 
 
@@ -177,20 +176,21 @@ def _read_blocks(path: Path, expected_columns: int):
     """Yield the rows below the header as float arrays, one per read of the file, reading the file once.
 
     The first non-blank line is the header, lines end where ``str.splitlines`` ends them, and cells follow
-    ``float()`` syntax.  A read's last non-blank line, which may run on into the next read, is held back with
-    the blank lines after it, so a block holds the whole lines of one read; each read takes _READ_BYTES bytes
-    more than are held, so a line of any length costs linear time.  An error names its line from the top of
-    the file, or a byte that is not UTF-8 its offset in the file, after the rows before it are yielded.
+    ``float()`` syntax.  Until a short read ends the file, a read's last non-blank line, which may run on into
+    the next read, is held back with the blank lines after it, so a block holds the whole lines of one read;
+    each read takes _READ_BYTES bytes more than are held, so a line of any length costs linear time.  An error
+    names its line from the top of the file, or a non-UTF-8 byte its offset, once the rows before it are yielded.
     """
-    lineno, header, held, data, chunk, error = 0, 0, "", b"", True, None
+    lineno, header, held, data, more, error = 0, 0, "", b"", True, None
     with path.open("rb") as f:
-        while chunk and not error:   # the last pass, on an empty read, decodes the end of the file
-            data += (chunk := f.read(_READ_BYTES + len(held)))
+        while more and not error:   # a read shorter than asked for is the last, at the end of the file
+            data += (chunk := f.read(asked := _READ_BYTES + len(held)))
+            more = len(chunk) == asked
             try:
-                text, used = codecs.utf_8_decode(data, None, not chunk)
+                text, used = codecs.utf_8_decode(data, None, not more)
                 text, data = held + text, data[used:]
                 block = (body := text.rstrip()).splitlines()
-                held = text[len(body) - len(block.pop()) :] if chunk and block else text
+                held = text[len(body) - len(block.pop()) :] if more and block else text
             except UnicodeDecodeError as exc:   # named by its offset in the file, as decoding it whole names it
                 block = (held + data[: exc.start].decode() + "\0").splitlines()[:-1]
                 at, last = (f.tell() - len(data) + k for k in (exc.start, exc.end - 1))
@@ -274,7 +274,7 @@ def _cmd_sweep(args, scn: Scenario, open_output) -> tuple[str, dict]:
         threshold = f"positive-rate threshold >= {result.threshold_db:.9g} dB (rate positive at the grid's end)"
     summary = f"sweep: {len(grid_spec)} points, {threshold} -> {args.out}"
     extra = {
-        "grid": dataclasses.asdict(grid_spec),
+        "grid": _grid_text(args.grid),
         # NaN (no grid point is positive) is not JSON: null stands for it
         "threshold_db": None if np.isnan(result.threshold_db) else result.threshold_db,
         "threshold_is_grid_edge": result.threshold_is_grid_edge,

@@ -236,7 +236,7 @@ def binary_entropy(x):
         raise ValueError(f"binary entropy needs x in [0, 1], got {bad[0]}")
     inner = (x > 0.0) & (x < 1.0)
     x = np.where(inner, x, 0.5)
-    h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    h = -x * np.log2(x) - (1.0 - x) * np.log1p(-x) / np.log(2.0)   # log1p keeps a small x's second term
     return np.where(inner, h, 0.0)[()]
 
 

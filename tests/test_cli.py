@@ -297,6 +297,9 @@ PROBES = [
     # a wavelength whose default scan prints fewer than 1201 distinct points, or inf: scan exited 0
     ("scan", {"modulator": {"wavelength": 1e-3}}, 3, "modulator.wavelength"),
     ("fitdl", {"modulator": {"wavelength": 1e300}}, 3, "modulator.wavelength"),
+    # a range check names its key; a decoy within 1e-5 of the signal breaks the decoy order
+    ("keyrate", {"channel": {"detector_efficiency": 0}}, 3, "channel.detector_efficiency"),
+    ("keyrate", {"protocol": {"mu": 0.6, "nu": 0.599999}}, 3, "protocol.nu"),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -471,6 +474,7 @@ class TestInputBoundary:
     @given(runnable_trees())
     @example(ALL_VACUUM)
     @example({"protocol": {"p_signal": 0.7500000009, "p_decoy": 0.25, "p_vacuum": 0}})   # sum 1 + 9e-10
+    @example({"protocol": {"p_signal": 0.7500000009, "p_decoy": 0.25, "p_vacuum": 0}, "sim": {"n_pulses": 10**6}})
     @example(OVERFLOWING_GRID)
     def test_a_scenario_that_loads_runs_keyrate_sweep_and_mc(self, tree):
         try:
@@ -781,9 +785,11 @@ class TestScanAndFit:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda c: c * 1.05, lambda c: c * 0.9, lambda c: c + 0.03, lambda c: c * 3, lambda c: c * 1e-7,
-         lambda c: c * 1e100, lambda c: c * 1e300],
-        ids=["times-1.05", "times-0.9", "plus-0.03", "times-3", "times-1e-7", "times-1e100", "times-1e300"],
+        [lambda c: c, lambda c: c * 1.05, lambda c: c * 0.9, lambda c: c + 0.03, lambda c: c * 3,
+         lambda c: c * 1e-7, lambda c: c * 1e100, lambda c: c * 1e300,
+         lambda c: (3 * c + 0.03).astype(str)],   # text cells are written verbatim: full precision
+        ids=["unchanged", "times-1.05", "times-0.9", "plus-0.03", "times-3", "times-1e-7", "times-1e100",
+             "times-1e300", "times-3-plus-0.03-at-full-precision"],
     )
     def test_scaled_or_offset_scan_fits_delta_l(self, tmp_path, capsys, edit):
         scan = tmp_path / "scan.csv"
@@ -850,15 +856,17 @@ class TestScanAndFit:
         assert not any(tmp_path.iterdir())
 
 
-    @pytest.mark.parametrize("command", ["scan", "fitdl"])
+    @pytest.mark.parametrize("command", ["scan", "fitdl", "sweep"])
     @pytest.mark.parametrize("grid", ["1549.3:1551.1:0.0007", None], ids=["grid", "default"])
     def test_a_rerun_from_the_sidecar_writes_the_same_bytes(self, command, grid, tmp_path):
-        scn = write_scenario(tmp_path, {"modulator": {"delta_l": 6.1e-3, "n_1": 1.47}})
+        scn = write_scenario(tmp_path, {"modulator": {"delta_l": 6.1e-3, "n_1": 1.47},
+                                        "sweep": {"start_db": 40.0, "stop_db": 60.5, "step_db": 0.1}})
         first, rerun = tmp_path / "first.csv", tmp_path / "rerun.csv"
         grid_argv = ["--grid", grid] if grid else []
         assert main([command, "--scenario", str(scn), *grid_argv, "--out", str(first)]) == 0
         sidecar = strict_json((tmp_path / "first.csv.params.json").read_text())
-        assert set(sidecar) == {"command", "parameters", "grid", *(["input"] if command == "fitdl" else [])}
+        own = {"fitdl": ["input"], "sweep": ["threshold_db", "threshold_is_grid_edge"]}.get(command, [])
+        assert set(sidecar) == {"command", "parameters", "grid", *own}
         assert sidecar["grid"] == (None if grid is None else "1549.3:1551.1:0.0007")
         again = write_scenario(tmp_path, sidecar["parameters"], name="again.json")
         grid_argv = ["--grid", sidecar["grid"]] if sidecar["grid"] is not None else []
@@ -1131,6 +1139,17 @@ class TestCsvInput:
         assert rows == 4096
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("rows", [1201, 20000])
+    def test_a_short_read_ends_the_file_with_its_last_line(self, tmp_path, rows):
+        # the last line was held back until a final, empty read, which yielded it alone
+        infile = tmp_path / "proj.csv"
+        infile.write_text("i1,i2,i3,s0\n" + "0.5,0.5,0.5,1\n" * rows)
+        blocks = [len(block) for block in _read_blocks(infile, 4)]
+        # 14-byte rows: each read after the first asks for under 14 bytes more than _READ_BYTES, so the
+        # file takes as many reads as it holds _READ_BYTES, rounded up, and the last read is short
+        assert sum(blocks) == rows and len(blocks) == -(-infile.stat().st_size // _READ_BYTES)
+        assert blocks[-1] > 1
+
     def test_well_formed_table_never_reaches_the_python_walk(self, tmp_path, monkeypatch):
         load, parsed = np.loadtxt, []
 
@@ -1248,6 +1267,7 @@ class TestPolarimetryCommand:
             ("0.5,0.5,0.5,1\nnan,0.5,0.5,1\n", 3, "projections must be finite"),
             ("0.5,0.5,0.5,1\n" * (_READ_BYTES // 14 + 1) + "nan,0.5,0.5,1\n", 3, "projections must be finite"),
             ("0.5,0.5,0.5,1\n1,0.5\n", 2, "{path}:3: expected 4 columns, got 2"),
+            ("0.5,0.5,0.5,1\n\n1,0.5,0.5,1\n", 2, "{path}:3: expected 4 columns, got 1"),   # a blank line
             # and before a malformed row in the same block, or after one
             ("nan,0.5,0.5,1\n1,x,0.5,1\n", 3, "projections must be finite"),
             ("1,x,0.5,1\nnan,0.5,0.5,1\n", 2, "{path}:2: could not convert string to float: 'x'"),
@@ -1327,6 +1347,13 @@ class TestKeyrateAndSweep:
                      "--grid", "3000:3300:1"]) == 0
         assert capsys.readouterr().err == ""
         assert len(read_csv(out)[1]) == 301
+
+    def test_dark_free_threshold_lies_inside_its_grid_step(self, tmp_path):
+        # the rate underflows to 0 instead of changing sign, so the threshold is not the grid point at 3300 dB
+        scn = write_scenario(tmp_path, {"channel": {"dark_rate": 0}})
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--scenario", str(scn), "--grid", "0:4000:100", "--out", str(out)]) == 0
+        assert 3200 < strict_json((tmp_path / "s.csv.params.json").read_text())["threshold_db"] < 3300
 
     def test_no_positive_point_writes_a_null_threshold(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -1475,6 +1502,17 @@ class TestMcCommand:
         assert out_a.read_bytes() != out_b.read_bytes()
         assert out_b.read_bytes() == out_c.read_bytes()
 
+    def test_largest_pulse_count_is_one_draw_that_a_seed_fixes(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, {"sim": {"n_pulses": 2**63 - 1}})
+        assert main(["mc", "--scenario", str(scn), "--out", str(tmp_path / "max.json")]) == 0
+        assert capsys.readouterr().err == ""
+        tally = json.loads((tmp_path / "max.json").read_text())
+        assert sum(tally[c][s]["sent"] for c in ("signal", "decoy", "vacuum") for s in STATES) == 2**63 - 1
+        for run in ("a", "b"):
+            assert main(["mc", "--scenario", str(scn), "--seed", "5", "--out", str(tmp_path / f"{run}.json")]) == 0
+        for suffix in ("", ".report.csv", ".params.json"):
+            assert (tmp_path / f"a.json{suffix}").read_bytes() == (tmp_path / f"b.json{suffix}").read_bytes()
+
     def test_oversized_chunk_is_a_parameter_error(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, {"sim": {"n_pulses": 2**65, "chunk_pulses": 2**65}})
         out = tmp_path / "mc.json"
@@ -1526,7 +1564,7 @@ class TestFlags:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         record = json.loads(err)
-        assert "unrecognized arguments" in record["error"]
+        assert record["error"] == f"ipmsim: unrecognized arguments: {' '.join(argv[-2:])}"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
@@ -1585,15 +1623,18 @@ class TestFlags:
             (["scan", "--grid", "1549:1551:nan"], "finite"),
             (["mc", "--seed", "-1"], "'seed' must be >= 0"),
             (["mc", "--seed", "18446744073709551616"], "'seed' must be < 18446744073709551616"),
+            (["mc", "--workers", "0"], "must be a positive integer, got '0'"),
         ],
         ids=["sweep-nan-start", "sweep-inf-stop", "scan-nan-step", "mc-seed-negative",
-             "mc-seed-2**64"],
+             "mc-seed-2**64", "mc-workers-0"],
     )
     def test_bad_flag_value_exits_2_with_its_reason(self, argv, reason, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         record = json.loads(err)
+        # checked where argparse reads the flag, so the record names it
+        assert record["error"].startswith(f"ipmsim {argv[0]}: argument {argv[1]}: ")
         assert reason in record["error"] and record["field"] is None
         assert not (tmp_path / "x.csv").exists()
 
@@ -1617,15 +1658,33 @@ class TestFlags:
         assert capsys.readouterr().out
 
 
+def run_python(*argv, **kwargs):
+    """A fresh Python process on ``argv`` that imports ipmsim from this source tree."""
+    src = str(Path(ipmsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs)
+
+
 def test_cli_import_loads_no_process_pool():
     code = (
         "import sys, ipmsim.cli; "
         "print([m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')])"
     )
-    src = str(Path(ipmsim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    assert run_python("-c", code, check=True).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_command_runs_on_its_defaults_in_its_own_process(command, tmp_path):
+    # a process shows its exit status and everything that reaches stderr, which an in-process call does not
+    (tmp_path / "proj.csv").write_text("i1,i2,i3,s0\n0.5,0.5,0.5,1\n1,0.5,0.5,1\n")
+    argv = [command, "--in", "proj.csv"] if command == "polarimetry" else [command]
+    done = run_python("-m", "ipmsim.cli", *argv, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert all(isinstance(json.loads(line), dict) for line in done.stderr.splitlines())
+    # the data files and the sidecar at the default --out, nothing else: mc writes no flat mc.json.csv
+    out, suffixes = ("mc.json", ["", ".report.csv"]) if command == "mc" else (f"{command}.csv", [""])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["proj.csv", out + ".params.json",
+                                                                 *(out + s for s in suffixes)])
 
 
 def read_outcome(path, columns):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ipmsim import decoy
@@ -312,6 +312,19 @@ class TestBinaryEntropy:
     def test_symmetry(self):
         for x in (0.01, 0.2, 0.37):
             assert binary_entropy(x) == pytest.approx(binary_entropy(1 - x), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-300.0, math.log10(0.49)).map(lambda e: min(max(10.0**e, 1e-300), 0.49)))   # log-uniform
+    @example(1e-12)
+    @example(5.4e-17)
+    @example(1.6e-8)   # e1_U at 0 dB with intrinsic_qber 0
+    def test_small_x_keeps_full_precision(self, x):
+        # log2(1 - x) cancelled for small x: 7.7e-7 relative off at x = 1e-12, 2.6 % at 5.4e-17
+        with localcontext() as ctx:
+            ctx.prec = 400
+            d = Decimal(x)
+            exact = -(d * d.ln() + (1 - d) * (1 - d).ln()) / Decimal(2).ln()
+        assert abs(binary_entropy(x) - float(exact)) <= 1e-14 * float(exact)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
