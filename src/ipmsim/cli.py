@@ -76,12 +76,15 @@ def _write_rows(f, columns):
     """Write equal-length ``columns`` to ``f`` as CSV rows, ``_WRITE_ROWS`` rows at a time.
 
     Row k holds element k of every column.  Rows go to ``f`` one at a time:
-    a slice joined into one string left about 1 MB more resident.
+    a slice joined into one string left about 1 MB more resident.  Each
+    float cell is written as its value + 0.0, which turns -0.0 into 0 and
+    leaves every other float as it is, so no cell reads ``-0``.
     """
     columns = [np.asarray(c) for c in columns]
     row_format = ",".join(_CONVERSIONS[c.dtype.kind] for c in columns) + "\n"
     for start in range(0, min(map(len, columns)), _WRITE_ROWS):
-        block = (c[start : start + _WRITE_ROWS].tolist() for c in columns)
+        block = (c[start : start + _WRITE_ROWS] for c in columns)
+        block = ((b + 0.0 if b.dtype.kind == "f" else b).tolist() for b in block)
         f.writelines(map(row_format.__mod__, zip(*block)))
 
 

@@ -46,13 +46,15 @@ class ModulatorConfig:
     Temperature drift enters as ``temp_coeff * temp_delta`` added to the
     operating phase.  ``v_pi_pm`` and ``|delta|`` are capped at 1e307 so
     that the drive swing (v1 - v2) pi and the splitter rotation 2 delta stay
-    finite, and ``wavelength`` lies in (1.2 nm, 0.1 mm] so that the CLI's
-    default +-1.2 nm scan stays above 0 nm and prints 1201 distinct
+    finite, and ``v_pi_pm`` is at least 2^-1014 so that every drive
+    voltage ``states`` and ``trace`` write, the smallest v_pi_pm / 256, is
+    a normal float.  ``wavelength`` lies in (1.2 nm, 0.1 mm] so that the
+    CLI's default +-1.2 nm scan stays above 0 nm and prints 1201 distinct
     wavelengths.  A rule across fields raises a ``BoundError`` naming
     ``phi0_operating``: the operating phase, drift included, must be finite.
     """
 
-    v_pi_pm: float = field(default=4.0, metadata={"gt": 0, "le": 1e307})   # PM half-wave voltage [V]
+    v_pi_pm: float = field(default=4.0, metadata={"ge": 2.0**-1014, "le": 1e307})   # PM half-wave voltage [V]
     delta: float = field(default=0.0, metadata={"ge": -1e307, "le": 1e307})   # splitter rotation offset [rad]
     delta_l: float = field(default=6.0e-3, metadata={"ge": 0})   # MZI arm length imbalance [m]
     n_1: float = field(default=1.468, metadata={"gt": 1})        # effective fiber index
@@ -346,5 +348,5 @@ def poincare_trace(cfg: ModulatorConfig):
     """
     t = np.arange(TRACE_PERIODS * TRACE_SAMPLES_PER_PERIOD) / TRACE_SAMPLES_PER_PERIOD
     v1 = cfg.v_pi_pm / 2.0 * triangular_wave(t)
-    v2 = 0.0 - v1   # not -v1, which writes -0 where v1 = 0
+    v2 = -v1
     return t, v1, v2, output_stokes(v1, v2, cfg)

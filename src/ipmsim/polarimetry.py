@@ -36,9 +36,8 @@ DEFAULT_QWP_RETARDANCE = 0.93 * np.pi / 2
 #: Recovered DOP above 1 + this margin triggers an inconsistency warning.
 DOP_WARN_MARGIN = 0.05
 
-#: Polarizer and waveplate angles of the S1+, S2+ and S3+ settings.
-_POLARIZER_ANGLES = np.array([0.0, np.pi / 4, np.pi / 4])
-_QWP_ANGLES = np.array([0.0, np.pi / 4, 0.0])
+#: (polarizer, waveplate) angles of the S1+, S2+ and S3+ settings.
+_SETTINGS = ((0.0, 0.0), (np.pi / 4, np.pi / 4), (np.pi / 4, 0.0))
 
 
 class InconsistentProjectionsWarning(UserWarning):
@@ -78,14 +77,15 @@ def measure_stokes(s, retardance: float = IDEAL_RETARDANCE) -> np.ndarray:
     At the ideal retardance this is an exact round trip; away from it the
     S3 channel picks up the sin/cos bias documented in the module
     docstring.  Useful for studying waveplate imperfection.  The three
-    analyzers are built and converted once per call, as one (3, 2, 2) stack.
+    analyzer rows are built once per call, one setting at a time.
     Warns once (without failing) when a recovered DOP exceeds 1 by more
     than 5%, naming the largest: the bias, or an input past DOP 1, shows.
     """
     s = np.asarray(s, dtype=float)
-    analyzers = jones_to_mueller(polarizer(_POLARIZER_ANGLES) @ retarder(_QWP_ANGLES, retardance))
+    rows = np.array([jones_to_mueller(polarizer(alpha) @ retarder(beta, retardance))[0]
+                     for alpha, beta in _SETTINGS])
     # a stack of (1, 4) @ (4, 1) products gives each intensity the bits of row @ vector
-    i = (s[..., None, None, :] @ analyzers[:, 0, :, None])[..., 0, 0]
+    i = (s[..., None, None, :] @ rows[:, :, None])[..., 0, 0]
     measured = extract_stokes(*np.moveaxis(i, -1, 0), s[..., 0])
     warn_inconsistent(np.max(degree_of_polarization(measured), initial=0.0))
     return measured

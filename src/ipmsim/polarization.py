@@ -15,10 +15,8 @@ Conventions (used consistently by every module in this package):
   change-of-basis matrix ``A`` below, M = A (J kron J*) A^-1, with
   J kron J* formed as one broadcast outer product.
 
-The element constructors take float or ndarray angles: a scalar call
-gives one 2x2 matrix, array arguments give a (..., 2, 2) stack equal,
-matrix by matrix, to the scalar calls.  ``jones_to_mueller`` maps a
-(..., 2, 2) stack to (..., 4, 4) Mueller matrices in one pass.
+The element constructors take float angles and return one 2x2 matrix;
+``jones_to_mueller`` converts one 2x2 Jones matrix.
 
 All values are plain numpy arrays, immutable by convention; every function
 is pure and reentrant.
@@ -44,54 +42,40 @@ A_INVERSE = A_MATRIX.conj().T / 2.0
 _H_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
-def rotator(theta) -> np.ndarray:
-    """Frame-rotation Jones matrix [[c, s], [-s, c]]; array angles give a (..., 2, 2) stack."""
+def rotator(theta: float) -> np.ndarray:
+    """Frame-rotation Jones matrix [[c, s], [-s, c]]."""
     c, s = np.cos(theta), np.sin(theta)
-    r = np.array([[c, s], [-s, c]], dtype=complex)
-    if r.ndim == 2:
-        return r
-    return np.moveaxis(r, (0, 1), (-2, -1))
+    return np.array([[c, s], [-s, c]], dtype=complex)
 
 
-def retarder(theta, retardance) -> np.ndarray:
-    """Linear retarder, fast axis at ``theta``, slow axis delayed by ``retardance``.
-
-    Array arguments broadcast against each other and give a (..., 2, 2) stack.
-    """
-    slow = np.exp(-1j * retardance)
-    j0 = np.zeros(np.shape(slow) + (2, 2), dtype=complex)
-    j0[..., 0, 0] = 1.0
-    j0[..., 1, 1] = slow
-    return rotator(-theta) @ j0 @ rotator(theta)
+def retarder(theta: float, retardance: float) -> np.ndarray:
+    """Linear retarder, fast axis at ``theta``, slow axis delayed by ``retardance``."""
+    return rotator(-theta) @ np.diag([1.0, np.exp(-1j * retardance)]) @ rotator(theta)
 
 
-def polarizer(theta) -> np.ndarray:
-    """Ideal linear polarizer (projector) with transmission axis at ``theta``.
-
-    Array angles give a (..., 2, 2) stack.
-    """
+def polarizer(theta: float) -> np.ndarray:
+    """Ideal linear polarizer (projector) with transmission axis at ``theta``."""
     return rotator(-theta) @ _H_PROJECTOR @ rotator(theta)
 
 
 def jones_to_mueller(j: np.ndarray) -> np.ndarray:
-    """Convert a 2x2 Jones matrix, or a (..., 2, 2) stack, to real 4x4 Mueller matrices.
+    """Convert one 2x2 Jones matrix to its real 4x4 Mueller matrix.
 
     J kron J* is formed as one broadcast outer product, the same complex
-    products ``np.kron`` forms, so a stack converts in one pass.
-    A (J kron J*) A^-1 is real for every complex J; its imaginary part is
-    rounding only, and is dropped.
+    products ``np.kron`` forms.  A (J kron J*) A^-1 is real for every
+    complex J; its imaginary part is rounding only, and is dropped.
 
     Raises
     ------
     ValueError
-        If the last two axes are not 2x2 or if any entry is not finite.
+        If ``j`` is not 2x2 or if any entry is not finite.
     """
     j = np.asarray(j, dtype=complex)
-    if j.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a 2x2 Jones matrix or a (..., 2, 2) stack, got shape {j.shape}")
+    if j.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 Jones matrix, got shape {j.shape}")
     if not np.isfinite(j).all():
         raise ValueError("non-physical Jones matrix: entries must be finite")
-    kron = (j[..., :, None, :, None] * j.conj()[..., None, :, None, :]).reshape(*j.shape[:-2], 4, 4)
+    kron = (j[:, None, :, None] * j.conj()[None, :, None, :]).reshape(4, 4)
     return np.ascontiguousarray((A_MATRIX @ kron @ A_INVERSE).real)
 
 

@@ -93,13 +93,13 @@ def projected_intensity(s, meas: Setting) -> float:
 
 
 def _fmt(value) -> str:
-    """Fixed 9-significant-digit rendering for floats; ints and text pass through."""
+    """Fixed 9-significant-digit rendering for floats, -0.0 as 0; ints and text pass through."""
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.9g}"
+        return f"{float(value) + 0.0:.9g}"   # -0.0 + 0.0 is 0.0: no cell reads -0
     return str(value)
 
 

@@ -33,7 +33,15 @@ from ipmsim.cli import (
     main,
 )
 from ipmsim.decoy import DECOY_GAP, ChannelParams, ProtocolParams
-from ipmsim.modulator import BB84_DRIVE_FRACTIONS, RECEIVER_FRAME, ModulatorConfig, modulator_mueller, wavelength_scan
+from ipmsim.modulator import (
+    BB84_DRIVE_FRACTIONS,
+    RECEIVER_FRAME,
+    ModulatorConfig,
+    bb84_table,
+    modulator_mueller,
+    poincare_trace,
+    wavelength_scan,
+)
 from ipmsim.montecarlo import STATES, RateEstimate
 from ipmsim.polarimetry import InconsistentProjectionsWarning, extract_stokes
 from ipmsim.polarization import apply_mueller, degree_of_polarization
@@ -300,6 +308,10 @@ PROBES = [
     # a range check names its key; a decoy within 1e-5 of the signal breaks the decoy order
     ("keyrate", {"channel": {"detector_efficiency": 0}}, 3, "channel.detector_efficiency"),
     ("keyrate", {"protocol": {"mu": 0.6, "nu": 0.599999}}, 3, "protocol.nu"),
+    # a v_pi_pm below 2^-1014 makes the smallest drive voltage subnormal: at 1e-320 states exited 0
+    # with H at S1 = 0.999999985
+    *((command, {"modulator": {"v_pi_pm": float(np.nextafter(2.0**-1014, 0))}}, 3, "modulator.v_pi_pm")
+      for command in ("states", "trace")),
 ]
 
 SECTION_KEYS = resolved_dict(Scenario())   # section -> key -> default
@@ -504,6 +516,21 @@ class TestInputBoundary:
         if status != 0:   # the decoy order names protocol.nu, the other rules their section
             assert status == 3 and records[-1]["field"] in (section, "protocol.nu")
 
+    @pytest.mark.parametrize("command", ["states", "trace"])
+    def test_smallest_v_pi_pm_gives_the_stokes_of_the_default(self, command, tmp_path):
+        # at 2^-1014 the smallest drive voltage, v_pi_pm / 256, is still a normal float
+        small, default = ModulatorConfig(v_pi_pm=2.0**-1014), ModulatorConfig()
+        stokes = {"states": lambda cfg: bb84_table(cfg)[1], "trace": lambda cfg: poincare_trace(cfg)[3]}[command]
+        assert bitwise_equal(stokes(small), stokes(default))
+        tables = []
+        for cfg in (small, default):
+            out = tmp_path / f"{cfg.v_pi_pm}.csv"
+            scn = write_scenario(tmp_path, {"modulator": {"v_pi_pm": cfg.v_pi_pm}})
+            assert main([command, "--scenario", str(scn), "--out", str(out)]) == 0
+            header, rows = read_csv(out)
+            tables.append([[cell for name, cell in zip(header, row) if name.startswith("S")] for row in rows])
+        assert tables[0] == tables[1]
+
 
 # values each flag accepts, and values that no flag accepts
 FUZZ_VALUES = {
@@ -679,12 +706,16 @@ class TestTraceCommand:
         assert np.max(np.abs(s3)) <= 1e-12
 
     def test_no_cell_reads_minus_zero(self, tmp_path):
-        # the push-pull drive crosses 0 V four times, where v2 = -v1 would print -0
-        out = tmp_path / "trace.csv"
-        assert main(["trace", "--out", str(out)]) == 0
-        _, rows = read_csv(out)
-        assert [row[0] for row in rows if row[2] == "0"] == ["0", "0.5", "1", "1.5"]
-        assert "-0" not in {cell for row in rows for cell in row}
+        # the push-pull drive crosses 0 V four times, where v2 = -v1 is -0.0; at delta -0.0
+        # every S3 = sin(2 delta) is -0.0, and keyrate echoes a -0.0 loss as loss_db
+        for command, data in [("trace", {}), ("trace", {"modulator": {"delta": -0.0}}),
+                              ("keyrate", {"channel": {"total_loss_db": -0.0}})]:
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--scenario", str(write_scenario(tmp_path, data)), "--out", str(out)]) == 0
+            _, rows = read_csv(out)
+            if command == "trace":
+                assert [row[0] for row in rows if row[2] == "0"] == ["0", "0.5", "1", "1.5"]
+            assert "-0" not in {cell for row in rows for cell in row}
 
 
 class TestScanAndFit:

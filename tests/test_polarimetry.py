@@ -110,7 +110,8 @@ class TestExtractStokes:
             np.testing.assert_allclose(measure_stokes(s), s, atol=1e-13)
 
     def test_stacked_analyzers_equal_per_setting_projections(self):
-        # measure_stokes converts its three analyzers as one stack
+        # measure_stokes builds its three analyzer rows in one loop over the settings; each
+        # recovered vector keeps the bytes of the per-setting projections
         rng = np.random.default_rng(27)
         for _ in range(200):
             s = random_physical_stokes(rng)
